@@ -15,11 +15,16 @@ coordinates.  Projecting and re-deriving canonical angles between successive
 products is *not* the same thing as staying in polar form: the coordinate
 projection is many-to-one for N >= 3, which is precisely what the audit
 module measures.
+
+Every operation is written once over all charts (see :mod:`hyperspace.core`)
+and returns values of its operands' family: ``Space3``/``Space3Polar`` in,
+``Space3``/``Space3Polar`` out.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .core import (
@@ -28,9 +33,11 @@ from .core import (
     Orientation,
     PolarHC,
     from_polar,
+    make_cartesian,
+    make_polar,
+    resolve_orientation,
     to_polar,
 )
-
 HCNumber = CartesianHC | PolarHC
 
 
@@ -65,12 +72,13 @@ def add(s1: CartesianHC, s2: CartesianHC) -> CartesianHC:
     """Coefficientwise sum."""
     if s1.dim != s2.dim:
         raise DimensionMismatchError(f"dimension mismatch: {s1.dim} != {s2.dim}")
-    return CartesianHC(tuple(x + y for x, y in zip(s1.coeffs, s2.coeffs)))
+    family = s1.orientation or s2.orientation
+    return make_cartesian(family, tuple(map(operator.add, s1.coeffs, s2.coeffs)))
 
 
 def negate(s: CartesianHC) -> CartesianHC:
     """Coefficientwise negation."""
-    return CartesianHC(tuple(-x for x in s.coeffs))
+    return make_cartesian(s.orientation, tuple(map(operator.neg, s.coeffs)))
 
 
 def sub(s1: CartesianHC, s2: CartesianHC) -> CartesianHC:
@@ -78,58 +86,41 @@ def sub(s1: CartesianHC, s2: CartesianHC) -> CartesianHC:
     return add(s1, negate(s2))
 
 
-def _resolve_orientation(
-    orientation: Orientation | None, *operands: HCNumber
-) -> Orientation:
-    seen = {p.orientation for p in operands if isinstance(p, PolarHC)}
-    if orientation is not None:
-        seen.add(orientation)
-    if len(seen) > 1:
-        raise ValueError(f"conflicting orientations: {sorted(o.value for o in seen)}")
-    return seen.pop() if seen else Orientation.ANTICLOCKWISE
+def _polar_in(x: HCNumber, o: Orientation) -> PolarHC:
+    return x if isinstance(x, PolarHC) else to_polar(x, o)
 
 
 def as_polar(x: HCNumber, orientation: Orientation | None = None) -> PolarHC:
     """Polar view of ``x``: canonical conversion for Cartesian, pass-through
     for polar (the carried chain is preserved, not re-canonicalized)."""
-    o = _resolve_orientation(orientation, x)
-    if isinstance(x, PolarHC):
-        return x
-    return to_polar(x, o)
+    return _polar_in(x, resolve_orientation(orientation, x))
 
 
-def as_cartesian(x: HCNumber) -> CartesianHC:
-    """Coordinate view of ``x``."""
-    return x if isinstance(x, CartesianHC) else from_polar(x)
-
-
-def _check_dims(*xs: HCNumber) -> None:
-    dims = {x.dim for x in xs}
-    if len(dims) > 1:
-        raise DimensionMismatchError(f"dimension mismatch: {sorted(dims)}")
+def _pair(p1: PolarHC, p2: PolarHC) -> Orientation:
+    if len(p1.angles) != len(p2.angles):
+        raise DimensionMismatchError(f"dimension mismatch: {sorted({p1.dim, p2.dim})}")
+    return resolve_orientation(None, p1, p2)
 
 
 def mul_polar(p1: PolarHC, p2: PolarHC) -> PolarHC:
     """Moduli multiply, angle chains add; no canonicalization."""
-    _check_dims(p1, p2)
-    o = _resolve_orientation(None, p1, p2)
-    return PolarHC(
-        p1.modulus * p2.modulus,
-        tuple(a + b for a, b in zip(p1.angles, p2.angles)),
+    o = _pair(p1, p2)
+    return make_polar(
         o,
+        p1.modulus * p2.modulus,
+        tuple(map(operator.add, p1.angles, p2.angles)),
     )
 
 
 def div_polar(p1: PolarHC, p2: PolarHC) -> PolarHC:
     """Moduli divide, angle chains subtract; raises on a zero divisor."""
-    _check_dims(p1, p2)
-    o = _resolve_orientation(None, p1, p2)
+    o = _pair(p1, p2)
     if p2.modulus == 0.0:
         raise ZeroDivisionError("division by a zero-modulus number")
-    return PolarHC(
-        p1.modulus / p2.modulus,
-        tuple(a - b for a, b in zip(p1.angles, p2.angles)),
+    return make_polar(
         o,
+        p1.modulus / p2.modulus,
+        tuple(map(operator.sub, p1.angles, p2.angles)),
     )
 
 
@@ -138,10 +129,10 @@ def pow_int_polar(p: PolarHC, n: int) -> PolarHC:
     n = int(n)
     if p.modulus == 0.0 and n < 0:
         raise ZeroDivisionError("negative power of a zero-modulus number")
-    return PolarHC(
+    return make_polar(
+        p.orientation,
         math.pow(p.modulus, n),
         tuple(n * a for a in p.angles),
-        p.orientation,
     )
 
 
@@ -155,7 +146,7 @@ def nth_roots_polar(p: PolarHC, n: int) -> tuple[PolarHC, ...]:
     for m in range(n):
         shift = 2.0 * math.pi * m
         out.append(
-            PolarHC(r, tuple((a + shift) / n for a in p.angles), p.orientation)
+            make_polar(p.orientation, r, tuple((a + shift) / n for a in p.angles))
         )
     return tuple(out)
 
@@ -164,32 +155,28 @@ def mul(
     s1: HCNumber, s2: HCNumber, orientation: Orientation | None = None
 ) -> CartesianHC:
     """Product in coordinate form; the result modulus is |s1|*|s2|."""
-    _check_dims(s1, s2)
-    o = _resolve_orientation(orientation, s1, s2)
-    return from_polar(mul_polar(as_polar(s1, o), as_polar(s2, o)))
+    o = resolve_orientation(orientation, s1, s2)
+    return from_polar(mul_polar(_polar_in(s1, o), _polar_in(s2, o)))
 
 
 def div(
     s1: HCNumber, s2: HCNumber, orientation: Orientation | None = None
 ) -> CartesianHC:
     """Quotient in coordinate form; raises on a zero divisor."""
-    _check_dims(s1, s2)
-    o = _resolve_orientation(orientation, s1, s2)
-    return from_polar(div_polar(as_polar(s1, o), as_polar(s2, o)))
+    o = resolve_orientation(orientation, s1, s2)
+    return from_polar(div_polar(_polar_in(s1, o), _polar_in(s2, o)))
 
 
 def pow_int(
     s: HCNumber, n: int, orientation: Orientation | None = None
 ) -> CartesianHC:
     """Integer power in coordinate form (negative n needs a nonzero modulus)."""
-    o = _resolve_orientation(orientation, s)
-    return from_polar(pow_int_polar(as_polar(s, o), n))
+    return from_polar(pow_int_polar(as_polar(s, orientation), n))
 
 
 def nth_roots(
     s: HCNumber, n: int, orientation: Orientation | None = None
 ) -> RootSet:
     """All n-th roots in coordinate form (roots of zero are all zero)."""
-    o = _resolve_orientation(orientation, s)
-    chains = nth_roots_polar(as_polar(s, o), n)
+    chains = nth_roots_polar(as_polar(s, orientation), n)
     return RootSet(tuple(from_polar(p) for p in chains))

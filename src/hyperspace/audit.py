@@ -35,14 +35,16 @@ import numpy as np
 
 from ._version import VERSION
 from .core import (
-    HALF_PI,
     TWO_PI,
     CartesianHC,
     DEFAULT_TOLERANCE,
     Orientation,
     PolarHC,
+    Space3,
+    Space3Polar,
     Tolerance,
     approx_eq,
+    canonical_ranges,
     conjugate,
     from_polar,
     modulus,
@@ -50,7 +52,6 @@ from .core import (
     to_polar,
 )
 from . import algebra, coeff_formulas, space3
-from .space3 import Space3, approx_eq3, to_dict3
 
 _ACW = Orientation.ANTICLOCKWISE
 _SINGULAR_MODULUS = 1e-8
@@ -126,13 +127,15 @@ def _sample_rng(seed: int, law: str, dim: int, index: int) -> np.random.Generato
 
 
 def _near_singular(s: CartesianHC) -> bool:
-    if modulus(s) < _SINGULAR_MODULUS:
+    # ccw for N-dimensional operands; 3D operands keep their s3 chart
+    p = to_polar(s, _ACW)
+    if p.modulus < _SINGULAR_MODULUS:
         return True
-    angles = to_polar(s, _ACW).angles
-    full = angles[0]
-    if full < _ANGLE_MARGIN or TWO_PI - full < _ANGLE_MARGIN:
-        return True
-    return any(HALF_PI - abs(a) < _ANGLE_MARGIN for a in angles[1:])
+    ranges = canonical_ranges(p.orientation, p.dim)
+    return any(
+        a - lo < _ANGLE_MARGIN or hi - a < _ANGLE_MARGIN
+        for a, (lo, hi, _) in zip(p.angles, ranges)
+    )
 
 
 def _draw_cartesian(rng: np.random.Generator, dim: int, domain: Domain) -> CartesianHC:
@@ -143,51 +146,25 @@ def _draw_cartesian(rng: np.random.Generator, dim: int, domain: Domain) -> Carte
     return from_polar(PolarHC(mag, tuple(angles), _ACW))
 
 
-def _draw_operands(
-    rng: np.random.Generator, dim: int, domain: Domain, count: int
-) -> tuple[list[CartesianHC], int]:
-    out: list[CartesianHC] = []
-    redraws = 0
-    for _ in range(count):
-        for attempt in range(_MAX_REDRAWS):
-            s = _draw_cartesian(rng, dim, domain)
-            if not _near_singular(s):
-                break
-            redraws += 1
-        else:
-            raise RuntimeError("exhausted redraws for a non-singular operand")
-        out.append(s)
-    return out, redraws
-
-
-def _near_singular3(s: Space3) -> bool:
-    p = space3.to_polar3(s)
-    if p.modulus < _SINGULAR_MODULUS:
-        return True
-    if p.theta < _ANGLE_MARGIN or math.pi - p.theta < _ANGLE_MARGIN:
-        return True
-    return p.phi < _ANGLE_MARGIN or TWO_PI - p.phi < _ANGLE_MARGIN
-
-
-def _draw_space3(rng: np.random.Generator, domain: Domain) -> Space3:
+def _draw_space3(rng: np.random.Generator, dim: int, domain: Domain) -> Space3:
     mag = 10.0 ** rng.uniform(-2.0, 2.0)
     if domain is Domain.UNRESTRICTED:
         a, b, c = rng.uniform(-1.0, 1.0, 3) * mag
         return Space3(a, b, c)
     theta = rng.uniform(0.0, math.pi / 4)
     phi = rng.uniform(-math.pi / 4, math.pi / 4)
-    return space3.from_polar3(space3.Space3Polar(mag, theta, phi % TWO_PI))
+    return from_polar(Space3Polar(mag, theta, phi % TWO_PI))
 
 
-def _draw_operands3(
-    rng: np.random.Generator, domain: Domain, count: int
-) -> tuple[list[Space3], int]:
-    out: list[Space3] = []
+def _draw_operands(
+    rng: np.random.Generator, dim: int, domain: Domain, count: int, draw=_draw_cartesian
+) -> tuple[list[CartesianHC], int]:
+    out: list[CartesianHC] = []
     redraws = 0
     for _ in range(count):
         for attempt in range(_MAX_REDRAWS):
-            s = _draw_space3(rng, domain)
-            if not _near_singular3(s):
+            s = draw(rng, dim, domain)
+            if not _near_singular(s):
                 break
             redraws += 1
         else:
@@ -208,19 +185,26 @@ def _compare(lhs: CartesianHC, rhs: CartesianHC, tol: Tolerance) -> tuple[bool, 
     return approx_eq(lhs, rhs, tol), _deviation(lhs.coeffs, rhs.coeffs)
 
 
-def _compare3(lhs: Space3, rhs: Space3, tol: Tolerance) -> tuple[bool, float]:
-    return approx_eq3(lhs, rhs, tol), _deviation(lhs.coeffs, rhs.coeffs)
-
-
 def _cex(operands, lhs, rhs, **extra) -> dict:
-    enc = lambda v: to_dict3(v) if isinstance(v, Space3) else to_dict(v)
     payload = {
-        "operands": [enc(s) for s in operands],
-        "lhs": enc(lhs),
-        "rhs": enc(rhs),
+        "operands": [to_dict(s) for s in operands],
+        "lhs": to_dict(lhs),
+        "rhs": to_dict(rhs),
     }
     payload.update(extra)
     return payload
+
+
+def _judge(pairs, tol, resamples, operands):
+    """Law verdict over (lhs, rhs, tags) pairs compared in order: the first
+    pair out of tolerance is the counterexample, carrying its tags."""
+    dev = 0.0
+    for lhs, rhs, tags in pairs:
+        ok, d = _compare(lhs, rhs, tol)
+        dev = max(dev, d)
+        if not ok:
+            return False, dev, resamples, _cex(operands, lhs, rhs, **tags)
+    return True, dev, resamples, None
 
 
 # ---------------------------------------------------------------------------
@@ -229,23 +213,20 @@ def _cex(operands, lhs, rhs, **extra) -> dict:
 def _law_add_commutative(rng, dim, tol, domain):
     (s1, s2), rs = _draw_operands(rng, dim, domain, 2)
     lhs, rhs = algebra.add(s1, s2), algebra.add(s2, s1)
-    ok, dev = _compare(lhs, rhs, tol)
-    return ok, dev, rs, None if ok else _cex([s1, s2], lhs, rhs)
+    return _judge([(lhs, rhs, {})], tol, rs, [s1, s2])
 
 
 def _law_add_associative(rng, dim, tol, domain):
     (s1, s2, s3), rs = _draw_operands(rng, dim, domain, 3)
     lhs = algebra.add(algebra.add(s1, s2), s3)
     rhs = algebra.add(s1, algebra.add(s2, s3))
-    ok, dev = _compare(lhs, rhs, tol)
-    return ok, dev, rs, None if ok else _cex([s1, s2, s3], lhs, rhs)
+    return _judge([(lhs, rhs, {})], tol, rs, [s1, s2, s3])
 
 
 def _law_mul_commutative(rng, dim, tol, domain):
     (s1, s2), rs = _draw_operands(rng, dim, domain, 2)
     lhs, rhs = algebra.mul(s1, s2), algebra.mul(s2, s1)
-    ok, dev = _compare(lhs, rhs, tol)
-    return ok, dev, rs, None if ok else _cex([s1, s2], lhs, rhs)
+    return _judge([(lhs, rhs, {})], tol, rs, [s1, s2])
 
 
 def _law_mul_associative(rng, dim, tol, domain):
@@ -255,16 +236,14 @@ def _law_mul_associative(rng, dim, tol, domain):
     p1, p2, p3 = (to_polar(s, _ACW) for s in ops)
     lhs = from_polar(algebra.mul_polar(algebra.mul_polar(p1, p2), p3))
     rhs = from_polar(algebra.mul_polar(p1, algebra.mul_polar(p2, p3)))
-    ok, dev = _compare(lhs, rhs, tol)
-    return ok, dev, rs, None if ok else _cex(ops, lhs, rhs)
+    return _judge([(lhs, rhs, {})], tol, rs, ops)
 
 
 def _law_distributive(rng, dim, tol, domain):
     (s, t1, t2), rs = _draw_operands(rng, dim, domain, 3)
     lhs = algebra.mul(s, algebra.add(t1, t2))
     rhs = algebra.add(algebra.mul(s, t1), algebra.mul(s, t2))
-    ok, dev = _compare(lhs, rhs, tol)
-    return ok, dev, rs, None if ok else _cex([s, t1, t2], lhs, rhs)
+    return _judge([(lhs, rhs, {})], tol, rs, [s, t1, t2])
 
 
 def _law_conj_modulus(rng, dim, tol, domain):
@@ -272,8 +251,7 @@ def _law_conj_modulus(rng, dim, tol, domain):
     lhs = algebra.mul(s, conjugate(s))
     r = modulus(s)
     rhs = CartesianHC((r * r,) + (0.0,) * (dim - 1))
-    ok, dev = _compare(lhs, rhs, tol)
-    return ok, dev, rs, None if ok else _cex([s], lhs, rhs)
+    return _judge([(lhs, rhs, {})], tol, rs, [s])
 
 
 def _law_n2_classic_equiv(rng, dim, tol, domain):
@@ -281,29 +259,22 @@ def _law_n2_classic_equiv(rng, dim, tol, domain):
     (s1, s2), rs = _draw_operands(rng, 2, domain, 2)
     z1 = complex(s1.coeffs[0], s1.coeffs[1])
     z2 = complex(s2.coeffs[0], s2.coeffs[1])
-    checks: list[tuple[CartesianHC, CartesianHC, str]] = []
+    checks: list[tuple[CartesianHC, CartesianHC, dict]] = []
 
     def classic(z: complex) -> CartesianHC:
         return CartesianHC((z.real, z.imag))
 
-    checks.append((algebra.mul(s1, s2), classic(z1 * z2), "mul"))
-    checks.append((algebra.div(s1, s2), classic(z1 / z2), "div"))
+    checks.append((algebra.mul(s1, s2), classic(z1 * z2), {"check": "mul"}))
+    checks.append((algebra.div(s1, s2), classic(z1 / z2), {"check": "div"}))
     n_pow = int(rng.integers(-4, 9))
-    checks.append((algebra.pow_int(s1, n_pow), classic(z1**n_pow), f"pow {n_pow}"))
+    checks.append((algebra.pow_int(s1, n_pow), classic(z1**n_pow), {"check": f"pow {n_pow}"}))
     n_root = int(rng.integers(1, 7))
     phase = cmath.phase(z1) % TWO_PI
     root_mod = abs(z1) ** (1.0 / n_root)
     for m, root in enumerate(algebra.nth_roots(s1, n_root)):
         oracle = classic(cmath.rect(root_mod, (phase + TWO_PI * m) / n_root))
-        checks.append((root, oracle, f"root {m}/{n_root}"))
-
-    dev = 0.0
-    for got, expect, label in checks:
-        ok, d = _compare(got, expect, tol)
-        dev = max(dev, d)
-        if not ok:
-            return False, dev, rs, _cex([s1, s2], got, expect, check=label)
-    return True, dev, rs, None
+        checks.append((root, oracle, {"check": f"root {m}/{n_root}"}))
+    return _judge(checks, tol, rs, [s1, s2])
 
 
 def _law_roots_correct(rng, dim, tol, domain):
@@ -338,66 +309,50 @@ def _law_demoivre(rng, dim, tol, domain):
     for _ in range(n):
         acc = algebra.mul_polar(acc, p)
     rhs = from_polar(acc)
-    ok, dev = _compare(lhs, rhs, tol)
-    return ok, dev, rs, None if ok else _cex([s], lhs, rhs, order=n)
+    return _judge([(lhs, rhs, {"order": n})], tol, rs, [s])
 
 
-def _agreement(normative, routes, operands, tol, compare):
-    dev = 0.0
-    for label, value in routes:
-        ok, d = compare(value, normative, tol)
-        dev = max(dev, d)
-        if not ok:
-            return False, dev, _cex(operands, value, normative, route=label)
-    return True, dev, None
+def _agreement(rng, dim, tol, domain, normative, routes, draw=_draw_cartesian):
+    """Two operands through the normative operation and every formula route."""
+    (s1, s2), rs = _draw_operands(rng, dim, domain, 2, draw)
+    nm = normative(s1, s2)
+    pairs = [(route(s1, s2).assembled, nm, {"route": label}) for label, route in routes]
+    return _judge(pairs, tol, rs, [s1, s2])
 
 
 def _law_cartesian_mul_agreement(rng, dim, tol, domain):
-    (s1, s2), rs = _draw_operands(rng, dim, domain, 2)
-    nm = algebra.mul(s1, s2)
     routes = [
-        ("general", coeff_formulas.mul_coeffs_general(s1, s2, _ACW).assembled),
-        ("coordinate", coeff_formulas.mul_coeffs_coordinate(s1, s2, _ACW).assembled),
+        ("general", lambda a, b: coeff_formulas.mul_coeffs_general(a, b, _ACW)),
+        ("coordinate", lambda a, b: coeff_formulas.mul_coeffs_coordinate(a, b, _ACW)),
     ]
-    ok, dev, cex = _agreement(nm, routes, [s1, s2], tol, _compare)
-    return ok, dev, rs, cex
+    return _agreement(rng, dim, tol, domain, algebra.mul, routes)
 
 
 def _law_cartesian_div_agreement(rng, dim, tol, domain):
-    (s1, s2), rs = _draw_operands(rng, dim, domain, 2)
-    nm = algebra.div(s1, s2)
     routes = [
-        ("general", coeff_formulas.div_coeffs_general(s1, s2, _ACW).assembled),
-        ("coordinate", coeff_formulas.div_coeffs_coordinate(s1, s2, _ACW).assembled),
+        ("general", lambda a, b: coeff_formulas.div_coeffs_general(a, b, _ACW)),
+        ("coordinate", lambda a, b: coeff_formulas.div_coeffs_coordinate(a, b, _ACW)),
     ]
-    ok, dev, cex = _agreement(nm, routes, [s1, s2], tol, _compare)
-    return ok, dev, rs, cex
+    return _agreement(rng, dim, tol, domain, algebra.div, routes)
 
 
 def _law_space3_mul_agreement(rng, dim, tol, domain):
-    (s1, s2), rs = _draw_operands3(rng, domain, 2)
-    nm = space3.mul3(s1, s2)
-    routes = [("coefficients", space3.mul3_coeffs(s1, s2).assembled)]
-    ok, dev, cex = _agreement(nm, routes, [s1, s2], tol, _compare3)
-    return ok, dev, rs, cex
+    routes = [("coefficients", space3.mul3_coeffs)]
+    return _agreement(rng, 3, tol, domain, space3.mul3, routes, _draw_space3)
 
 
 def _law_space3_div_agreement(rng, dim, tol, domain):
-    (s1, s2), rs = _draw_operands3(rng, domain, 2)
-    nm = space3.div3(s1, s2)
-    routes = [("coefficients", space3.div3_coeffs(s1, s2).assembled)]
-    ok, dev, cex = _agreement(nm, routes, [s1, s2], tol, _compare3)
-    return ok, dev, rs, cex
+    routes = [("coefficients", space3.div3_coeffs)]
+    return _agreement(rng, 3, tol, domain, space3.div3, routes, _draw_space3)
 
 
 def _law_space3_conj_modulus(rng, dim, tol, domain):
-    (s,), rs = _draw_operands3(rng, domain, 1)
+    (s,), rs = _draw_operands(rng, 3, domain, 1, _draw_space3)
     p = space3.to_polar3(s)
     lhs = space3.from_polar3(space3.mul3_polar(p, space3.conj3_polar(p)))
     r = space3.modulus3(s)
     rhs = Space3(r * r, 0.0, 0.0)
-    ok, dev = _compare3(lhs, rhs, tol)
-    return ok, dev, rs, None if ok else _cex([s], lhs, rhs)
+    return _judge([(lhs, rhs, {})], tol, rs, [s])
 
 
 _EVALUATORS = {

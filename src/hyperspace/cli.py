@@ -7,8 +7,10 @@ Subcommands::
     roots EXPR N              all N-th roots of an expression's value
     audit [...]               run the law audit and emit the report
 
-Exit codes: 0 success, 1 parse/type/usage error, 2 arithmetic error,
-3 audit found failing law samples (the report is still written).
+Exit codes: 0 success, 1 parse/type/usage error (including an expression
+nested deeper than expr.MAX_DEPTH and a root order outside 1 ..
+expr.MAX_ROOT_ORDER), 2 arithmetic error (zero divisor, overflow), 3 audit
+found failing law samples (the report is still written).
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import argparse
 import json
 import sys
 
+from . import algebra
 from . import audit as audit_mod
 from . import expr as expr_mod
 from ._version import VERSION
-from .core import CartesianHC, Orientation, PolarHC, Tolerance, to_polar
+from .core import CartesianHC, Orientation, Tolerance, to_polar
 from .expr import ExprTypeError, ParseError, RootsValue
-from .space3 import Space3Polar, to_polar3
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -69,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots = sub.add_parser("roots", help="all n-th roots of a value")
     _add_expr_flags(p_roots)
     p_roots.add_argument("expr", help="expression text")
-    p_roots.add_argument("n", type=int, help="root order (>= 1)")
+    p_roots.add_argument("n", type=int, help=f"root order (1 to {expr_mod.MAX_ROOT_ORDER})")
 
     p_audit = sub.add_parser("audit", help="run the law audit")
     p_audit.add_argument(
@@ -95,10 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _evaluate(args) -> expr_mod.Value:
+def _evaluate(args) -> tuple[expr_mod.Value, Orientation]:
     tree = expr_mod.parse(args.expr)
-    orientation = Orientation.ANTICLOCKWISE if args.orientation == "ccw" else Orientation.CLOCKWISE
-    return expr_mod.evaluate(tree, orientation)
+    orientation = Orientation(args.orientation)
+    return expr_mod.evaluate(tree, orientation), orientation
 
 
 def _emit(value: expr_mod.Value, args) -> None:
@@ -108,55 +110,30 @@ def _emit(value: expr_mod.Value, args) -> None:
         print(expr_mod.format_value(value, args.digits))
 
 
-def _project(value: expr_mod.Value) -> expr_mod.Value:
-    # eval reports coordinate form; polar stays available via `convert`
-    if isinstance(value, PolarHC):
-        return expr_mod._cart(value)
-    if isinstance(value, Space3Polar):
-        return expr_mod._cart3(value)
-    return value
+def _number(args, command: str) -> tuple[CartesianHC, Orientation]:
+    """The expression's value in coordinate form; it must be a number."""
+    value, orientation = _evaluate(args)
+    if isinstance(value, (float, RootsValue)):
+        raise ExprTypeError(0, f"{command} expects a number-valued expression")
+    return expr_mod._cart(value), orientation
 
 
 def _cmd_eval(args) -> int:
-    _emit(_project(_evaluate(args)), args)
+    # eval reports coordinate form; polar stays available via `convert`
+    _emit(expr_mod._cart(_evaluate(args)[0]), args)
     return EXIT_OK
 
 
 def _cmd_convert(args) -> int:
-    value = _evaluate(args)
-    orientation = Orientation.ANTICLOCKWISE if args.orientation == "ccw" else Orientation.CLOCKWISE
-    if isinstance(value, (float, RootsValue)):
-        raise ExprTypeError(0, "convert expects a number-valued expression")
-    if isinstance(value, (CartesianHC, PolarHC)):
-        if args.to == "polar":
-            value = to_polar(expr_mod._cart(value), orientation)
-        else:
-            value = expr_mod._cart(value)
-    else:
-        if args.to == "polar":
-            value = to_polar3(expr_mod._cart3(value))
-        else:
-            value = expr_mod._cart3(value)
-    _emit(value, args)
+    value, orientation = _number(args, "convert")
+    _emit(to_polar(value, orientation) if args.to == "polar" else value, args)
     return EXIT_OK
 
 
 def _cmd_roots(args) -> int:
-    if args.n < 1:
-        raise ExprTypeError(0, f"root order must be >= 1, got {args.n}")
-    value = _evaluate(args)
-    if isinstance(value, (float, RootsValue)):
-        raise ExprTypeError(0, "roots expects a number-valued expression")
-    orientation = Orientation.ANTICLOCKWISE if args.orientation == "ccw" else Orientation.CLOCKWISE
-    if isinstance(value, (CartesianHC, PolarHC)):
-        from . import algebra
-
-        items = tuple(algebra.nth_roots(expr_mod._cart(value), args.n, orientation))
-    else:
-        from .space3 import pow_roots3
-
-        items = pow_roots3(expr_mod._cart3(value), args.n)[1]
-    _emit(RootsValue(items), args)
+    expr_mod.check_root_order(args.n)
+    value, orientation = _number(args, "roots")
+    _emit(RootsValue(tuple(algebra.nth_roots(value, args.n, orientation))), args)
     return EXIT_OK
 
 
@@ -197,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ExprTypeError) as exc:
         print(f"hsc: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ZeroDivisionError, ValueError) as exc:
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
         print(f"hsc: arithmetic error: {exc}", file=sys.stderr)
         return EXIT_ARITHMETIC
 

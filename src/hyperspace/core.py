@@ -1,18 +1,27 @@
-"""Value types for N-dimensional space complex numbers.
+"""Value types for N-dimensional space complex numbers, and their charts.
 
 A number lives in an N-dimensional right-angular coordinate system with one
 real axis and N-1 imaginary axes.  It can be written as a coefficient vector
 (a_0, ..., a_{N-1}) or in polar form as a modulus together with a chain of
-N-1 rotation angles.  Two angle conventions exist, distinguished by the
-order in which the rotation chain is accumulated:
+N-1 angles.  A *chart* maps nonzero coefficients to an angle chain and back
+and fixes the canonical range of every angle; these are hyperspherical
+coordinates (Blumenson, "A Derivation of n-Dimensional Spherical
+Coordinates", Amer. Math. Monthly 67, 1960).  :class:`Orientation` names
+the three charts:
 
-* anticlockwise -- the chain climbs from the real axis upward; the angle
-  adjacent to the real axis (theta_1) carries the full range [0, 2*pi), the
-  remaining angles are ratios against a nonnegative running sub-modulus and
-  live in [-pi/2, pi/2].
-* clockwise -- the mirror convention; theta_{N-1} carries the full range.
+* ccw (anticlockwise) -- the chain climbs from the real axis upward:
+  theta_1 is the angle of (a_0, a_1) and carries the full range [0, 2*pi);
+  every later theta_k is the angle of a_k against the nonnegative running
+  sub-modulus of the axes below it and lives in [-pi/2, pi/2].
+* cw (clockwise) -- the ccw chart on the mirrored axes (a_0, a_{N-1}, ...,
+  a_1), with the chain reversed, so theta_{N-1} carries the full range.
+* s3 -- the 3D master/slave chart, valid at N = 3 only: the master angle
+  theta in [0, pi] off the real axis and the slave angle phi in [0, 2*pi),
+  the azimuth of (a_1, a_2).  Its values are :class:`Space3` and
+  :class:`Space3Polar`, which keep this chart whatever orientation an
+  operation requests.
 
-``to_polar`` always returns angles in those canonical ranges.  ``PolarHC``
+``to_polar`` always returns angles in the canonical ranges.  ``PolarHC``
 itself is deliberately lenient: angle chains produced by arithmetic (sums,
 scalings) may leave the canonical ranges and are still meaningful inputs to
 ``from_polar``, which is 2*pi-periodic in every angle.
@@ -33,10 +42,14 @@ class DimensionMismatchError(ValueError):
 
 
 class Orientation(Enum):
-    """Direction in which the rotation chain is accumulated."""
+    """Chart of the angle chain (see the module docstring)."""
 
     ANTICLOCKWISE = "ccw"
     CLOCKWISE = "cw"
+    S3 = "s3"
+
+
+_CCW, _CW, _S3 = Orientation
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,15 +69,20 @@ DEFAULT_TOLERANCE = Tolerance()
 
 @dataclass(frozen=True, slots=True)
 class CartesianHC:
-    """Coordinate form: finite real coefficients (a_0, ..., a_{N-1}), N >= 2."""
+    """Coordinate form: finite real coefficients (a_0, ..., a_{N-1}), N >= 2.
+
+    ``orientation`` is the chart the value is bound to.  Plain coordinates
+    are bound to none and convert under whichever chart is asked for.
+    """
 
     coeffs: tuple[float, ...]
+    orientation = None
 
     def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(map(float, self.coeffs))
         if len(coeffs) < 2:
             raise ValueError(f"need at least 2 coefficients, got {len(coeffs)}")
-        if not all(math.isfinite(c) for c in coeffs):
+        if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -84,11 +102,11 @@ class CartesianHC:
 class PolarHC:
     """Polar form: modulus >= 0 plus the angle chain (theta_1 ... theta_{N-1}).
 
-    Canonical instances (as produced by :func:`to_polar`) keep the full-range
-    angle in [0, 2*pi), the remaining angles in [-pi/2, pi/2], and force all
-    angles to zero when the modulus is zero.  Non-canonical chains are legal
-    values; :func:`canonicalize` maps them to the canonical representative of
-    the same point.
+    Canonical instances (as produced by :func:`to_polar`) keep every angle in
+    its chart's range (:func:`canonical_ranges`) and force all angles to
+    zero when the modulus is zero.  Non-canonical chains are legal values;
+    :func:`canonicalize` maps them to the canonical representative of the
+    same point.
     """
 
     modulus: float
@@ -97,15 +115,17 @@ class PolarHC:
 
     def __post_init__(self) -> None:
         modulus = float(self.modulus)
-        angles = tuple(float(a) for a in self.angles)
+        angles = tuple(map(float, self.angles))
         if not (math.isfinite(modulus) and modulus >= 0.0):
             raise ValueError(f"modulus must be finite and >= 0, got {modulus}")
         if len(angles) < 1:
             raise ValueError("need at least one angle (dim >= 2)")
-        if not all(math.isfinite(a) for a in angles):
+        if not all(map(math.isfinite, angles)):
             raise ValueError(f"angles must be finite, got {angles}")
         if not isinstance(self.orientation, Orientation):
             raise TypeError(f"bad orientation: {self.orientation!r}")
+        if self.orientation is _S3 and len(angles) != 2:
+            raise _not_3d(len(angles) + 1)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "angles", angles)
 
@@ -114,24 +134,169 @@ class PolarHC:
         return len(self.angles) + 1
 
     def is_canonical(self, slack: float = 0.0) -> bool:
-        full = self._full_range_index()
         if self.modulus == 0.0:
             return all(a == 0.0 for a in self.angles)
-        for k, a in enumerate(self.angles):
-            if k == full:
-                if not (-slack <= a < TWO_PI + slack):
-                    return False
-            elif not (-HALF_PI - slack <= a <= HALF_PI + slack):
-                return False
-        return True
-
-    def _full_range_index(self) -> int:
-        return 0 if self.orientation is Orientation.ANTICLOCKWISE else len(self.angles) - 1
+        ranges = canonical_ranges(self.orientation, self.dim)
+        return all(
+            lo - slack <= a and (a < hi + slack if open_top else a <= hi + slack)
+            for a, (lo, hi, open_top) in zip(self.angles, ranges)
+        )
 
     def __repr__(self) -> str:
         body = ",".join(format(a, ".17g") for a in self.angles)
         tag = self.orientation.value
         return f"p[{format(self.modulus, '.17g')}; {body}; {tag}]"
+
+
+class Space3(CartesianHC):
+    """3D coordinate form (a, b, c) on axes x, y, z: the s3 chart's points."""
+
+    __slots__ = ()
+    orientation = Orientation.S3
+
+    def __init__(self, a: float, b: float, c: float) -> None:
+        CartesianHC.__init__(self, (a, b, c))
+
+    a = property(lambda self: self.coeffs[0])
+    b = property(lambda self: self.coeffs[1])
+    c = property(lambda self: self.coeffs[2])
+
+    def __repr__(self) -> str:
+        return f"s3[{self.a:.17g},{self.b:.17g},{self.c:.17g}]"
+
+
+class Space3Polar(PolarHC):
+    """3D exponent form: modulus, master angle theta, slave angle phi.
+
+    Canonical instances keep theta in [0, pi] and phi in [0, 2*pi), with
+    phi = 0 whenever theta is polar (0 or pi) and theta = phi = 0 for the
+    zero number.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, modulus: float, theta: float, phi: float) -> None:
+        PolarHC.__init__(self, modulus, (theta, phi), _S3)
+
+    theta = property(lambda self: self.angles[0])
+    phi = property(lambda self: self.angles[1])
+
+    def __repr__(self) -> str:
+        return f"s3p[{self.modulus:.17g}; {self.theta:.17g}, {self.phi:.17g}]"
+
+
+def make_cartesian(orientation: Orientation | None, coeffs) -> CartesianHC:
+    """Coordinate value of a chart's family (``Space3`` for s3)."""
+    return Space3(*coeffs) if orientation is _S3 else CartesianHC(coeffs)
+
+
+def make_polar(orientation: Orientation, modulus: float, angles) -> PolarHC:
+    """Polar value of a chart, ``Space3Polar`` for s3 (other lengths: PolarHC raises)."""
+    if orientation is _S3 and len(angles) == 2:
+        return Space3Polar(modulus, *angles)
+    return PolarHC(modulus, angles, orientation)
+
+
+def resolve_orientation(
+    requested: Orientation | None, x: CartesianHC | PolarHC, y=None
+) -> Orientation:
+    """The chart an operation on ``x`` (and ``y``) works in.
+
+    Polar values and 3D values are bound to a chart.  A requested orientation
+    must agree with a bound ccw/cw chart; it applies to the N-dimensional
+    family only, so 3D values keep the s3 chart.  Values bound to no chart
+    take the requested one, ccw by default.
+    """
+    o = x.orientation
+    if y is not None and y.orientation is not o:
+        if o is not None and y.orientation is not None:
+            raise _conflict(o, y.orientation)
+        o = o or y.orientation
+    if o is None:
+        return requested or _CCW
+    if requested is not None and requested is not o and o is not _S3:
+        raise _conflict(o, requested)
+    return o
+
+
+def _conflict(*orientations: Orientation) -> ValueError:
+    names = sorted(o.value for o in orientations)
+    return ValueError(f"conflicting orientations: {names}")
+
+
+def _not_3d(dim: int) -> ValueError:
+    return ValueError(f"the s3 chart is 3-dimensional, got dimension {dim}")
+
+
+_FULL_TURN = (0.0, TWO_PI, True)
+_HALF_TURN = (-HALF_PI, HALF_PI, False)
+
+
+def canonical_ranges(
+    orientation: Orientation, dim: int
+) -> tuple[tuple[float, float, bool], ...]:
+    """(low, high, high excluded) of every angle of a canonical chain."""
+    if orientation is _S3:
+        if dim != 3:
+            raise _not_3d(dim)
+        return ((0.0, math.pi, False), _FULL_TURN)
+    ranges = (_FULL_TURN,) + (_HALF_TURN,) * (dim - 2)
+    return ranges if orientation is _CCW else ranges[::-1]
+
+
+def _wrap(a: float) -> float:
+    """An atan2 angle moved to [0, 2*pi).  A negative angle closer to zero
+    than half an ulp of 2*pi rounds to 2*pi when shifted; 0 is its nearest
+    value in range."""
+    if a < 0.0:
+        a += TWO_PI
+        if a == TWO_PI:
+            return 0.0
+    return a
+
+
+def _mirror(c):
+    """(c_0, c_{N-1}, ..., c_1): the cw chart's axes in ccw order, and back."""
+    return c[:1] + c[:0:-1]
+
+
+def _chain(c: tuple[float, ...], r: float, o: Orientation) -> tuple[float, ...]:
+    """Canonical angle chain of coefficients ``c`` with modulus ``r``."""
+    if o is _S3 and len(c) != 3:
+        raise _not_3d(len(c))
+    if r == 0.0:
+        return (0.0,) * (len(c) - 1)
+    if o is _CW:
+        return _chain(_mirror(c), r, _CCW)[::-1]
+    if o is _S3:
+        a, b, z = c
+        r_yz = math.hypot(b, z)
+        # on the real axis the azimuth is undefined; it collapses to 0
+        return (math.atan2(r_yz, a), _wrap(math.atan2(z, b)) if r_yz else 0.0)
+    chain = [_wrap(math.atan2(c[1], c[0]))]
+    m = math.hypot(c[0], c[1])
+    for k in range(2, len(c)):
+        chain.append(math.atan2(c[k], m))
+        m = math.hypot(m, c[k])
+    return tuple(chain)
+
+
+def _point(r: float, th: tuple[float, ...], o: Orientation):
+    """Coefficients of the chain ``th`` with modulus ``r``."""
+    if o is _CW:
+        return _mirror(_point(r, th[::-1], _CCW))
+    if o is _S3:
+        theta, phi = th
+        st = math.sin(theta)
+        return (r * math.cos(theta), r * st * math.cos(phi), r * st * math.sin(phi))
+    # a_k = r * sin(theta_k) * prod_{j > k} cos(theta_j), top axis first
+    out = [0.0] * (len(th) + 1)
+    suffix = 1.0
+    for k in range(len(th), 0, -1):
+        out[k] = r * math.sin(th[k - 1]) * suffix
+        suffix *= math.cos(th[k - 1])
+    out[0] = r * suffix
+    return out
 
 
 def modulus(s: CartesianHC) -> float:
@@ -142,78 +307,39 @@ def modulus(s: CartesianHC) -> float:
 def arguments(
     s: CartesianHC, orientation: Orientation = Orientation.ANTICLOCKWISE
 ) -> tuple[float, ...]:
-    """Canonical component arguments of ``s`` under the given orientation.
+    """Canonical component arguments of ``s`` under the given chart.
 
     Anticlockwise: theta_1 is the quadrant-resolved angle of (a_0, a_1)
     shifted to [0, 2*pi); for k >= 2, theta_k = atan2(a_k, m_{k-1}) against
     the running sub-modulus m_{k-1} = sqrt(a_0^2 + ... + a_{k-1}^2) >= 0, so
-    it lands in [-pi/2, pi/2].  Clockwise mirrors the index order.  A zero
-    sub-modulus degenerates to +-pi/2 by the sign of a_k (0 when a_k = 0),
-    and a zero number yields the all-zero chain.
+    it lands in [-pi/2, pi/2].  Clockwise is anticlockwise on the mirrored
+    axes; 3D values keep the s3 chart.  A zero sub-modulus degenerates to
+    +-pi/2 by the sign of a_k (0 when a_k = 0), and a zero number yields the
+    all-zero chain.
     """
-    c = s.coeffs
-    n = len(c)
-    if modulus(s) == 0.0:
-        return (0.0,) * (n - 1)
-    if orientation is Orientation.ANTICLOCKWISE:
-        full = math.atan2(c[1], c[0])
-        if full < 0.0:
-            full += TWO_PI
-        angles = [full]
-        m = math.hypot(c[0], c[1])
-        for k in range(2, n):
-            angles.append(math.atan2(c[k], m))
-            m = math.hypot(m, c[k])
-        return tuple(angles)
-    full = math.atan2(c[n - 1], c[0])
-    if full < 0.0:
-        full += TWO_PI
-    m = math.hypot(c[0], c[n - 1])
-    rest: list[float] = []
-    for k in range(n - 2, 0, -1):
-        rest.append(math.atan2(c[k], m))
-        m = math.hypot(m, c[k])
-    rest.reverse()
-    return tuple(rest) + (full,)
+    return _chain(s.coeffs, modulus(s), s.orientation or orientation)
 
 
 def to_polar(
     s: CartesianHC, orientation: Orientation = Orientation.ANTICLOCKWISE
 ) -> PolarHC:
     """Canonical polar form of ``s``: (modulus, component arguments)."""
-    return PolarHC(modulus(s), arguments(s, orientation), orientation)
+    o = s.orientation or orientation  # 3D values keep the s3 chart
+    r = math.hypot(*s.coeffs)
+    return make_polar(o, r, _chain(s.coeffs, r, o))
 
 
 def from_polar(p: PolarHC) -> CartesianHC:
     """Coordinate form of a polar value.
 
     Anticlockwise: a_0 = r * prod(cos theta_k), a_k = r * sin(theta_k) *
-    prod_{j>k} cos(theta_j); clockwise uses the leading cosine product
-    instead.  Defined for arbitrary finite angle chains (2*pi-periodic in
-    each angle), not just canonical ones.
+    prod_{j>k} cos(theta_j); clockwise mirrors it; s3: a = r*cos(theta),
+    b = r*sin(theta)*cos(phi), c = r*sin(theta)*sin(phi).  Defined for
+    arbitrary finite angle chains (2*pi-periodic in each angle), not just
+    canonical ones.
     """
-    th = p.angles
-    n = len(th) + 1
-    r = p.modulus
-    cos = [math.cos(a) for a in th]
-    sin = [math.sin(a) for a in th]
-    out = [0.0] * n
-    if p.orientation is Orientation.ANTICLOCKWISE:
-        # suffix[k] = prod_{j >= k} cos(theta_j), 1-indexed angles
-        suffix = [1.0] * (n + 1)
-        for j in range(n - 1, 0, -1):
-            suffix[j] = suffix[j + 1] * cos[j - 1]
-        out[0] = r * suffix[1]
-        for k in range(1, n):
-            out[k] = r * sin[k - 1] * suffix[k + 1]
-    else:
-        prefix = [1.0] * (n + 1)
-        for j in range(1, n):
-            prefix[j] = prefix[j - 1] * cos[j - 1]
-        out[0] = r * prefix[n - 1]
-        for k in range(1, n):
-            out[k] = r * sin[k - 1] * prefix[k - 1]
-    return CartesianHC(tuple(out))
+    o = p.orientation
+    return make_cartesian(o, _point(p.modulus, p.angles, o))
 
 
 def canonicalize(p: PolarHC) -> PolarHC:
@@ -228,7 +354,7 @@ def conjugate(s: CartesianHC) -> CartesianHC:
     canonicalized).
     """
     c = s.coeffs
-    return CartesianHC((c[0],) + tuple(-x for x in c[1:]))
+    return make_cartesian(s.orientation, (c[0],) + tuple(-x for x in c[1:]))
 
 
 def approx_eq(
@@ -248,10 +374,18 @@ def approx_eq(
 
 
 def to_dict(number: CartesianHC | PolarHC) -> dict:
-    """JSON-ready encoding; round-trips bit-exactly for finite doubles."""
+    """JSON-ready encoding; round-trips bit-exactly for finite doubles.
+
+    The s3 chart's values keep their own kinds, with named components.
+    """
     if isinstance(number, CartesianHC):
+        if number.orientation is _S3:
+            return {"kind": "space3", "a": number.a, "b": number.b, "c": number.c}
         return {"kind": "cartesian", "coeffs": list(number.coeffs)}
     if isinstance(number, PolarHC):
+        if number.orientation is _S3:
+            theta, phi = number.angles
+            return {"kind": "space3polar", "modulus": number.modulus, "theta": theta, "phi": phi}
         return {
             "kind": "polar",
             "modulus": number.modulus,
@@ -267,9 +401,13 @@ def from_dict(payload: dict) -> CartesianHC | PolarHC:
     if kind == "cartesian":
         return CartesianHC(tuple(payload["coeffs"]))
     if kind == "polar":
-        return PolarHC(
+        return make_polar(
+            Orientation(payload["orientation"]),
             payload["modulus"],
             tuple(payload["angles"]),
-            Orientation(payload["orientation"]),
         )
+    if kind == "space3":
+        return Space3(payload["a"], payload["b"], payload["c"])
+    if kind == "space3polar":
+        return Space3Polar(payload["modulus"], payload["theta"], payload["phi"])
     raise ValueError(f"unknown number kind: {kind!r}")

@@ -25,25 +25,26 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from . import algebra, duality, space3
+from . import algebra, duality
 from .core import (
     CartesianHC,
     Orientation,
     PolarHC,
+    Space3,
+    Space3Polar,
     arguments,
     conjugate,
     from_polar,
     modulus,
     to_dict,
 )
-from .space3 import (
-    Space3,
-    Space3Polar,
-    from_polar3,
-    modulus3,
-    to_dict3,
-    to_polar3,
-)
+
+# Nesting levels an expression may use: each parenthesis, call, power, unary
+# sign and each further operator of a chain is one (a numeric literal's own
+# signs are not).  Deeper input is a ParseError, so no stage overflows.
+MAX_DEPTH = 100
+# Largest n that roots(e, n) and ``hsc roots`` accept: n roots are built.
+MAX_ROOT_ORDER = 1000
 
 
 class ParseError(ValueError):
@@ -173,6 +174,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -192,46 +194,66 @@ class _Parser:
     def _describe(tok: Token) -> str:
         return "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
 
+    def descend(self, tok: Token) -> None:
+        """One nesting level deeper, at ``tok``; see MAX_DEPTH."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(
+                tok.offset, (f"at most {MAX_DEPTH} nesting levels",), self._describe(tok)
+            )
+
+    def deeper(self, tok: Token, parse):
+        """``parse()`` one nesting level below ``tok``."""
+        self.descend(tok)
+        node = parse()
+        self.depth -= 1
+        return node
+
     # ----- number expressions -----
 
     def parse_expr(self) -> Expr:
+        depth = self.depth
         node = self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.advance()
-            rhs = self.parse_term()
-            node = Binary(op.kind, node, rhs, op.offset)
+            self.descend(op)  # every further operator of a chain nests
+            node = Binary(op.kind, node, self.parse_term(), op.offset)
+        self.depth = depth
         return node
 
     def parse_term(self) -> Expr:
+        depth = self.depth
         node = self.parse_factor()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
-            rhs = self.parse_factor()
-            node = Binary(op.kind, node, rhs, op.offset)
+            self.descend(op)
+            node = Binary(op.kind, node, self.parse_factor(), op.offset)
+        self.depth = depth
         return node
 
     def parse_factor(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            return Unary("neg", self.parse_factor(), tok.offset)
-        if tok.kind == "+":
-            self.advance()
-            return self.parse_factor()
-        return self.parse_power()
+        if tok.kind not in ("-", "+"):
+            return self.parse_power()
+        self.advance()
+        node = self.deeper(tok, self.parse_factor)
+        return Unary("neg", node, tok.offset) if tok.kind == "-" else node
 
     def parse_power(self) -> Expr:
+        depth = self.depth
         node = self.parse_atom()
         while self.peek().kind == "^":
             op = self.advance()
+            self.descend(op)
             node = Power(node, self.parse_signed_int(), op.offset)
+        self.depth = depth
         return node
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
         if tok.kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node = self.deeper(tok, self.parse_expr)
             self.expect(")")
             return node
         if tok.kind == "NAME":
@@ -251,40 +273,30 @@ class _Parser:
     def parse_literal(self) -> Expr:
         head = self.advance()
         self.expect("[")
-        if head.text == "c":
-            coeffs = self.parse_scalar_list()
-            close = self.expect("]")
-            if len(coeffs) < 2:
+        if head.text in ("c", "s3"):
+            coeffs = tuple(self.parse_scalar_list())
+            self.expect("]")
+            if head.text == "c" and len(coeffs) < 2:
                 raise ExprTypeError(head.offset, "c[...] needs at least 2 coefficients")
-            return LitCart(tuple(coeffs), head.offset)
-        if head.text == "p":
-            mod = self.parse_scalar()
-            self.expect(";")
-            angles = self.parse_scalar_list()
-            self.expect("]")
-            if mod < 0:
-                raise ExprTypeError(head.offset, "polar modulus must be >= 0")
-            return LitPolar(mod, tuple(angles), head.offset)
-        if head.text == "s3":
-            coeffs = self.parse_scalar_list()
-            self.expect("]")
-            if len(coeffs) != 3:
+            if head.text == "s3" and len(coeffs) != 3:
                 raise ExprTypeError(head.offset, "s3[...] needs exactly 3 coefficients")
-            return LitS3((coeffs[0], coeffs[1], coeffs[2]), head.offset)
+            return (LitCart if head.text == "c" else LitS3)(coeffs, head.offset)
         mod = self.parse_scalar()
         self.expect(";")
-        angles = self.parse_scalar_list()
+        angles = tuple(self.parse_scalar_list())
         self.expect("]")
-        if len(angles) != 2:
+        if head.text == "s3p" and len(angles) != 2:
             raise ExprTypeError(head.offset, "s3p[...] needs exactly 2 angles")
         if mod < 0:
             raise ExprTypeError(head.offset, "polar modulus must be >= 0")
-        return LitS3Polar(mod, angles[0], angles[1], head.offset)
+        if head.text == "p":
+            return LitPolar(mod, angles, head.offset)
+        return LitS3Polar(mod, *angles, head.offset)
 
     def parse_call(self) -> Expr:
         name = self.advance()
         self.expect("(")
-        child = self.parse_expr()
+        child = self.deeper(name, self.parse_expr)
         arg: float | int | None = None
         if name.text == "arg" or name.text == "roots":
             self.expect(",")
@@ -306,7 +318,7 @@ class _Parser:
             raise ParseError(tok.offset, ("an integer",), self._describe(tok))
         self.advance()
         value = float(tok.text)
-        if value != int(value):
+        if not value.is_integer():
             raise ParseError(tok.offset, ("an integer",), f"{tok.text!r}")
         return sign * int(value)
 
@@ -341,18 +353,21 @@ class _Parser:
         return value
 
     def parse_scalar_factor(self) -> float:
-        tok = self.peek()
-        if tok.kind == "-":
-            self.advance()
-            return -self.parse_scalar_factor()
-        if tok.kind == "+":
-            self.advance()
-            return self.parse_scalar_factor()
+        negate = False
+        while self.peek().kind in ("-", "+"):
+            negate ^= self.advance().kind == "-"
         value = self.parse_scalar_atom()
-        if self.peek().kind == "^":
+        op = self.peek()
+        if op.kind == "^":
             self.advance()
-            return value ** self.parse_scalar_factor()
-        return value
+            exponent = self.deeper(op, self.parse_scalar_factor)
+            try:
+                value = value ** exponent
+            except OverflowError:
+                raise OverflowError(f"numeric literal out of range at offset {op.offset}") from None
+            if isinstance(value, complex):
+                raise ExprTypeError(op.offset, "numeric literal is not a real number")
+        return -value if negate else value
 
     def parse_scalar_atom(self) -> float:
         tok = self.peek()
@@ -364,7 +379,7 @@ class _Parser:
             return math.pi
         if tok.kind == "(":
             self.advance()
-            value = self.parse_scalar()
+            value = self.deeper(tok, self.parse_scalar)
             self.expect(")")
             return value
         raise ParseError(tok.offset, ("a number", "'pi'", "'('"), self._describe(tok))
@@ -382,22 +397,15 @@ def parse(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# static types: ('ndim', dim) | ('s3',) | ('scalar',) | ('roots',)
+# static types: ('ndim', dim) | ('s3', 3) | ('scalar',) | ('roots',)
 
 def check(node: Expr) -> tuple:
     if isinstance(node, LitCart):
         return ("ndim", len(node.coeffs))
     if isinstance(node, LitPolar):
         return ("ndim", len(node.angles) + 1)
-    if isinstance(node, LitS3):
-        return ("s3",)
-    if isinstance(node, LitS3Polar):
-        return ("s3",)
-    if isinstance(node, Unary):
-        t = check(node.child)
-        if t[0] not in ("ndim", "s3"):
-            raise ExprTypeError(node.offset, f"cannot negate a {t[0]} value")
-        return t
+    if isinstance(node, (LitS3, LitS3Polar)):
+        return ("s3", 3)
     if isinstance(node, Binary):
         lt, rt = check(node.left), check(node.right)
         if lt[0] not in ("ndim", "s3") or rt[0] not in ("ndim", "s3"):
@@ -412,35 +420,42 @@ def check(node: Expr) -> tuple:
                 node.offset, f"dimension mismatch: {lt[1]} vs {rt[1]}"
             )
         return lt
-    if isinstance(node, Power):
-        t = check(node.child)
-        if t[0] not in ("ndim", "s3"):
+    t = check(node.child)  # Unary, Power and Call take one operand
+    if t[0] not in ("ndim", "s3"):
+        if isinstance(node, Unary):
+            raise ExprTypeError(node.offset, f"cannot negate a {t[0]} value")
+        if isinstance(node, Power):
             raise ExprTypeError(node.offset, f"cannot raise a {t[0]} value to a power")
+        raise ExprTypeError(node.offset, f"{node.fn}() needs a number argument")
+    if isinstance(node, (Unary, Power)):
         return t
-    if isinstance(node, Call):
-        t = check(node.child)
-        if t[0] not in ("ndim", "s3"):
-            raise ExprTypeError(node.offset, f"{node.fn}() needs a number argument")
-        if node.fn == "abs":
-            return ("scalar",)
-        if node.fn == "conj":
-            return t
-        if node.fn == "arg":
-            top = t[1] - 1 if t[0] == "ndim" else 2
-            if not 1 <= node.arg <= top:
-                raise ExprTypeError(
-                    node.offset, f"argument index must lie in 1..{top}, got {node.arg}"
-                )
-            return ("scalar",)
-        if node.fn == "roots":
-            if node.arg < 1:
-                raise ExprTypeError(node.offset, f"root order must be >= 1, got {node.arg}")
-            return ("roots",)
-        if node.fn == "lift":
-            if t[0] != "ndim":
-                raise ExprTypeError(node.offset, "lift() applies to N-dimensional numbers only")
-            return ("ndim", t[1] + 1)
-    raise ExprTypeError(0, f"unhandled node {node!r}")
+    if node.fn == "abs":
+        return ("scalar",)
+    if node.fn == "conj":
+        return t
+    if node.fn == "arg":
+        top = t[1] - 1
+        if not 1 <= node.arg <= top:
+            raise ExprTypeError(
+                node.offset, f"argument index must lie in 1..{top}, got {node.arg}"
+            )
+        return ("scalar",)
+    if node.fn == "roots":
+        check_root_order(node.arg, node.offset)
+        return ("roots",)
+    if node.fn == "lift":
+        if t[0] != "ndim":
+            raise ExprTypeError(node.offset, "lift() applies to N-dimensional numbers only")
+        return ("ndim", t[1] + 1)
+    raise ExprTypeError(node.offset, f"unknown function {node.fn!r}")
+
+
+def check_root_order(n: int, offset: int = 0) -> None:
+    """Root orders run from 1 to MAX_ROOT_ORDER."""
+    if n < 1:
+        raise ExprTypeError(offset, f"root order must be >= 1, got {n}")
+    if n > MAX_ROOT_ORDER:
+        raise ExprTypeError(offset, f"root order must be <= {MAX_ROOT_ORDER}, got {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -451,28 +466,20 @@ class RootsValue:
     items: tuple
 
 
-NDimValue = CartesianHC | PolarHC
-S3Value = Space3 | Space3Polar
-Value = float | NDimValue | S3Value | RootsValue
+Value = float | CartesianHC | PolarHC | RootsValue
 
 
-def _cart(v: NDimValue) -> CartesianHC:
-    return v if isinstance(v, CartesianHC) else from_polar(v)
-
-
-def _cart3(v: S3Value) -> Space3:
-    return v if isinstance(v, Space3) else from_polar3(v)
-
-
-def _s3_pow(v: S3Value, n: int) -> Space3Polar:
-    p = v if isinstance(v, Space3Polar) else to_polar3(v)
-    if p.modulus == 0.0 and n < 0:
-        raise ZeroDivisionError("negative power of a zero-modulus number")
-    return Space3Polar(math.pow(p.modulus, n), n * p.theta, n * p.phi)
+def _cart(v: Value) -> Value:
+    """Coordinate form of a polar value; anything else as it is."""
+    return from_polar(v) if isinstance(v, PolarHC) else v
 
 
 def evaluate(node: Expr, orientation: Orientation = Orientation.ANTICLOCKWISE) -> Value:
-    """Evaluate a type-checked expression under the given orientation."""
+    """Evaluate a type-checked expression under the given orientation.
+
+    The orientation is the chart of N-dimensional values; 3D values keep
+    the s3 chart.
+    """
     o = orientation
     if isinstance(node, LitCart):
         return CartesianHC(node.coeffs)
@@ -483,56 +490,30 @@ def evaluate(node: Expr, orientation: Orientation = Orientation.ANTICLOCKWISE) -
     if isinstance(node, LitS3Polar):
         return Space3Polar(node.modulus, node.theta, node.phi)
     if isinstance(node, Unary):
-        v = evaluate(node.child, o)
-        if isinstance(v, (CartesianHC, PolarHC)):
-            return algebra.negate(_cart(v))
-        s = _cart3(v)
-        return Space3(-s.a, -s.b, -s.c)
+        return algebra.negate(_cart(evaluate(node.child, o)))
     if isinstance(node, Binary):
         lv = evaluate(node.left, o)
         rv = evaluate(node.right, o)
-        if isinstance(lv, (CartesianHC, PolarHC)):
-            if node.op == "+":
-                return algebra.add(_cart(lv), _cart(rv))
-            if node.op == "-":
-                return algebra.sub(_cart(lv), _cart(rv))
-            if node.op == "*":
-                return algebra.mul_polar(algebra.as_polar(lv, o), algebra.as_polar(rv, o))
-            return algebra.div_polar(algebra.as_polar(lv, o), algebra.as_polar(rv, o))
-        if node.op in ("+", "-"):
-            a, b = _cart3(lv), _cart3(rv)
-            sign = 1.0 if node.op == "+" else -1.0
-            return Space3(a.a + sign * b.a, a.b + sign * b.b, a.c + sign * b.c)
-        pa = lv if isinstance(lv, Space3Polar) else to_polar3(lv)
-        pb = rv if isinstance(rv, Space3Polar) else to_polar3(rv)
-        return space3.mul3_polar(pa, pb) if node.op == "*" else space3.div3_polar(pa, pb)
+        if node.op == "+":
+            return algebra.add(_cart(lv), _cart(rv))
+        if node.op == "-":
+            return algebra.sub(_cart(lv), _cart(rv))
+        if node.op == "*":
+            return algebra.mul_polar(algebra.as_polar(lv, o), algebra.as_polar(rv, o))
+        return algebra.div_polar(algebra.as_polar(lv, o), algebra.as_polar(rv, o))
     if isinstance(node, Power):
         v = evaluate(node.child, o)
-        if isinstance(v, (CartesianHC, PolarHC)):
-            return algebra.pow_int_polar(algebra.as_polar(v, o), node.n)
-        return _s3_pow(v, node.n)
+        return algebra.pow_int_polar(algebra.as_polar(v, o), node.n)
     if isinstance(node, Call):
         v = evaluate(node.child, o)
         if node.fn == "abs":
-            if isinstance(v, (CartesianHC, PolarHC)):
-                return v.modulus if isinstance(v, PolarHC) else modulus(v)
-            return v.modulus if isinstance(v, Space3Polar) else modulus3(v)
+            return v.modulus if isinstance(v, PolarHC) else modulus(v)
         if node.fn == "conj":
-            if isinstance(v, (CartesianHC, PolarHC)):
-                return conjugate(_cart(v))
-            return space3.conj3(_cart3(v))
+            return conjugate(_cart(v))
         if node.fn == "arg":
-            k = int(node.arg)
-            if isinstance(v, (CartesianHC, PolarHC)):
-                return arguments(_cart(v), o)[k - 1]
-            p = to_polar3(_cart3(v))
-            return p.theta if k == 1 else p.phi
+            return arguments(_cart(v), o)[int(node.arg) - 1]
         if node.fn == "roots":
-            n = int(node.arg)
-            if isinstance(v, (CartesianHC, PolarHC)):
-                return RootsValue(tuple(algebra.nth_roots(_cart(v), n, o)))
-            _, roots = space3.pow_roots3(_cart3(v), n)
-            return RootsValue(roots)
+            return RootsValue(tuple(algebra.nth_roots(_cart(v), int(node.arg), o)))
         if node.fn == "lift":
             return duality.lift(_cart(v), float(node.arg))
     raise AssertionError(f"unhandled node {node!r}")
@@ -549,6 +530,9 @@ def _fmt(x: float, digits: int, snap_scale: float | None = None) -> str:
     return format(x, f".{digits}g")
 
 
+_HEADS = {CartesianHC: "c", PolarHC: "p", Space3: "s3", Space3Polar: "s3p"}
+
+
 def format_value(value: Value, digits: int = 12) -> str:
     """Render a value in the literal grammar (parse-compatible).
 
@@ -561,18 +545,11 @@ def format_value(value: Value, digits: int = 12) -> str:
         return "\n".join(format_value(v, digits) for v in value.items)
     if isinstance(value, CartesianHC):
         scale = max(abs(c) for c in value.coeffs)
-        return "c[" + ",".join(_fmt(c, digits, scale) for c in value.coeffs) + "]"
+        body = ",".join(_fmt(c, digits, scale) for c in value.coeffs)
+        return f"{_HEADS[type(value)]}[{body}]"
     if isinstance(value, PolarHC):
         angles = ", ".join(_fmt(a, digits, 1.0) for a in value.angles)
-        return f"p[{_fmt(value.modulus, digits)}; {angles}]"
-    if isinstance(value, Space3):
-        scale = max(abs(c) for c in value.coeffs)
-        return "s3[" + ",".join(_fmt(c, digits, scale) for c in value.coeffs) + "]"
-    if isinstance(value, Space3Polar):
-        return (
-            f"s3p[{_fmt(value.modulus, digits)}; "
-            f"{_fmt(value.theta, digits, 1.0)}, {_fmt(value.phi, digits, 1.0)}]"
-        )
+        return f"{_HEADS[type(value)]}[{_fmt(value.modulus, digits)}; {angles}]"
     raise TypeError(f"cannot format {value!r}")
 
 
@@ -582,9 +559,7 @@ def value_to_dict(value: Value) -> dict:
         return {"kind": "scalar", "value": value}
     if isinstance(value, RootsValue):
         return {"kind": "roots", "roots": [value_to_dict(v) for v in value.items]}
-    if isinstance(value, (CartesianHC, PolarHC)):
-        return to_dict(value)
-    return to_dict3(value)
+    return to_dict(value)
 
 
 # ---------------------------------------------------------------------------
@@ -610,12 +585,11 @@ def unparse(node: Expr) -> str:
         text = unparse(child)
         return f"({text})" if _level(child) < minimum else text
 
-    if isinstance(node, LitCart):
-        return "c[" + ",".join(repr(c) for c in node.coeffs) + "]"
+    if isinstance(node, (LitCart, LitS3)):
+        head = "c" if isinstance(node, LitCart) else "s3"
+        return f"{head}[" + ",".join(repr(c) for c in node.coeffs) + "]"
     if isinstance(node, LitPolar):
         return f"p[{node.modulus!r}; " + ",".join(repr(a) for a in node.angles) + "]"
-    if isinstance(node, LitS3):
-        return "s3[" + ",".join(repr(c) for c in node.coeffs) + "]"
     if isinstance(node, LitS3Polar):
         return f"s3p[{node.modulus!r}; {node.theta!r}, {node.phi!r}]"
     if isinstance(node, Unary):

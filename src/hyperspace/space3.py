@@ -8,7 +8,9 @@ i_j) and its powers cycle with period four: j^2 = -1, j^3 = -j, j^4 = 1.
 Polar form uses a master argument theta (angle off the real axis, canonical
 range [0, pi] because the in-plane radius sqrt(b^2 + c^2) is nonnegative)
 and a slave argument phi (azimuth inside the imaginary plane, [0, 2*pi)).
-The normative product/quotient act on the exponent form: moduli multiply and
+This is the s3 chart of :mod:`hyperspace.core`, whose values are ``Space3``
+and ``Space3Polar``; the 3D names below are the engine's own functions.  The
+normative product/quotient act on the exponent form: moduli multiply and
 both angles add.  The expanded coefficient formulas (``mul3_coeffs`` /
 ``div3_coeffs``) are evaluated literally for the audit harness and are not
 used by the normative route.
@@ -19,59 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import TWO_PI, Tolerance, DEFAULT_TOLERANCE
-
-
-@dataclass(frozen=True, slots=True)
-class Space3:
-    """Coordinate form (a, b, c) on axes x, y, z."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "c"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
-
-    @property
-    def coeffs(self) -> tuple[float, float, float]:
-        return (self.a, self.b, self.c)
-
-    def __repr__(self) -> str:
-        return f"s3[{self.a:.17g},{self.b:.17g},{self.c:.17g}]"
-
-
-@dataclass(frozen=True, slots=True)
-class Space3Polar:
-    """Exponent form: modulus, master angle theta, slave angle phi.
-
-    Canonical instances keep theta in [0, pi] and phi in [0, 2*pi), with
-    phi = 0 whenever theta is polar (0 or pi) and theta = phi = 0 for the
-    zero number.  Like the N-dimensional polar type, arbitrary finite angle
-    pairs are legal values for the angle-level arithmetic.
-    """
-
-    modulus: float
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        m = float(self.modulus)
-        if not (math.isfinite(m) and m >= 0.0):
-            raise ValueError(f"modulus must be finite and >= 0, got {m}")
-        th, ph = float(self.theta), float(self.phi)
-        if not (math.isfinite(th) and math.isfinite(ph)):
-            raise ValueError(f"angles must be finite, got {th}, {ph}")
-        object.__setattr__(self, "modulus", m)
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "phi", ph)
-
-    def __repr__(self) -> str:
-        return f"s3p[{self.modulus:.17g}; {self.theta:.17g}, {self.phi:.17g}]"
+from . import algebra, core
+from .core import Space3, Space3Polar
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +35,6 @@ class SlaveDecomposition:
 
 
 ONE = Space3(1.0, 0.0, 0.0)
-I_UNIT = Space3(0.0, 1.0, 0.0)
 J_UNIT = Space3(0.0, 0.0, 1.0)
 
 
@@ -94,46 +44,23 @@ def j_pow(n: int) -> Space3:
     return table[int(n) % 4]
 
 
-def modulus3(s: Space3) -> float:
-    return math.hypot(s.a, s.b, s.c)
-
-
-def to_polar3(s: Space3) -> Space3Polar:
-    """Canonical polar form: theta = atan2(sqrt(b^2+c^2), a) in [0, pi],
-    phi = atan2(c, b) shifted to [0, 2*pi); poles collapse phi to 0."""
-    r = modulus3(s)
-    if r == 0.0:
-        return Space3Polar(0.0, 0.0, 0.0)
-    r_yz = math.hypot(s.b, s.c)
-    theta = math.atan2(r_yz, s.a)
-    if r_yz == 0.0:
-        return Space3Polar(r, theta, 0.0)
-    phi = math.atan2(s.c, s.b)
-    if phi < 0.0:
-        phi += TWO_PI
-    return Space3Polar(r, theta, phi)
-
-
-def from_polar3(p: Space3Polar) -> Space3:
-    """a = r*cos(theta), b = r*sin(theta)*cos(phi), c = r*sin(theta)*sin(phi)."""
-    r = p.modulus
-    st = math.sin(p.theta)
-    return Space3(
-        r * math.cos(p.theta),
-        r * st * math.cos(p.phi),
-        r * st * math.sin(p.phi),
-    )
+modulus3 = core.modulus
+to_polar3 = core.to_polar
+from_polar3 = core.from_polar
+conj3 = core.conjugate
+mul3_polar = algebra.mul_polar
+div3_polar = algebra.div_polar
+mul3 = algebra.mul
+div3 = algebra.div
+approx_eq3 = core.approx_eq
+to_dict3 = core.to_dict
+from_dict3 = core.from_dict
 
 
 def slave_decompose(s: Space3) -> SlaveDecomposition:
     """Split the slave coefficient against the number's own master argument."""
     theta = to_polar3(s).theta
     return SlaveDecomposition(s.c * math.cos(theta), s.c * math.sin(theta))
-
-
-def conj3(s: Space3) -> Space3:
-    """Both imaginary parts negated: (a, -b, -c)."""
-    return Space3(s.a, -s.b, -s.c)
 
 
 def conj3_polar(p: Space3Polar) -> Space3Polar:
@@ -145,61 +72,10 @@ def conj3_polar(p: Space3Polar) -> Space3Polar:
     return Space3Polar(p.modulus, -p.theta, p.phi)
 
 
-S3Number = Space3 | Space3Polar
-
-
-def _as_polar3(x: S3Number) -> Space3Polar:
-    return x if isinstance(x, Space3Polar) else to_polar3(x)
-
-
-def mul3_polar(p1: Space3Polar, p2: Space3Polar) -> Space3Polar:
-    """Moduli multiply, master and slave angles add; no canonicalization."""
-    return Space3Polar(
-        p1.modulus * p2.modulus, p1.theta + p2.theta, p1.phi + p2.phi
-    )
-
-
-def div3_polar(p1: Space3Polar, p2: Space3Polar) -> Space3Polar:
-    """Moduli divide, both angles subtract; raises on a zero divisor."""
-    if p2.modulus == 0.0:
-        raise ZeroDivisionError("division by a zero-modulus number")
-    return Space3Polar(
-        p1.modulus / p2.modulus, p1.theta - p2.theta, p1.phi - p2.phi
-    )
-
-
-def mul3(s1: S3Number, s2: S3Number) -> Space3:
-    """Normative product via the exponent form."""
-    return from_polar3(mul3_polar(_as_polar3(s1), _as_polar3(s2)))
-
-
-def div3(s1: S3Number, s2: S3Number) -> Space3:
-    """Normative quotient via the exponent form."""
-    return from_polar3(div3_polar(_as_polar3(s1), _as_polar3(s2)))
-
-
-def pow_roots3(s: S3Number, n: int) -> tuple[Space3, tuple[Space3, ...]]:
+def pow_roots3(s: Space3 | Space3Polar, n: int) -> tuple[Space3, tuple[Space3, ...]]:
     """n-th power (angles scaled by n) and all n roots (angles
     (angle + 2*m*pi)/n for m = 0 ... n-1, applied to theta and phi alike)."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    p = _as_polar3(s)
-    power = from_polar3(
-        Space3Polar(math.pow(p.modulus, n), n * p.theta, n * p.phi)
-    )
-    r = math.pow(p.modulus, 1.0 / n)
-    roots = tuple(
-        from_polar3(
-            Space3Polar(
-                r,
-                (p.theta + 2.0 * math.pi * m) / n,
-                (p.phi + 2.0 * math.pi * m) / n,
-            )
-        )
-        for m in range(n)
-    )
-    return power, roots
+    return algebra.pow_int(s, n), tuple(algebra.nth_roots(s, n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -272,34 +148,3 @@ def div3_coeffs(s1: Space3, s2: Space3) -> Space3Breakdown:
     c_r = (d1.c_r * s2.a - d2.c_r * s1.a) + (d1.c_i * s2.b - d2.c_i * s1.b)
     c_i = (d1.c_i * s2.a + d2.c_i * s1.a) - (d1.c_r * s2.b + d2.c_r * s1.b)
     return Space3Breakdown(a, b, c, t1 - t2, c_r, c_i)
-
-
-def approx_eq3(s1: Space3, s2: Space3, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Coefficientwise comparison, scaled like the N-dimensional version."""
-    scale = max(abs(v) for v in s1.coeffs + s2.coeffs)
-    allow = max(tol.abs_eps, tol.rel_eps * scale)
-    return all(abs(x - y) <= allow for x, y in zip(s1.coeffs, s2.coeffs))
-
-
-def to_dict3(number: Space3 | Space3Polar) -> dict:
-    """JSON-ready encoding of a 3D number."""
-    if isinstance(number, Space3):
-        return {"kind": "space3", "a": number.a, "b": number.b, "c": number.c}
-    if isinstance(number, Space3Polar):
-        return {
-            "kind": "space3polar",
-            "modulus": number.modulus,
-            "theta": number.theta,
-            "phi": number.phi,
-        }
-    raise TypeError(f"not a 3D space number: {number!r}")
-
-
-def from_dict3(payload: dict) -> Space3 | Space3Polar:
-    """Inverse of :func:`to_dict3`."""
-    kind = payload.get("kind")
-    if kind == "space3":
-        return Space3(payload["a"], payload["b"], payload["c"])
-    if kind == "space3polar":
-        return Space3Polar(payload["modulus"], payload["theta"], payload["phi"])
-    raise ValueError(f"unknown number kind: {kind!r}")

@@ -179,3 +179,73 @@ class TestAudit:
             "--domain", "positive_restricted",
         )
         assert out.returncode == 0  # agreement holds on the positive domain
+
+
+def run_in_process(*args):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    import contextlib
+    import io
+
+    from hyperspace import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("expr", ["c[10,0]^400", "p[10^400; 0]"])
+    def test_overflow_is_an_arithmetic_error(self, expr):
+        code, out, err = run_in_process("eval", expr)
+        assert (code, out) == (2, "")
+        assert err.startswith("hsc: arithmetic error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "(" * 3000 + "c[1,0]" + ")" * 3000,
+            " + ".join(["c[1,0]"] * 3000),
+            "abs(" * 400 + "c[1,0]" + ")" * 400,
+            "c[1,0]" + "^1" * 3000,
+            "p[" + "(" * 3000 + "1" + ")" * 3000 + "; 0]",
+            "-" * 3000 + "c[1,0]",
+        ],
+        ids=["parentheses", "chain", "calls", "powers", "scalar", "signs"],
+    )
+    def test_too_deep_is_a_syntax_error_with_an_offset(self, expr):
+        code, out, err = run_in_process("eval", "--", expr)
+        assert (code, out) == (1, "")
+        assert err.startswith("hsc: syntax error at offset ") and "nesting levels" in err
+
+    def test_too_deep_exits_1_from_a_process(self):
+        out = run_cli("eval", "(" * 3000 + "c[1,0]" + ")" * 3000)
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr and "offset" in out.stderr
+
+    def test_complex_literal_is_a_type_error(self):
+        code, _, err = run_in_process("eval", "c[(-8)^0.5, 1]")
+        assert code == 1 and "not a real number" in err
+
+    def test_infinite_power_is_a_syntax_error(self):
+        code, _, err = run_in_process("eval", "c[1,1]^1e400")
+        assert code == 1 and "expected an integer" in err
+
+    def test_root_order_bound(self):
+        from hyperspace.expr import MAX_ROOT_ORDER
+
+        code, out, _ = run_in_process("roots", "c[1,0]", str(MAX_ROOT_ORDER))
+        assert code == 0 and len(out.splitlines()) == MAX_ROOT_ORDER
+        for argv in (
+            ("roots", "c[1,0]", str(MAX_ROOT_ORDER + 1)),
+            ("eval", f"roots(c[1,0], {MAX_ROOT_ORDER + 1})"),
+        ):
+            code, out, err = run_in_process(*argv)
+            assert (code, out) == (1, "")
+            assert f"root order must be <= {MAX_ROOT_ORDER}" in err
+
+    def test_s3_roots_ignore_the_orientation(self):
+        # a 3D product is carried in polar form; it keeps the s3 chart
+        ccw = run_in_process("roots", "s3[1,2,3] * s3[0.5,-1,2]", "3")
+        cw = run_in_process("roots", "--orientation", "cw", "s3[1,2,3] * s3[0.5,-1,2]", "3")
+        assert ccw == cw and ccw[0] == 0 and ccw[1].count("s3[") == 3

@@ -201,7 +201,7 @@ class TestRoundTrips:
 
     @given(cartesians, st.sampled_from(ORIENTATIONS))
     def test_to_polar_is_canonical(self, s, orientation):
-        assert to_polar(s, orientation).is_canonical(slack=1e-15)
+        assert to_polar(s, orientation).is_canonical(slack=0)
 
     def test_modulus_of_from_polar(self):
         rng = np.random.default_rng(3)

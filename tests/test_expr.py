@@ -274,3 +274,30 @@ class TestPrinterParserRoundTrip:
     )
     def test_reparse_random_trees(self, tree):
         assert parse(unparse(tree)) == tree
+
+
+class TestLimits:
+    def test_nesting_up_to_the_limit_parses(self):
+        from hyperspace.expr import MAX_DEPTH
+
+        text = "(" * MAX_DEPTH + "c[1,2]" + ")" * MAX_DEPTH
+        assert ev(text).coeffs == (1, 2)
+        chain = " * ".join(["c[1,0]"] * (MAX_DEPTH + 1))
+        assert vec_close(ev(chain).angles, (0,))
+
+    def test_one_level_more_is_rejected_at_its_token(self):
+        from hyperspace.expr import MAX_DEPTH
+
+        with pytest.raises(ParseError) as err:
+            parse("(" * (MAX_DEPTH + 1) + "c[1,2]" + ")" * (MAX_DEPTH + 1))
+        assert err.value.offset == MAX_DEPTH
+        with pytest.raises(ParseError) as err:
+            parse(" - ".join(["c[1,2]"] * (MAX_DEPTH + 2)))
+        assert err.value.offset == (MAX_DEPTH + 1) * len("c[1,2] - ") - 2
+
+    def test_root_order_bound(self):
+        from hyperspace.expr import MAX_ROOT_ORDER
+
+        assert len(ev(f"roots(c[1,1], {MAX_ROOT_ORDER})").items) == MAX_ROOT_ORDER
+        with pytest.raises(ExprTypeError):
+            parse(f"roots(c[1,1], {MAX_ROOT_ORDER + 1})")
