@@ -14,6 +14,10 @@ kinds:
   *measured*; failures are captured as reproducible counterexamples, never
   patched.
 
+Each law is declared once, in the ``_LAWS`` table (operand count, fixed
+dimension, draw, normative flag); ``audit_law`` alone draws the operands,
+evaluates the law's ``(lhs, rhs, tags)`` claims and judges them in order.
+
 Determinism contract: the generator state for each sample is derived from
 (seed, law id, dim, sample index), so per-sample results are independent of
 evaluation order and stable under parallel execution.  Operands that are
@@ -30,6 +34,8 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -157,13 +163,13 @@ def _draw_space3(rng: np.random.Generator, dim: int, domain: Domain) -> Space3:
 
 
 def _draw_operands(
-    rng: np.random.Generator, dim: int, domain: Domain, count: int, draw=_draw_cartesian
+    rng: np.random.Generator, law: _Law, dim: int, domain: Domain
 ) -> tuple[list[CartesianHC], int]:
     out: list[CartesianHC] = []
     redraws = 0
-    for _ in range(count):
+    for _ in range(law.operands):
         for attempt in range(_MAX_REDRAWS):
-            s = draw(rng, dim, domain)
+            s = law.draw(rng, law.dim or dim, domain)
             if not _near_singular(s):
                 break
             redraws += 1
@@ -176,87 +182,75 @@ def _draw_operands(
 # ---------------------------------------------------------------------------
 # comparison
 
+class _Distinct(dict):
+    """Tags of a claim that its two sides differ."""
+
+
 def _deviation(x: tuple[float, ...], y: tuple[float, ...]) -> float:
     scale = max(1e-30, max(abs(v) for v in x + y))
     return max(abs(a - b) for a, b in zip(x, y)) / scale
 
 
-def _compare(lhs: CartesianHC, rhs: CartesianHC, tol: Tolerance) -> tuple[bool, float]:
-    return approx_eq(lhs, rhs, tol), _deviation(lhs.coeffs, rhs.coeffs)
-
-
-def _cex(operands, lhs, rhs, **extra) -> dict:
-    payload = {
-        "operands": [to_dict(s) for s in operands],
-        "lhs": to_dict(lhs),
-        "rhs": to_dict(rhs),
-    }
-    payload.update(extra)
-    return payload
-
-
-def _judge(pairs, tol, resamples, operands):
-    """Law verdict over (lhs, rhs, tags) pairs compared in order: the first
-    pair out of tolerance is the counterexample, carrying its tags."""
+def _judge(claims, tol: Tolerance) -> tuple[float, tuple | None]:
+    """Max deviation and the first failing ``(lhs, rhs, tags)`` claim, or None.
+    A claim holds when its sides agree within ``tol``; one tagged ``_Distinct``
+    holds when they do not, and adds nothing to the deviation."""
     dev = 0.0
-    for lhs, rhs, tags in pairs:
-        ok, d = _compare(lhs, rhs, tol)
-        dev = max(dev, d)
+    for lhs, rhs, tags in claims:
+        if isinstance(tags, _Distinct):
+            ok = not approx_eq(lhs, rhs, tol)
+        else:
+            ok = approx_eq(lhs, rhs, tol)
+            dev = max(dev, _deviation(lhs.coeffs, rhs.coeffs))
         if not ok:
-            return False, dev, resamples, _cex(operands, lhs, rhs, **tags)
-    return True, dev, resamples, None
+            return dev, (lhs, rhs, tags)
+    return dev, None
 
 
 # ---------------------------------------------------------------------------
-# law evaluators: (rng, dim, tol, domain) -> (ok, dev, resamples, counterexample)
+# laws: (rng, *operands) -> [(lhs, rhs, tags), ...]; a law draws from rng only
+# after its operands are drawn
 
-def _law_add_commutative(rng, dim, tol, domain):
-    (s1, s2), rs = _draw_operands(rng, dim, domain, 2)
+def _law_add_commutative(rng, s1, s2):
     lhs, rhs = algebra.add(s1, s2), algebra.add(s2, s1)
-    return _judge([(lhs, rhs, {})], tol, rs, [s1, s2])
+    return [(lhs, rhs, {})]
 
 
-def _law_add_associative(rng, dim, tol, domain):
-    (s1, s2, s3), rs = _draw_operands(rng, dim, domain, 3)
+def _law_add_associative(rng, s1, s2, s3):
     lhs = algebra.add(algebra.add(s1, s2), s3)
     rhs = algebra.add(s1, algebra.add(s2, s3))
-    return _judge([(lhs, rhs, {})], tol, rs, [s1, s2, s3])
+    return [(lhs, rhs, {})]
 
 
-def _law_mul_commutative(rng, dim, tol, domain):
-    (s1, s2), rs = _draw_operands(rng, dim, domain, 2)
+def _law_mul_commutative(rng, s1, s2):
     lhs, rhs = algebra.mul(s1, s2), algebra.mul(s2, s1)
-    return _judge([(lhs, rhs, {})], tol, rs, [s1, s2])
+    return [(lhs, rhs, {})]
 
 
-def _law_mul_associative(rng, dim, tol, domain):
+def _law_mul_associative(rng, *operands):
     # Composition stays at the angle level, where products associate; the
     # conversion boundaries (operands in, result out) are part of the test.
-    ops, rs = _draw_operands(rng, dim, domain, 3)
-    p1, p2, p3 = (to_polar(s, _ACW) for s in ops)
+    p1, p2, p3 = (to_polar(s, _ACW) for s in operands)
     lhs = from_polar(algebra.mul_polar(algebra.mul_polar(p1, p2), p3))
     rhs = from_polar(algebra.mul_polar(p1, algebra.mul_polar(p2, p3)))
-    return _judge([(lhs, rhs, {})], tol, rs, ops)
+    return [(lhs, rhs, {})]
 
 
-def _law_distributive(rng, dim, tol, domain):
-    (s, t1, t2), rs = _draw_operands(rng, dim, domain, 3)
+def _law_distributive(rng, s, t1, t2):
     lhs = algebra.mul(s, algebra.add(t1, t2))
     rhs = algebra.add(algebra.mul(s, t1), algebra.mul(s, t2))
-    return _judge([(lhs, rhs, {})], tol, rs, [s, t1, t2])
+    return [(lhs, rhs, {})]
 
 
-def _law_conj_modulus(rng, dim, tol, domain):
-    (s,), rs = _draw_operands(rng, dim, domain, 1)
+def _law_conj_modulus(rng, s):
     lhs = algebra.mul(s, conjugate(s))
     r = modulus(s)
-    rhs = CartesianHC((r * r,) + (0.0,) * (dim - 1))
-    return _judge([(lhs, rhs, {})], tol, rs, [s])
+    rhs = CartesianHC((r * r,) + (0.0,) * (s.dim - 1))
+    return [(lhs, rhs, {})]
 
 
-def _law_n2_classic_equiv(rng, dim, tol, domain):
+def _law_n2_classic_equiv(rng, s1, s2):
     # Always checked at N = 2 against the textbook complex oracle.
-    (s1, s2), rs = _draw_operands(rng, 2, domain, 2)
     z1 = complex(s1.coeffs[0], s1.coeffs[1])
     z2 = complex(s2.coeffs[0], s2.coeffs[1])
     checks: list[tuple[CartesianHC, CartesianHC, dict]] = []
@@ -274,149 +268,130 @@ def _law_n2_classic_equiv(rng, dim, tol, domain):
     for m, root in enumerate(algebra.nth_roots(s1, n_root)):
         oracle = classic(cmath.rect(root_mod, (phase + TWO_PI * m) / n_root))
         checks.append((root, oracle, {"check": f"root {m}/{n_root}"}))
-    return _judge(checks, tol, rs, [s1, s2])
+    return checks
 
 
-def _law_roots_correct(rng, dim, tol, domain):
+def _law_roots_correct(rng, s):
     # Roots power back through their own chains (angle level); the list of
     # coordinate projections must be pairwise distinct.
-    (s,), rs = _draw_operands(rng, dim, domain, 1)
     n = int(rng.integers(1, 7))
     chains = algebra.nth_roots_polar(to_polar(s, _ACW), n)
     roots = [from_polar(p) for p in chains]
-    dev = 0.0
-    for m, chain in enumerate(chains):
-        back = from_polar(algebra.pow_int_polar(chain, n))
-        ok, d = _compare(back, s, tol)
-        dev = max(dev, d)
-        if not ok:
-            return False, dev, rs, _cex([s], back, s, root_index=m, order=n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if approx_eq(roots[i], roots[j], tol):
-                return False, dev, rs, _cex(
-                    [s], roots[i], roots[j], note=f"roots {i} and {j} coincide"
-                )
-    return True, dev, rs, None
+    backs = [
+        (from_polar(algebra.pow_int_polar(chain, n)), s, {"root_index": m, "order": n})
+        for m, chain in enumerate(chains)
+    ]
+    return backs + [
+        (roots[i], roots[j], _Distinct(note=f"roots {i} and {j} coincide"))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
 
 
-def _law_demoivre(rng, dim, tol, domain):
-    (s,), rs = _draw_operands(rng, dim, domain, 1)
+def _law_demoivre(rng, s):
     n = int(rng.integers(0, 9))
     p = to_polar(s, _ACW)
     lhs = algebra.pow_int(s, n)
-    acc = PolarHC(1.0, (0.0,) * (dim - 1), _ACW)
+    acc = PolarHC(1.0, (0.0,) * (p.dim - 1), _ACW)
     for _ in range(n):
         acc = algebra.mul_polar(acc, p)
     rhs = from_polar(acc)
-    return _judge([(lhs, rhs, {"order": n})], tol, rs, [s])
+    return [(lhs, rhs, {"order": n})]
 
 
-def _agreement(rng, dim, tol, domain, normative, routes, draw=_draw_cartesian):
+def _agreement(normative, routes, rng, s1, s2):
     """Two operands through the normative operation and every formula route."""
-    (s1, s2), rs = _draw_operands(rng, dim, domain, 2, draw)
     nm = normative(s1, s2)
-    pairs = [(route(s1, s2).assembled, nm, {"route": label}) for label, route in routes]
-    return _judge(pairs, tol, rs, [s1, s2])
+    return [(route(s1, s2).assembled, nm, {"route": label}) for label, route in routes]
 
 
-def _law_cartesian_mul_agreement(rng, dim, tol, domain):
-    routes = [
-        ("general", lambda a, b: coeff_formulas.mul_coeffs_general(a, b, _ACW)),
-        ("coordinate", lambda a, b: coeff_formulas.mul_coeffs_coordinate(a, b, _ACW)),
-    ]
-    return _agreement(rng, dim, tol, domain, algebra.mul, routes)
+_law_cartesian_mul_agreement = partial(_agreement, algebra.mul, [
+    ("general", lambda a, b: coeff_formulas.mul_coeffs_general(a, b, _ACW)),
+    ("coordinate", lambda a, b: coeff_formulas.mul_coeffs_coordinate(a, b, _ACW)),
+])
+_law_cartesian_div_agreement = partial(_agreement, algebra.div, [
+    ("general", lambda a, b: coeff_formulas.div_coeffs_general(a, b, _ACW)),
+    ("coordinate", lambda a, b: coeff_formulas.div_coeffs_coordinate(a, b, _ACW)),
+])
+_law_space3_mul_agreement = partial(_agreement, space3.mul3, [("coefficients", space3.mul3_coeffs)])
+_law_space3_div_agreement = partial(_agreement, space3.div3, [("coefficients", space3.div3_coeffs)])
 
 
-def _law_cartesian_div_agreement(rng, dim, tol, domain):
-    routes = [
-        ("general", lambda a, b: coeff_formulas.div_coeffs_general(a, b, _ACW)),
-        ("coordinate", lambda a, b: coeff_formulas.div_coeffs_coordinate(a, b, _ACW)),
-    ]
-    return _agreement(rng, dim, tol, domain, algebra.div, routes)
-
-
-def _law_space3_mul_agreement(rng, dim, tol, domain):
-    routes = [("coefficients", space3.mul3_coeffs)]
-    return _agreement(rng, 3, tol, domain, space3.mul3, routes, _draw_space3)
-
-
-def _law_space3_div_agreement(rng, dim, tol, domain):
-    routes = [("coefficients", space3.div3_coeffs)]
-    return _agreement(rng, 3, tol, domain, space3.div3, routes, _draw_space3)
-
-
-def _law_space3_conj_modulus(rng, dim, tol, domain):
-    (s,), rs = _draw_operands(rng, 3, domain, 1, _draw_space3)
+def _law_space3_conj_modulus(rng, s):
     p = space3.to_polar3(s)
     lhs = space3.from_polar3(space3.mul3_polar(p, space3.conj3_polar(p)))
     r = space3.modulus3(s)
     rhs = Space3(r * r, 0.0, 0.0)
-    return _judge([(lhs, rhs, {})], tol, rs, [s])
+    return [(lhs, rhs, {})]
 
 
-_EVALUATORS = {
-    "add_commutative": _law_add_commutative,
-    "add_associative": _law_add_associative,
-    "mul_commutative": _law_mul_commutative,
-    "mul_associative": _law_mul_associative,
-    "distributive": _law_distributive,
-    "conj_modulus": _law_conj_modulus,
-    "n2_classic_equiv": _law_n2_classic_equiv,
-    "roots_correct": _law_roots_correct,
-    "demoivre": _law_demoivre,
-    "cartesian_mul_agreement": _law_cartesian_mul_agreement,
-    "cartesian_div_agreement": _law_cartesian_div_agreement,
-    "space3_mul_agreement": _law_space3_mul_agreement,
-    "space3_div_agreement": _law_space3_div_agreement,
-    "space3_conj_modulus": _law_space3_conj_modulus,
+@dataclass(frozen=True, slots=True)
+class _Law:
+    claims: Callable  # (rng, *operands) -> [(lhs, rhs, tags), ...]
+    operands: int
+    normative: bool
+    dim: int | None = None  # operand dimension if fixed, else the audited one
+    draw: Callable = _draw_cartesian
+
+
+# The order is part of the determinism contract: a law's index seeds its streams.
+_LAWS = {
+    "add_commutative": _Law(_law_add_commutative, 2, True),
+    "add_associative": _Law(_law_add_associative, 3, True),
+    "mul_commutative": _Law(_law_mul_commutative, 2, True),
+    "mul_associative": _Law(_law_mul_associative, 3, True),
+    "distributive": _Law(_law_distributive, 3, False),
+    "conj_modulus": _Law(_law_conj_modulus, 1, True),
+    "n2_classic_equiv": _Law(_law_n2_classic_equiv, 2, True, dim=2),
+    "roots_correct": _Law(_law_roots_correct, 1, True),
+    "demoivre": _Law(_law_demoivre, 1, True),
+    "cartesian_mul_agreement": _Law(_law_cartesian_mul_agreement, 2, False),
+    "cartesian_div_agreement": _Law(_law_cartesian_div_agreement, 2, False),
+    "space3_mul_agreement": _Law(_law_space3_mul_agreement, 2, False, dim=3, draw=_draw_space3),
+    "space3_div_agreement": _Law(_law_space3_div_agreement, 2, False, dim=3, draw=_draw_space3),
+    "space3_conj_modulus": _Law(_law_space3_conj_modulus, 1, True, dim=3, draw=_draw_space3),
 }
 
-LAW_IDS: tuple[str, ...] = tuple(_EVALUATORS)
+LAW_IDS: tuple[str, ...] = tuple(_LAWS)
 _LAW_CODES = {law: i for i, law in enumerate(LAW_IDS)}
-
-NORMATIVE_LAWS = frozenset(
-    {
-        "add_commutative",
-        "add_associative",
-        "mul_commutative",
-        "mul_associative",
-        "conj_modulus",
-        "n2_classic_equiv",
-        "roots_correct",
-        "demoivre",
-        "space3_conj_modulus",
-    }
-)
+NORMATIVE_LAWS = frozenset(law for law in LAW_IDS if _LAWS[law].normative)
 HYPOTHESIS_LAWS = frozenset(LAW_IDS) - NORMATIVE_LAWS
 
 
 def audit_law(law: str, cfg: AuditConfig, dim: int | None = None) -> LawResult:
     """Tally one law over cfg.samples seeded draws at one dimension."""
-    if law not in _EVALUATORS:
+    if law not in _LAWS:
         raise ValueError(f"unknown law id: {law!r} (known: {', '.join(LAW_IDS)})")
     d = int(dim) if dim is not None else cfg.dims[0]
-    evaluate = _EVALUATORS[law]
+    spec = _LAWS[law]
     passes = 0
     max_dev = 0.0
     resamples = 0
     first_cex: dict | None = None
     for index in range(cfg.samples):
         rng = _sample_rng(cfg.seed, law, d, index)
-        ok, dev, redraws, cex = evaluate(rng, d, cfg.tolerance, cfg.domain)
+        operands, redraws = _draw_operands(rng, spec, d, cfg.domain)
         resamples += redraws
+        dev, failed = _judge(spec.claims(rng, *operands), cfg.tolerance)
         max_dev = max(max_dev, dev)
-        if ok:
+        if failed is None:
             passes += 1
         elif first_cex is None:
-            first_cex = dict(cex, sample_index=index)
+            lhs, rhs, tags = failed
+            first_cex = {
+                "operands": [to_dict(s) for s in operands],
+                "lhs": to_dict(lhs),
+                "rhs": to_dict(rhs),
+                **tags,
+                "sample_index": index,
+            }
     return LawResult(law, d, cfg.samples, passes, max_dev, first_cex, resamples)
 
 
 def run_audit(cfg: AuditConfig, laws: list[str] | None = None) -> AuditReport:
     """One LawResult per (law, dim); deterministic for a fixed config."""
     chosen = tuple(laws) if laws is not None else LAW_IDS
-    unknown = [law for law in chosen if law not in _EVALUATORS]
+    unknown = [law for law in chosen if law not in _LAWS]
     if unknown:
         raise ValueError(f"unknown law ids: {unknown}")
     results = tuple(

@@ -8,14 +8,16 @@ Subcommands::
     audit [...]               run the law audit and emit the report
 
 Exit codes: 0 success, 1 parse/type/usage error (including an expression
-nested deeper than expr.MAX_DEPTH and a root order outside 1 ..
-expr.MAX_ROOT_ORDER), 2 arithmetic error (zero divisor, overflow), 3 audit
-found failing law samples (the report is still written).
+nested deeper than expr.MAX_DEPTH, a root order outside 1 ..
+expr.MAX_ROOT_ORDER, an option out of range and an unwritable --out file,
+all found before any work), 2 arithmetic error (zero divisor, overflow), 3
+audit found failing law samples (the report is still written).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_ARITHMETIC = 2
 EXIT_AUDIT_FAILURES = 3
+MAX_DIGITS = 999  # enough for the exact decimal value of any float
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -98,6 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _evaluate(args) -> tuple[expr_mod.Value, Orientation]:
+    if not 0 <= args.digits <= MAX_DIGITS:
+        raise argparse.ArgumentError(None, f"--digits must be 0 to {MAX_DIGITS}, got {args.digits}")
     tree = expr_mod.parse(args.expr)
     orientation = Orientation(args.orientation)
     return expr_mod.evaluate(tree, orientation), orientation
@@ -138,23 +143,23 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    cfg = audit_mod.AuditConfig(
-        dims=tuple(args.dim) if args.dim else (2, 3, 4),
-        samples=args.samples,
-        seed=args.seed,
-        tolerance=Tolerance(args.abs_eps, args.rel_eps),
-        domain=audit_mod.Domain(args.domain),
-    )
-    report = audit_mod.run_audit(cfg, args.law)
-    if args.format == "json":
-        rendered = audit_mod.report_to_json(report) + "\n"
-    else:
-        rendered = audit_mod.report_to_markdown(report) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    try:  # the options and the report file, checked before the audit runs
+        cfg = audit_mod.AuditConfig(
+            dims=tuple(args.dim) if args.dim else (2, 3, 4),
+            samples=args.samples,
+            seed=args.seed,
+            tolerance=Tolerance(args.abs_eps, args.rel_eps),
+            domain=audit_mod.Domain(args.domain),
+        )
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except (ValueError, OSError) as exc:
+        raise argparse.ArgumentError(None, str(exc)) from None
+    with out or contextlib.nullcontext(sys.stdout) as fh:
+        report = audit_mod.run_audit(cfg, args.law)
+        if args.format == "json":
+            fh.write(audit_mod.report_to_json(report) + "\n")
+        else:
+            fh.write(audit_mod.report_to_markdown(report) + "\n")
     return EXIT_AUDIT_FAILURES if audit_mod.has_failures(report) else EXIT_OK
 
 
@@ -171,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ExprTypeError) as exc:
+    except (ParseError, ExprTypeError, argparse.ArgumentError) as exc:
         print(f"hsc: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ZeroDivisionError, OverflowError, ValueError) as exc:

@@ -14,6 +14,9 @@ accept ``pi`` arithmetic.  The two dimension families (N-dimensional vs 3D
 space numbers) cannot be mixed, and N-dimensional operands must share one
 dimension; both are rejected during the parse-time type check.
 
+One routine, ``_Parser.chain``, parses every left-associative operator
+chain, in numbers (tree nodes) and numeric literals (folded floats) alike.
+
 Multiplicative results are carried in polar form so that chained products
 compose at the angle level; additive operations and display project to
 coordinates.
@@ -22,8 +25,11 @@ coordinates.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NoReturn
 
 from . import algebra, duality
 from .core import (
@@ -40,7 +46,7 @@ from .core import (
 )
 
 # Nesting levels an expression may use: each parenthesis, call, power, unary
-# sign and each further operator of a chain is one (a numeric literal's own
+# sign and each further operator of any chain is one (a numeric literal's own
 # signs are not).  Deeper input is a ParseError, so no stage overflows.
 MAX_DEPTH = 100
 # Largest n that roots(e, n) and ``hsc roots`` accept: n roots are built.
@@ -69,38 +75,31 @@ class ExprTypeError(ValueError):
 # ---------------------------------------------------------------------------
 # tokens
 
+# (kind, text, offset); kind is NUM, NAME, EOF or the symbol character itself
+_Tok = tuple[str, str, int]
+
+# whitespace is skipped in front of every token; the catch-all ``bad`` group
+# turns a character no token starts with into a ParseError
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<num>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    r"""\s*(?:
+        (?P<NUM>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
+      | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<sym>[\[\](),;+\-*/^])
-    """,
-    re.VERBOSE,
+      | (?P<EOF>\Z)
+      | (?P<bad>.)
+    )""",
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str  # NUM, NAME, one of the symbol characters, EOF
-    text: str
-    offset: int
-
-
-def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(pos, ("a token",), f"{text[pos]!r}")
-        if m.lastgroup == "num":
-            out.append(Token("NUM", m.group(), pos))
-        elif m.lastgroup == "name":
-            out.append(Token("NAME", m.group(), pos))
-        elif m.lastgroup == "sym":
-            out.append(Token(m.group(), m.group(), pos))
-        pos = m.end()
-    out.append(Token("EOF", "", len(text)))
+def tokenize(text: str) -> list[_Tok]:
+    out: list[_Tok] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok, offset = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise ParseError(offset, ("a token",), repr(tok))
+        out.append((tok if kind == "sym" else kind, tok, offset))
     return out
 
 
@@ -170,228 +169,196 @@ _FUNCTIONS = ("abs", "arg", "roots", "lift", "conj")
 _LITERAL_HEADS = ("c", "p", "s3", "s3p")
 
 
+def _power(op: str, base: Expr, n: int, offset: int) -> Expr:
+    return Power(base, n, offset)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _fold(op: str, x: float, y: float, offset: int) -> float:
+    if op == "/" and y == 0.0:
+        raise ExprTypeError(offset, "division by zero in a numeric literal")
+    return _ARITHMETIC[op](x, y)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
         self.depth = 0
+        # The left-associative chains.  A partial adds no Python frame, so a
+        # nesting level costs no more stack than with a hand-written loop.
+        self.parse_term = partial(self.chain, "*/", self.parse_factor, Binary)
+        self.parse_expr = partial(self.chain, "+-", self.parse_term, Binary)
+        self.parse_scalar_term = partial(self.chain, "*/", self.parse_scalar_factor, _fold)
+        self.parse_scalar = partial(self.chain, "+-", self.parse_scalar_term, _fold)
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> Token:
+    def advance(self) -> _Tok:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(tok.offset, (f"'{kind}'",), self._describe(tok))
+    def fail(self, *expected: str) -> NoReturn:
+        kind, text, offset = self.tokens[self.pos]
+        raise ParseError(offset, expected, "end of input" if kind == "EOF" else repr(text))
+
+    def expect(self, kind: str) -> _Tok:
+        if self.kind() != kind:
+            self.fail(f"'{kind}'")
         return self.advance()
 
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        return "end of input" if tok.kind == "EOF" else f"{tok.text!r}"
-
-    def descend(self, tok: Token) -> None:
+    def descend(self, tok: _Tok) -> None:
         """One nesting level deeper, at ``tok``; see MAX_DEPTH."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(
-                tok.offset, (f"at most {MAX_DEPTH} nesting levels",), self._describe(tok)
-            )
+            raise ParseError(tok[2], (f"at most {MAX_DEPTH} nesting levels",), repr(tok[1]))
 
-    def deeper(self, tok: Token, parse):
+    def deeper(self, tok: _Tok, parse):
         """``parse()`` one nesting level below ``tok``."""
         self.descend(tok)
         node = parse()
         self.depth -= 1
         return node
 
+    def group(self, parse):
+        """``'(' parse() ')'``, one nesting level below the parenthesis."""
+        tok = self.advance()
+        value = self.deeper(tok, parse)
+        self.expect(")")
+        return value
+
+    def chain(self, ops: str, operand, combine, rhs=None):
+        """``operand (op rhs)*`` folded left by ``combine(op, left, right,
+        offset)``, where ``op`` is one of the characters of ``ops`` and
+        ``rhs`` defaults to ``operand``.  Every further operator nests one
+        level deeper."""
+        depth = self.depth
+        value = operand()
+        while self.kind() in ops:
+            op = self.advance()
+            self.descend(op)
+            value = combine(op[0], value, (rhs or operand)(), op[2])
+        self.depth = depth
+        return value
+
     # ----- number expressions -----
 
-    def parse_expr(self) -> Expr:
-        depth = self.depth
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            self.descend(op)  # every further operator of a chain nests
-            node = Binary(op.kind, node, self.parse_term(), op.offset)
-        self.depth = depth
-        return node
-
-    def parse_term(self) -> Expr:
-        depth = self.depth
-        node = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            self.descend(op)
-            node = Binary(op.kind, node, self.parse_factor(), op.offset)
-        self.depth = depth
-        return node
-
     def parse_factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind not in ("-", "+"):
-            return self.parse_power()
-        self.advance()
+        if self.kind() not in ("-", "+"):
+            return self.chain("^", self.parse_atom, _power, self.parse_signed_int)
+        tok = self.advance()
         node = self.deeper(tok, self.parse_factor)
-        return Unary("neg", node, tok.offset) if tok.kind == "-" else node
-
-    def parse_power(self) -> Expr:
-        depth = self.depth
-        node = self.parse_atom()
-        while self.peek().kind == "^":
-            op = self.advance()
-            self.descend(op)
-            node = Power(node, self.parse_signed_int(), op.offset)
-        self.depth = depth
-        return node
+        return Unary("neg", node, tok[2]) if tok[0] == "-" else node
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.advance()
-            node = self.deeper(tok, self.parse_expr)
-            self.expect(")")
-            return node
-        if tok.kind == "NAME":
-            if tok.text in _LITERAL_HEADS:
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "(":
+            return self.group(self.parse_expr)
+        if kind == "NAME":
+            if text in _LITERAL_HEADS:
                 return self.parse_literal()
-            if tok.text in _FUNCTIONS:
+            if text in _FUNCTIONS:
                 return self.parse_call()
-            raise ParseError(
-                tok.offset,
-                tuple(f"'{n}'" for n in _LITERAL_HEADS + _FUNCTIONS),
-                f"{tok.text!r}",
-            )
-        raise ParseError(
-            tok.offset, ("a literal", "a function", "'('"), self._describe(tok)
-        )
+            self.fail(*(f"'{n}'" for n in _LITERAL_HEADS + _FUNCTIONS))
+        self.fail("a literal", "a function", "'('")
 
     def parse_literal(self) -> Expr:
-        head = self.advance()
+        _, head, offset = self.advance()
         self.expect("[")
-        if head.text in ("c", "s3"):
+        if head in ("c", "s3"):
             coeffs = tuple(self.parse_scalar_list())
             self.expect("]")
-            if head.text == "c" and len(coeffs) < 2:
-                raise ExprTypeError(head.offset, "c[...] needs at least 2 coefficients")
-            if head.text == "s3" and len(coeffs) != 3:
-                raise ExprTypeError(head.offset, "s3[...] needs exactly 3 coefficients")
-            return (LitCart if head.text == "c" else LitS3)(coeffs, head.offset)
+            if head == "c" and len(coeffs) < 2:
+                raise ExprTypeError(offset, "c[...] needs at least 2 coefficients")
+            if head == "s3" and len(coeffs) != 3:
+                raise ExprTypeError(offset, "s3[...] needs exactly 3 coefficients")
+            return (LitCart if head == "c" else LitS3)(coeffs, offset)
         mod = self.parse_scalar()
         self.expect(";")
         angles = tuple(self.parse_scalar_list())
         self.expect("]")
-        if head.text == "s3p" and len(angles) != 2:
-            raise ExprTypeError(head.offset, "s3p[...] needs exactly 2 angles")
+        if head == "s3p" and len(angles) != 2:
+            raise ExprTypeError(offset, "s3p[...] needs exactly 2 angles")
         if mod < 0:
-            raise ExprTypeError(head.offset, "polar modulus must be >= 0")
-        if head.text == "p":
-            return LitPolar(mod, angles, head.offset)
-        return LitS3Polar(mod, *angles, head.offset)
+            raise ExprTypeError(offset, "polar modulus must be >= 0")
+        if head == "p":
+            return LitPolar(mod, angles, offset)
+        return LitS3Polar(mod, *angles, offset)
 
     def parse_call(self) -> Expr:
         name = self.advance()
+        fn = name[1]
         self.expect("(")
         child = self.deeper(name, self.parse_expr)
         arg: float | int | None = None
-        if name.text == "arg" or name.text == "roots":
+        if fn == "arg" or fn == "roots":
             self.expect(",")
             arg = self.parse_signed_int()
-        elif name.text == "lift":
+        elif fn == "lift":
             self.expect(",")
             arg = self.parse_scalar()
         self.expect(")")
-        return Call(name.text, child, arg, name.offset)
+        return Call(fn, child, arg, name[2])
 
     def parse_signed_int(self) -> int:
-        tok = self.peek()
         sign = 1
-        if tok.kind == "-":
+        if self.kind() == "-":
             self.advance()
             sign = -1
-            tok = self.peek()
-        if tok.kind != "NUM":
-            raise ParseError(tok.offset, ("an integer",), self._describe(tok))
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "NUM" or not float(text).is_integer():
+            self.fail("an integer")
         self.advance()
-        value = float(tok.text)
-        if not value.is_integer():
-            raise ParseError(tok.offset, ("an integer",), f"{tok.text!r}")
-        return sign * int(value)
+        return sign * int(float(text))
 
     # ----- scalar (pi-arithmetic) expressions -----
 
     def parse_scalar_list(self) -> list[float]:
         out = [self.parse_scalar()]
-        while self.peek().kind == ",":
+        while self.kind() == ",":
             self.advance()
             out.append(self.parse_scalar())
         return out
 
-    def parse_scalar(self) -> float:
-        value = self.parse_scalar_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.parse_scalar_term()
-            value = value + rhs if op.kind == "+" else value - rhs
-        return value
-
-    def parse_scalar_term(self) -> float:
-        value = self.parse_scalar_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.parse_scalar_factor()
-            if op.kind == "/":
-                if rhs == 0.0:
-                    raise ExprTypeError(op.offset, "division by zero in a numeric literal")
-                value /= rhs
-            else:
-                value *= rhs
-        return value
-
     def parse_scalar_factor(self) -> float:
         negate = False
-        while self.peek().kind in ("-", "+"):
-            negate ^= self.advance().kind == "-"
+        while self.kind() in ("-", "+"):
+            negate ^= self.advance()[0] == "-"
         value = self.parse_scalar_atom()
-        op = self.peek()
-        if op.kind == "^":
-            self.advance()
+        if self.kind() == "^":
+            op = self.advance()
             exponent = self.deeper(op, self.parse_scalar_factor)
             try:
                 value = value ** exponent
             except OverflowError:
-                raise OverflowError(f"numeric literal out of range at offset {op.offset}") from None
+                raise OverflowError(f"numeric literal out of range at offset {op[2]}") from None
             if isinstance(value, complex):
-                raise ExprTypeError(op.offset, "numeric literal is not a real number")
+                raise ExprTypeError(op[2], "numeric literal is not a real number")
         return -value if negate else value
 
     def parse_scalar_atom(self) -> float:
-        tok = self.peek()
-        if tok.kind == "NUM":
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "NUM":
             self.advance()
-            return float(tok.text)
-        if tok.kind == "NAME" and tok.text == "pi":
+            return float(text)
+        if kind == "NAME" and text == "pi":
             self.advance()
             return math.pi
-        if tok.kind == "(":
-            self.advance()
-            value = self.deeper(tok, self.parse_scalar)
-            self.expect(")")
-            return value
-        raise ParseError(tok.offset, ("a number", "'pi'", "'('"), self._describe(tok))
+        if kind == "(":
+            return self.group(self.parse_scalar)
+        self.fail("a number", "'pi'", "'('")
 
 
 def parse(text: str) -> Expr:
     """Parse and type-check an expression."""
     parser = _Parser(text)
     node = parser.parse_expr()
-    tail = parser.peek()
-    if tail.kind != "EOF":
-        raise ParseError(tail.offset, ("end of input",), f"{tail.text!r}")
+    if parser.kind() != "EOF":
+        parser.fail("end of input")
     check(node)
     return node
 

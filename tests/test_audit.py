@@ -76,6 +76,22 @@ class TestNormativeLaws:
         assert result.passes == result.samples, result.counterexample
         assert result.counterexample is None
 
+    def test_roots_correct_judges_coincidence_after_power_back(self):
+        def roots_correct(tolerance):
+            cfg = AuditConfig(dims=(3,), samples=30, seed=3, tolerance=tolerance)
+            return audit_law("roots_correct", cfg, 3)
+
+        exact = roots_correct(Tolerance())
+        # wider than the roots' spacing: all power back, two coincide, and the
+        # coincidence adds nothing to max_dev
+        loose = roots_correct(Tolerance(0.5, 0.5))
+        assert loose.passes < loose.samples and loose.max_dev == exact.max_dev
+        assert loose.counterexample["note"].endswith("coincide")
+        # tighter than float accuracy: the first root that misses is reported
+        tight = roots_correct(Tolerance(1e-300, 1e-17))
+        assert tight.passes < tight.samples
+        assert {"root_index", "order", "sample_index"} <= set(tight.counterexample)
+
 
 class TestHypothesisLaws:
     def test_distributive_dim2_holds(self):

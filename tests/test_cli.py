@@ -209,9 +209,10 @@ class TestExitContract:
             "abs(" * 400 + "c[1,0]" + ")" * 400,
             "c[1,0]" + "^1" * 3000,
             "p[" + "(" * 3000 + "1" + ")" * 3000 + "; 0]",
+            "c[" + "+".join(["1"] * 3000) + ",0]",
             "-" * 3000 + "c[1,0]",
         ],
-        ids=["parentheses", "chain", "calls", "powers", "scalar", "signs"],
+        ids=["parentheses", "chain", "calls", "powers", "scalar", "scalar_chain", "signs"],
     )
     def test_too_deep_is_a_syntax_error_with_an_offset(self, expr):
         code, out, err = run_in_process("eval", "--", expr)
@@ -243,6 +244,41 @@ class TestExitContract:
             code, out, err = run_in_process(*argv)
             assert (code, out) == (1, "")
             assert f"root order must be <= {MAX_ROOT_ORDER}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--digits", "-1", "c[1,2]"),
+            ("convert", "--to", "polar", "--digits", str(2**31), "c[1,2]"),
+            ("audit", "--samples", "0"),
+            ("audit", "--seed", "-1"),
+            ("audit", "--seed", str(2**64)),
+            ("audit", "--dim", "1"),
+            ("audit", "--abs-eps", "0"),
+            ("audit", "--rel-eps", "-1"),
+        ],
+    )
+    def test_option_out_of_range_is_a_usage_error(self, argv):
+        code, out, err = run_in_process(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("hsc: ") and err.count("\n") == 1
+        assert "arithmetic" not in err
+
+    def test_unwritable_report_file_is_rejected_before_the_audit(self, tmp_path, monkeypatch):
+        from hyperspace import audit
+
+        monkeypatch.setattr(audit, "run_audit", lambda *args: pytest.fail("the audit ran"))
+        for path in (tmp_path / "missing" / "r.json", tmp_path):
+            code, out, err = run_in_process("audit", "--out", str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith("hsc: ") and err.count("\n") == 1 and str(path) in err
+
+    def test_report_file_holds_the_report(self, tmp_path):
+        argv = ("audit", "--samples", "3", "--dim", "2", "--law", "add_commutative")
+        code, out, err = run_in_process(*argv)
+        path = tmp_path / "r.json"
+        assert run_in_process(*argv, "--out", str(path)) == (code, "", err)
+        assert strip_timestamp(path.read_text()) == strip_timestamp(out)
 
     def test_s3_roots_ignore_the_orientation(self):
         # a 3D product is carried in polar form; it keeps the s3 chart

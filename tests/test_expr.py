@@ -284,6 +284,8 @@ class TestLimits:
         assert ev(text).coeffs == (1, 2)
         chain = " * ".join(["c[1,0]"] * (MAX_DEPTH + 1))
         assert vec_close(ev(chain).angles, (0,))
+        literal = "c[" + "+".join(["1"] * (MAX_DEPTH + 1)) + ",0]"
+        assert ev(literal).coeffs == (MAX_DEPTH + 1, 0)
 
     def test_one_level_more_is_rejected_at_its_token(self):
         from hyperspace.expr import MAX_DEPTH
@@ -294,6 +296,9 @@ class TestLimits:
         with pytest.raises(ParseError) as err:
             parse(" - ".join(["c[1,2]"] * (MAX_DEPTH + 2)))
         assert err.value.offset == (MAX_DEPTH + 1) * len("c[1,2] - ") - 2
+        with pytest.raises(ParseError) as err:
+            parse("c[" + "*".join(["2"] * (MAX_DEPTH + 2)) + ",0]")
+        assert err.value.offset == len("c[") + (MAX_DEPTH + 1) * len("2*") - 1
 
     def test_root_order_bound(self):
         from hyperspace.expr import MAX_ROOT_ORDER

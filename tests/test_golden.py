@@ -2,7 +2,7 @@
 
 ``golden_outputs.json`` holds what the program printed for the requests
 below (stdout, stderr and exit code of an in-process ``cli.main``) and the
-per-cell tallies of a seeded audit in both domains.  A refactor that keeps
+per-cell results of a seeded audit in both domains.  A refactor that keeps
 the arithmetic must keep these byte for byte.  To re-record after a change
 that is meant to move them, run ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff of the data file.
@@ -75,6 +75,23 @@ REQUESTS = [
     ["eval", "c[1,2] + s3[1,2,3]"],
     ["eval", "lift(c[0,0], 1)"],
     ["eval", "c[1,"],
+    # one request per parser and numeric-literal error site
+    ["eval", "c[1,2] $"],
+    ["eval", "foo(c[1,2])"],
+    ["eval", "c[1,2]^1.5"],
+    ["eval", "c[1,2] c[1,2]"],
+    ["eval", "roots(c[1,2] 2)"],
+    ["eval", "c[1/0,1]"],
+    ["eval", "c[(-8)^0.5,1]"],
+    ["eval", "c[10^400,0]"],
+    ["eval", "p[-1; 0]"],
+    ["eval", "c[1]"],
+    ["eval", "s3[1,2]"],
+    ["eval", "s3p[1; 1]"],
+    ["eval", "arg(c[1,2], 5)"],
+    ["eval", "lift(s3[1,2,3], 1)"],
+    ["eval", "(" * 101 + "c[1,2]" + ")" * 101],
+    ["eval", " * ".join(["c[1,2]"] * 102)],
 ]
 
 
@@ -89,17 +106,13 @@ def run_request(argv: list[str]) -> dict:
 
 
 def audit_cells(domain: Domain) -> list[list]:
+    """Each cell's tallies, max deviation and counterexample, as JSON reads them."""
     cfg = AuditConfig(seed=42, dims=(2, 3, 4, 8), samples=50, domain=domain)
-    return [
-        [
-            r.law,
-            r.dim,
-            r.passes,
-            r.resamples,
-            None if r.counterexample is None else r.counterexample["sample_index"],
-        ]
+    cells = [
+        [r.law, r.dim, r.passes, r.resamples, r.max_dev, r.counterexample]
         for r in run_audit(cfg).results
     ]
+    return json.loads(json.dumps(cells))
 
 
 def record() -> dict:
