@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 from .core import (
     CartesianHC,
-    DimensionMismatchError,
     Orientation,
     PolarHC,
     from_polar,
@@ -70,10 +69,8 @@ class RootSet:
 
 def add(s1: CartesianHC, s2: CartesianHC) -> CartesianHC:
     """Coefficientwise sum."""
-    if s1.dim != s2.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {s1.dim} != {s2.dim}")
-    family = s1.orientation or s2.orientation
-    return make_cartesian(family, tuple(map(operator.add, s1.coeffs, s2.coeffs)))
+    o = resolve_orientation(None, s1, s2)
+    return make_cartesian(o, tuple(map(operator.add, s1.coeffs, s2.coeffs)))
 
 
 def negate(s: CartesianHC) -> CartesianHC:
@@ -96,15 +93,9 @@ def as_polar(x: HCNumber, orientation: Orientation | None = None) -> PolarHC:
     return _polar_in(x, resolve_orientation(orientation, x))
 
 
-def _pair(p1: PolarHC, p2: PolarHC) -> Orientation:
-    if len(p1.angles) != len(p2.angles):
-        raise DimensionMismatchError(f"dimension mismatch: {sorted({p1.dim, p2.dim})}")
-    return resolve_orientation(None, p1, p2)
-
-
 def mul_polar(p1: PolarHC, p2: PolarHC) -> PolarHC:
     """Moduli multiply, angle chains add; no canonicalization."""
-    o = _pair(p1, p2)
+    o = resolve_orientation(None, p1, p2)
     return make_polar(
         o,
         p1.modulus * p2.modulus,
@@ -114,7 +105,7 @@ def mul_polar(p1: PolarHC, p2: PolarHC) -> PolarHC:
 
 def div_polar(p1: PolarHC, p2: PolarHC) -> PolarHC:
     """Moduli divide, angle chains subtract; raises on a zero divisor."""
-    o = _pair(p1, p2)
+    o = resolve_orientation(None, p1, p2)
     if p2.modulus == 0.0:
         raise ZeroDivisionError("division by a zero-modulus number")
     return make_polar(

@@ -49,8 +49,8 @@ from .core import (
     Space3,
     Space3Polar,
     Tolerance,
-    approx_eq,
     canonical_ranges,
+    closeness,
     conjugate,
     from_polar,
     modulus,
@@ -84,6 +84,8 @@ class AuditConfig:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 2 for d in dims):
             raise ValueError(f"dims must be a nonempty list of ints >= 2, got {dims}")
+        if len(set(dims)) < len(dims):
+            raise ValueError(f"dims must not repeat, got {dims}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= int(self.seed) < 2**64:
@@ -186,22 +188,17 @@ class _Distinct(dict):
     """Tags of a claim that its two sides differ."""
 
 
-def _deviation(x: tuple[float, ...], y: tuple[float, ...]) -> float:
-    scale = max(1e-30, max(abs(v) for v in x + y))
-    return max(abs(a - b) for a, b in zip(x, y)) / scale
-
-
 def _judge(claims, tol: Tolerance) -> tuple[float, tuple | None]:
     """Max deviation and the first failing ``(lhs, rhs, tags)`` claim, or None.
     A claim holds when its sides agree within ``tol``; one tagged ``_Distinct``
     holds when they do not, and adds nothing to the deviation."""
     dev = 0.0
     for lhs, rhs, tags in claims:
+        ok, gap = closeness(lhs, rhs, tol)
         if isinstance(tags, _Distinct):
-            ok = not approx_eq(lhs, rhs, tol)
+            ok = not ok
         else:
-            ok = approx_eq(lhs, rhs, tol)
-            dev = max(dev, _deviation(lhs.coeffs, rhs.coeffs))
+            dev = max(dev, gap)
         if not ok:
             return dev, (lhs, rhs, tags)
     return dev, None
@@ -358,11 +355,11 @@ NORMATIVE_LAWS = frozenset(law for law in LAW_IDS if _LAWS[law].normative)
 HYPOTHESIS_LAWS = frozenset(LAW_IDS) - NORMATIVE_LAWS
 
 
-def audit_law(law: str, cfg: AuditConfig, dim: int | None = None) -> LawResult:
+def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
     """Tally one law over cfg.samples seeded draws at one dimension."""
     if law not in _LAWS:
         raise ValueError(f"unknown law id: {law!r} (known: {', '.join(LAW_IDS)})")
-    d = int(dim) if dim is not None else cfg.dims[0]
+    d = int(dim)
     spec = _LAWS[law]
     passes = 0
     max_dev = 0.0
@@ -388,12 +385,20 @@ def audit_law(law: str, cfg: AuditConfig, dim: int | None = None) -> LawResult:
     return LawResult(law, d, cfg.samples, passes, max_dev, first_cex, resamples)
 
 
-def run_audit(cfg: AuditConfig, laws: list[str] | None = None) -> AuditReport:
-    """One LawResult per (law, dim); deterministic for a fixed config."""
+def select_laws(laws: list[str] | None = None) -> tuple[str, ...]:
+    """The law ids to audit, all by default; an unknown or repeated id raises."""
     chosen = tuple(laws) if laws is not None else LAW_IDS
     unknown = [law for law in chosen if law not in _LAWS]
     if unknown:
         raise ValueError(f"unknown law ids: {unknown}")
+    if len(set(chosen)) < len(chosen):
+        raise ValueError(f"law ids must not repeat, got {list(chosen)}")
+    return chosen
+
+
+def run_audit(cfg: AuditConfig, laws: list[str] | None = None) -> AuditReport:
+    """One LawResult per (law, dim); deterministic for a fixed config."""
+    chosen = select_laws(laws)
     results = tuple(
         audit_law(law, cfg, dim) for law in chosen for dim in cfg.dims
     )

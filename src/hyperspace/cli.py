@@ -9,9 +9,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 parse/type/usage error (including an expression
 nested deeper than expr.MAX_DEPTH, a root order outside 1 ..
-expr.MAX_ROOT_ORDER, an option out of range and an unwritable --out file,
-all found before any work), 2 arithmetic error (zero divisor, overflow), 3
-audit found failing law samples (the report is still written).
+expr.MAX_ROOT_ORDER, an option out of range or repeated and an unwritable
+--out file, all found before any work), 2 arithmetic error (zero divisor,
+overflow), 3 audit found failing law samples (the report is still written).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from . import audit as audit_mod
 from . import expr as expr_mod
 from ._version import VERSION
 from .core import CartesianHC, Orientation, Tolerance, to_polar
-from .expr import ExprTypeError, ParseError, RootsValue
+from .expr import ExprTypeError, ParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -118,7 +118,7 @@ def _emit(value: expr_mod.Value, args) -> None:
 def _number(args, command: str) -> tuple[CartesianHC, Orientation]:
     """The expression's value in coordinate form; it must be a number."""
     value, orientation = _evaluate(args)
-    if isinstance(value, (float, RootsValue)):
+    if isinstance(value, (float, algebra.RootSet)):
         raise ExprTypeError(0, f"{command} expects a number-valued expression")
     return expr_mod._cart(value), orientation
 
@@ -138,7 +138,7 @@ def _cmd_convert(args) -> int:
 def _cmd_roots(args) -> int:
     expr_mod.check_root_order(args.n)
     value, orientation = _number(args, "roots")
-    _emit(RootsValue(tuple(algebra.nth_roots(value, args.n, orientation))), args)
+    _emit(algebra.nth_roots(value, args.n, orientation), args)
     return EXIT_OK
 
 
@@ -151,11 +151,12 @@ def _cmd_audit(args) -> int:
             tolerance=Tolerance(args.abs_eps, args.rel_eps),
             domain=audit_mod.Domain(args.domain),
         )
+        laws = audit_mod.select_laws(args.law)
         out = open(args.out, "w", encoding="utf-8") if args.out else None
     except (ValueError, OSError) as exc:
         raise argparse.ArgumentError(None, str(exc)) from None
     with out or contextlib.nullcontext(sys.stdout) as fh:
-        report = audit_mod.run_audit(cfg, args.law)
+        report = audit_mod.run_audit(cfg, laws)
         if args.format == "json":
             fh.write(audit_mod.report_to_json(report) + "\n")
         else:

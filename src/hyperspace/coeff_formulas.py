@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 from .core import (
     CartesianHC,
-    DimensionMismatchError,
     Orientation,
     arguments,
     modulus,
+    resolve_orientation,
 )
 
 
@@ -66,11 +66,6 @@ def _suffix_sq(c: tuple[float, ...]) -> list[float]:
     for k in range(n - 1, 0, -1):
         ss[k] = ss[k + 1] + c[k] * c[k]
     return ss
-
-
-def _check(s1: CartesianHC, s2: CartesianHC) -> None:
-    if s1.dim != s2.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {s1.dim} != {s2.dim}")
 
 
 def _theta_sums(
@@ -118,7 +113,7 @@ def mul_coeffs_general(
     s1: CartesianHC, s2: CartesianHC, orientation: Orientation
 ) -> CoeffBreakdown:
     """General product expansion with sine correction terms."""
-    _check(s1, s2)
+    resolve_orientation(None, s1, s2)  # the operand-pair rule
     c1, c2 = s1.coeffs, s2.coeffs
     n = len(c1)
     tsum = _theta_sums(s1, s2, orientation)
@@ -165,7 +160,7 @@ def mul_coeffs_coordinate(
 ) -> CoeffBreakdown:
     """Coordinate-case product: a_0 = a_10*a_20 - sum(a_1k*a_2k), imaginary
     coefficients paired with the opposite operand's sub-modulus roots."""
-    _check(s1, s2)
+    resolve_orientation(None, s1, s2)  # the operand-pair rule
     c1, c2 = s1.coeffs, s2.coeffs
     n = len(c1)
     tsum = _theta_sums(s1, s2, orientation)
@@ -192,7 +187,7 @@ def div_coeffs_general(
     theta_1k + theta_2k here, unlike the coordinate case below; both are
     evaluated exactly as written and the audit reports which one tracks the
     normative quotient."""
-    _check(s1, s2)
+    resolve_orientation(None, s1, s2)  # the operand-pair rule
     m2 = modulus(s2)
     if m2 == 0.0:
         raise ZeroDivisionError("division by a zero-modulus number")
@@ -245,7 +240,7 @@ def div_coeffs_coordinate(
 ) -> CoeffBreakdown:
     """Coordinate-case quotient; here the combined argument is the
     difference theta_1k - theta_2k."""
-    _check(s1, s2)
+    resolve_orientation(None, s1, s2)  # the operand-pair rule
     m2 = modulus(s2)
     if m2 == 0.0:
         raise ZeroDivisionError("division by a zero-modulus number")

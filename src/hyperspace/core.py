@@ -133,12 +133,12 @@ class PolarHC:
     def dim(self) -> int:
         return len(self.angles) + 1
 
-    def is_canonical(self, slack: float = 0.0) -> bool:
+    def is_canonical(self) -> bool:
         if self.modulus == 0.0:
             return all(a == 0.0 for a in self.angles)
         ranges = canonical_ranges(self.orientation, self.dim)
         return all(
-            lo - slack <= a and (a < hi + slack if open_top else a <= hi + slack)
+            lo <= a and (a < hi if open_top else a <= hi)
             for a, (lo, hi, open_top) in zip(self.angles, ranges)
         )
 
@@ -202,12 +202,15 @@ def resolve_orientation(
 ) -> Orientation:
     """The chart an operation on ``x`` (and ``y``) works in.
 
-    Polar values and 3D values are bound to a chart.  A requested orientation
-    must agree with a bound ccw/cw chart; it applies to the N-dimensional
-    family only, so 3D values keep the s3 chart.  Values bound to no chart
-    take the requested one, ccw by default.
+    Two operands must have one dimension.  Polar values and 3D values are
+    bound to a chart.  A requested orientation must agree with a bound ccw/cw
+    chart; it applies to the N-dimensional family only, so 3D values keep the
+    s3 chart.  Values bound to no chart take the requested one, ccw by
+    default.
     """
     o = x.orientation
+    if y is not None and x.dim != y.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {x.dim} != {y.dim}")
     if y is not None and y.orientation is not o:
         if o is not None and y.orientation is not None:
             raise _conflict(o, y.orientation)
@@ -357,6 +360,18 @@ def conjugate(s: CartesianHC) -> CartesianHC:
     return make_cartesian(s.orientation, (c[0],) + tuple(-x for x in c[1:]))
 
 
+def closeness(
+    s1: CartesianHC, s2: CartesianHC, tol: Tolerance = DEFAULT_TOLERANCE
+) -> tuple[bool, float]:
+    """(agree, relative gap) of two numbers of one dimension: the largest
+    coefficientwise difference, judged as :func:`approx_eq` describes, and
+    that gap divided by the scale (floored at 1e-30)."""
+    resolve_orientation(None, s1, s2)  # the operand-pair rule
+    gap = max(abs(x - y) for x, y in zip(s1.coeffs, s2.coeffs))
+    scale = max(map(abs, s1.coeffs + s2.coeffs))
+    return gap <= max(tol.abs_eps, tol.rel_eps * scale), gap / max(1e-30, scale)
+
+
 def approx_eq(
     s1: CartesianHC, s2: CartesianHC, tol: Tolerance = DEFAULT_TOLERANCE
 ) -> bool:
@@ -366,11 +381,7 @@ def approx_eq(
     components that should vanish are judged against the size of the number,
     not against themselves.
     """
-    if s1.dim != s2.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {s1.dim} != {s2.dim}")
-    scale = max(max(abs(x) for x in s1.coeffs), max(abs(x) for x in s2.coeffs))
-    allow = max(tol.abs_eps, tol.rel_eps * scale)
-    return all(abs(x - y) <= allow for x, y in zip(s1.coeffs, s2.coeffs))
+    return closeness(s1, s2, tol)[0]
 
 
 def to_dict(number: CartesianHC | PolarHC) -> dict:

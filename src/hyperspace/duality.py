@@ -11,17 +11,12 @@ are not both zero.
 
 from __future__ import annotations
 
-import math
-
 from .core import CartesianHC, modulus
 
 
 def lift(c: CartesianHC, a_new: float) -> CartesianHC:
     """Append ``a_new`` as a new top coefficient; |c| must be positive
     because the construction scales the copy by a_new / |c|."""
-    a_new = float(a_new)
-    if not math.isfinite(a_new):
-        raise ValueError(f"new coefficient must be finite, got {a_new}")
     if modulus(c) == 0.0:
         raise ZeroDivisionError(
             "cannot lift a zero-modulus number: its direction is undefined"

@@ -1,6 +1,6 @@
 """Expression grammar over hyperspace and 3D space complex numbers.
 
-Literals::
+Literals, each one ``Literal`` node::
 
     c[1,2,3]            coordinate form, dimension = coefficient count
     p[2; pi/4, 0.1]     polar form: modulus; angle chain
@@ -15,7 +15,9 @@ space numbers) cannot be mixed, and N-dimensional operands must share one
 dimension; both are rejected during the parse-time type check.
 
 One routine, ``_Parser.chain``, parses every left-associative operator
-chain, in numbers (tree nodes) and numeric literals (folded floats) alike.
+chain, in numbers (tree nodes) and numeric slots, which ``_fold`` folds to a
+finite real or rejects at the operator: a division by zero (``0^-1`` too), a
+complex power, an overflow.
 
 Multiplicative results are carried in polar form so that chained products
 compose at the angle level; additive operations and display project to
@@ -32,6 +34,7 @@ from functools import partial
 from typing import NoReturn
 
 from . import algebra, duality
+from .algebra import RootSet
 from .core import (
     CartesianHC,
     Orientation,
@@ -41,6 +44,8 @@ from .core import (
     arguments,
     conjugate,
     from_polar,
+    make_cartesian,
+    make_polar,
     modulus,
     to_dict,
 )
@@ -107,29 +112,11 @@ def tokenize(text: str) -> list[_Tok]:
 # syntax tree
 
 @dataclass(frozen=True, slots=True)
-class LitCart:
-    coeffs: tuple[float, ...]
-    offset: int = field(compare=False, default=0)
+class Literal:
+    """``head[numbers]``; a polar head's numbers start with the modulus."""
 
-
-@dataclass(frozen=True, slots=True)
-class LitPolar:
-    modulus: float
-    angles: tuple[float, ...]
-    offset: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True, slots=True)
-class LitS3:
-    coeffs: tuple[float, float, float]
-    offset: int = field(compare=False, default=0)
-
-
-@dataclass(frozen=True, slots=True)
-class LitS3Polar:
-    modulus: float
-    theta: float
-    phi: float
+    head: str  # 'c', 'p', 's3', 's3p'
+    numbers: tuple[float, ...]
     offset: int = field(compare=False, default=0)
 
 
@@ -163,23 +150,36 @@ class Call:
     offset: int = field(compare=False, default=0)
 
 
-Expr = LitCart | LitPolar | LitS3 | LitS3Polar | Unary | Binary | Power | Call
+Expr = Literal | Unary | Binary | Power | Call
 
 _FUNCTIONS = ("abs", "arg", "roots", "lift", "conj")
 _LITERAL_HEADS = ("c", "p", "s3", "s3p")
+_POLAR_HEADS = ("p", "s3p")
+_S3_HEADS = ("s3", "s3p")
 
 
 def _power(op: str, base: Expr, n: int, offset: int) -> Expr:
     return Power(base, n, offset)
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+               "^": operator.pow}
+_OUT_OF_RANGE = "numeric literal out of range at offset {}"
 
 
 def _fold(op: str, x: float, y: float, offset: int) -> float:
-    if op == "/" and y == 0.0:
-        raise ExprTypeError(offset, "division by zero in a numeric literal")
-    return _ARITHMETIC[op](x, y)
+    """``x op y`` in a numeric literal: a finite real, or an error at ``offset``."""
+    try:
+        value = _ARITHMETIC[op](x, y)
+    except ZeroDivisionError:  # x / 0 and 0 ^ -y
+        raise ExprTypeError(offset, "division by zero in a numeric literal") from None
+    except OverflowError:  # ^ raises where the other operators give inf
+        value = math.inf
+    if isinstance(value, complex):
+        raise ExprTypeError(offset, "numeric literal is not a real number")
+    if not math.isfinite(value):
+        raise OverflowError(_OUT_OF_RANGE.format(offset))
+    return value
 
 
 class _Parser:
@@ -269,25 +269,22 @@ class _Parser:
     def parse_literal(self) -> Expr:
         _, head, offset = self.advance()
         self.expect("[")
-        if head in ("c", "s3"):
-            coeffs = tuple(self.parse_scalar_list())
-            self.expect("]")
-            if head == "c" and len(coeffs) < 2:
-                raise ExprTypeError(offset, "c[...] needs at least 2 coefficients")
-            if head == "s3" and len(coeffs) != 3:
-                raise ExprTypeError(offset, "s3[...] needs exactly 3 coefficients")
-            return (LitCart if head == "c" else LitS3)(coeffs, offset)
-        mod = self.parse_scalar()
-        self.expect(";")
-        angles = tuple(self.parse_scalar_list())
+        numbers = [self.parse_scalar()]
+        if head in _POLAR_HEADS:
+            self.expect(";")
+            numbers.append(self.parse_scalar())
+        while self.kind() == ",":
+            self.advance()
+            numbers.append(self.parse_scalar())
         self.expect("]")
-        if head == "s3p" and len(angles) != 2:
-            raise ExprTypeError(offset, "s3p[...] needs exactly 2 angles")
-        if mod < 0:
+        if head == "c" and len(numbers) < 2:
+            raise ExprTypeError(offset, "c[...] needs at least 2 coefficients")
+        if head in _S3_HEADS and len(numbers) != 3:
+            need = "3 coefficients" if head == "s3" else "2 angles"
+            raise ExprTypeError(offset, f"{head}[...] needs exactly {need}")
+        if head in _POLAR_HEADS and numbers[0] < 0:
             raise ExprTypeError(offset, "polar modulus must be >= 0")
-        if head == "p":
-            return LitPolar(mod, angles, offset)
-        return LitS3Polar(mod, *angles, offset)
+        return Literal(head, tuple(numbers), offset)
 
     def parse_call(self) -> Expr:
         name = self.advance()
@@ -317,13 +314,6 @@ class _Parser:
 
     # ----- scalar (pi-arithmetic) expressions -----
 
-    def parse_scalar_list(self) -> list[float]:
-        out = [self.parse_scalar()]
-        while self.kind() == ",":
-            self.advance()
-            out.append(self.parse_scalar())
-        return out
-
     def parse_scalar_factor(self) -> float:
         negate = False
         while self.kind() in ("-", "+"):
@@ -331,20 +321,17 @@ class _Parser:
         value = self.parse_scalar_atom()
         if self.kind() == "^":
             op = self.advance()
-            exponent = self.deeper(op, self.parse_scalar_factor)
-            try:
-                value = value ** exponent
-            except OverflowError:
-                raise OverflowError(f"numeric literal out of range at offset {op[2]}") from None
-            if isinstance(value, complex):
-                raise ExprTypeError(op[2], "numeric literal is not a real number")
+            value = _fold("^", value, self.deeper(op, self.parse_scalar_factor), op[2])
         return -value if negate else value
 
     def parse_scalar_atom(self) -> float:
-        kind, text, _ = self.tokens[self.pos]
+        kind, text, offset = self.tokens[self.pos]
         if kind == "NUM":
             self.advance()
-            return float(text)
+            value = float(text)
+            if value == math.inf:  # the only way a digit string fails
+                raise OverflowError(_OUT_OF_RANGE.format(offset))
+            return value
         if kind == "NAME" and text == "pi":
             self.advance()
             return math.pi
@@ -367,12 +354,8 @@ def parse(text: str) -> Expr:
 # static types: ('ndim', dim) | ('s3', 3) | ('scalar',) | ('roots',)
 
 def check(node: Expr) -> tuple:
-    if isinstance(node, LitCart):
-        return ("ndim", len(node.coeffs))
-    if isinstance(node, LitPolar):
-        return ("ndim", len(node.angles) + 1)
-    if isinstance(node, (LitS3, LitS3Polar)):
-        return ("s3", 3)
+    if isinstance(node, Literal):
+        return ("s3" if node.head in _S3_HEADS else "ndim", len(node.numbers))
     if isinstance(node, Binary):
         lt, rt = check(node.left), check(node.right)
         if lt[0] not in ("ndim", "s3") or rt[0] not in ("ndim", "s3"):
@@ -428,12 +411,7 @@ def check_root_order(n: int, offset: int = 0) -> None:
 # ---------------------------------------------------------------------------
 # evaluation
 
-@dataclass(frozen=True, slots=True)
-class RootsValue:
-    items: tuple
-
-
-Value = float | CartesianHC | PolarHC | RootsValue
+Value = float | CartesianHC | PolarHC | RootSet
 
 
 def _cart(v: Value) -> Value:
@@ -448,14 +426,11 @@ def evaluate(node: Expr, orientation: Orientation = Orientation.ANTICLOCKWISE) -
     the s3 chart.
     """
     o = orientation
-    if isinstance(node, LitCart):
-        return CartesianHC(node.coeffs)
-    if isinstance(node, LitPolar):
-        return PolarHC(node.modulus, node.angles, o)
-    if isinstance(node, LitS3):
-        return Space3(*node.coeffs)
-    if isinstance(node, LitS3Polar):
-        return Space3Polar(node.modulus, node.theta, node.phi)
+    if isinstance(node, Literal):
+        chart = Orientation.S3 if node.head in _S3_HEADS else o
+        if node.head in _POLAR_HEADS:
+            return make_polar(chart, node.numbers[0], node.numbers[1:])
+        return make_cartesian(chart, node.numbers)
     if isinstance(node, Unary):
         return algebra.negate(_cart(evaluate(node.child, o)))
     if isinstance(node, Binary):
@@ -480,7 +455,7 @@ def evaluate(node: Expr, orientation: Orientation = Orientation.ANTICLOCKWISE) -
         if node.fn == "arg":
             return arguments(_cart(v), o)[int(node.arg) - 1]
         if node.fn == "roots":
-            return RootsValue(tuple(algebra.nth_roots(_cart(v), int(node.arg), o)))
+            return algebra.nth_roots(_cart(v), int(node.arg), o)
         if node.fn == "lift":
             return duality.lift(_cart(v), float(node.arg))
     raise AssertionError(f"unhandled node {node!r}")
@@ -508,8 +483,8 @@ def format_value(value: Value, digits: int = 12) -> str:
     """
     if isinstance(value, float):
         return _fmt(value, digits)
-    if isinstance(value, RootsValue):
-        return "\n".join(format_value(v, digits) for v in value.items)
+    if isinstance(value, RootSet):
+        return "\n".join(format_value(v, digits) for v in value)
     if isinstance(value, CartesianHC):
         scale = max(abs(c) for c in value.coeffs)
         body = ",".join(_fmt(c, digits, scale) for c in value.coeffs)
@@ -524,8 +499,8 @@ def value_to_dict(value: Value) -> dict:
     """JSON encoding of an evaluation result."""
     if isinstance(value, float):
         return {"kind": "scalar", "value": value}
-    if isinstance(value, RootsValue):
-        return {"kind": "roots", "roots": [value_to_dict(v) for v in value.items]}
+    if isinstance(value, RootSet):
+        return {"kind": "roots", "roots": [value_to_dict(v) for v in value]}
     return to_dict(value)
 
 
@@ -552,13 +527,12 @@ def unparse(node: Expr) -> str:
         text = unparse(child)
         return f"({text})" if _level(child) < minimum else text
 
-    if isinstance(node, (LitCart, LitS3)):
-        head = "c" if isinstance(node, LitCart) else "s3"
-        return f"{head}[" + ",".join(repr(c) for c in node.coeffs) + "]"
-    if isinstance(node, LitPolar):
-        return f"p[{node.modulus!r}; " + ",".join(repr(a) for a in node.angles) + "]"
-    if isinstance(node, LitS3Polar):
-        return f"s3p[{node.modulus!r}; {node.theta!r}, {node.phi!r}]"
+    if isinstance(node, Literal):
+        numbers = [repr(x) for x in node.numbers]
+        if node.head in _POLAR_HEADS:
+            angles = (", " if node.head == "s3p" else ",").join(numbers[1:])
+            return f"{node.head}[{numbers[0]}; {angles}]"
+        return f"{node.head}[{','.join(numbers)}]"
     if isinstance(node, Unary):
         return "-" + wrap(node.child, _LEVEL_UNARY)
     if isinstance(node, Binary):

@@ -29,6 +29,7 @@ from hyperspace.core import (
     modulus,
     to_polar,
 )
+from hyperspace.space3 import Space3
 
 from util import close, vec_close
 
@@ -67,11 +68,15 @@ class TestAddNegate:
     def test_sub(self):
         assert sub(c(5, 7), c(1, 2)).coeffs == (4, 5)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            add(c(1, 2), c(1, 2, 3))
-        with pytest.raises(DimensionMismatchError):
-            mul(c(1, 2), c(1, 2, 3))
+    @pytest.mark.parametrize(
+        "op", [add, sub, mul, div, mul_polar, div_polar], ids=lambda op: op.__name__
+    )
+    def test_dimension_mismatch(self, op):
+        for x, y in ((c(1, 2), c(1, 2, 3)), (Space3(1, 2, 3), c(1, 2, 3, 4))):
+            if op in (mul_polar, div_polar):
+                x, y = to_polar(x), to_polar(y)
+            with pytest.raises(DimensionMismatchError):
+                op(x, y)
 
 
 class TestMul:

@@ -37,6 +37,8 @@ class TestConfig:
             AuditConfig(samples=0)
         with pytest.raises(ValueError):
             AuditConfig(seed=2**64)
+        with pytest.raises(ValueError, match="repeat"):
+            AuditConfig(dims=(3, 2, 3))
 
     def test_law_registry(self):
         assert len(LAW_IDS) == 14
@@ -148,6 +150,10 @@ class TestStructure:
             audit_law("barycentric", AuditConfig(samples=1), 2)
         with pytest.raises(ValueError):
             run_audit(AuditConfig(samples=1), ["no_such_law"])
+
+    def test_repeated_law_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            run_audit(AuditConfig(samples=1), ["add_commutative", "add_commutative"])
 
     def test_counterexample_iff_failures(self):
         report = run_audit(AuditConfig(dims=(2, 3), samples=30))

@@ -83,17 +83,17 @@ class TestCanonicalSeam:
     def test_ccw_full_angle(self):
         p = to_polar(CartesianHC((1.0, -1e-300)))
         assert 0.0 <= p.angles[0] < TWO_PI
-        assert p.is_canonical(slack=0)
+        assert p.is_canonical()
 
     def test_cw_full_angle(self):
         p = to_polar(CartesianHC((1.0, 0.5, -1e-300)), CW)
         assert 0.0 <= p.angles[-1] < TWO_PI
-        assert p.is_canonical(slack=0)
+        assert p.is_canonical()
 
     def test_s3_slave_angle(self):
         p = to_polar3(Space3(1.0, 1.0, -1e-300))
         assert 0.0 <= p.phi < TWO_PI
-        assert p.is_canonical(slack=0)
+        assert p.is_canonical()
 
     def test_the_seam_maps_to_zero(self):
         assert to_polar(CartesianHC((1.0, -1e-300))).angles[0] == 0.0

@@ -224,6 +224,21 @@ class TestExitContract:
         assert out.returncode == 1
         assert "Traceback" not in out.stderr and "offset" in out.stderr
 
+    @pytest.mark.parametrize(
+        "expr,offset",
+        [("c[1e400,0]", 2), ("c[1e308*10,0]", 7), ("p[1; 1e308*10]", 10),
+         ("lift(c[1,0], 1e400)", 13)],
+    )
+    def test_literal_out_of_range_names_its_offset(self, expr, offset):
+        code, out, err = run_in_process("eval", expr)
+        assert (code, out) == (2, "")
+        assert err == f"hsc: arithmetic error: numeric literal out of range at offset {offset}\n"
+
+    def test_literal_zero_to_a_negative_power_is_a_division_by_zero(self):
+        code, out, err = run_in_process("eval", "c[0^-1,1]")
+        assert (code, out) == (1, "")
+        assert err == "hsc: type error at offset 3: division by zero in a numeric literal\n"
+
     def test_complex_literal_is_a_type_error(self):
         code, _, err = run_in_process("eval", "c[(-8)^0.5, 1]")
         assert code == 1 and "not a real number" in err
@@ -272,6 +287,19 @@ class TestExitContract:
             code, out, err = run_in_process("audit", "--out", str(path))
             assert (code, out) == (1, "")
             assert err.startswith("hsc: ") and err.count("\n") == 1 and str(path) in err
+
+    @pytest.mark.parametrize(
+        "repeat", [("--dim", "3"), ("--law", "add_commutative")], ids=["dim", "law"]
+    )
+    def test_repeated_option_is_rejected_before_the_audit(self, repeat, tmp_path, monkeypatch):
+        from hyperspace import audit
+
+        monkeypatch.setattr(audit, "run_audit", lambda *args: pytest.fail("the audit ran"))
+        path = tmp_path / "r.json"
+        code, out, err = run_in_process("audit", *repeat, *repeat, "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("hsc: ") and err.count("\n") == 1 and "repeat" in err
+        assert not path.exists()
 
     def test_report_file_holds_the_report(self, tmp_path):
         argv = ("audit", "--samples", "3", "--dim", "2", "--law", "add_commutative")

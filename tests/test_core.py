@@ -201,7 +201,7 @@ class TestRoundTrips:
 
     @given(cartesians, st.sampled_from(ORIENTATIONS))
     def test_to_polar_is_canonical(self, s, orientation):
-        assert to_polar(s, orientation).is_canonical(slack=0)
+        assert to_polar(s, orientation).is_canonical()
 
     def test_modulus_of_from_polar(self):
         rng = np.random.default_rng(3)
@@ -221,7 +221,7 @@ class TestRoundTrips:
     def test_canonicalize_preserves_point(self):
         p = PolarHC(2.0, (0.4, 2.8), ACW)  # second angle out of range
         q = canonicalize(p)
-        assert q.is_canonical(slack=1e-15)
+        assert q.is_canonical()
         assert vec_close(from_polar(q).coeffs, from_polar(p).coeffs, rel=1e-12)
 
 

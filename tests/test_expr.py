@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperspace.algebra import RootSet
 from hyperspace.core import CartesianHC, Orientation, PolarHC
 from hyperspace.expr import (
     Binary,
     Call,
     ExprTypeError,
-    LitCart,
-    LitS3,
+    Literal,
     ParseError,
     Power,
-    RootsValue,
     Unary,
     evaluate,
     format_value,
@@ -37,7 +36,7 @@ class TestParsing:
     def test_mul_of_literals(self):
         tree = parse("c[1,1] * c[1,1]")
         assert isinstance(tree, Binary) and tree.op == "*"
-        assert tree.left == LitCart((1.0, 1.0))
+        assert tree.left == Literal("c", (1.0, 1.0))
 
     def test_roots_call(self):
         tree = parse("roots(c[-1,0], 2)")
@@ -55,13 +54,13 @@ class TestParsing:
 
     def test_pi_arithmetic(self):
         tree = parse("p[2; pi/4, -pi/2]")
-        assert tree.modulus == 2.0
-        assert close(tree.angles[0], math.pi / 4)
-        assert close(tree.angles[1], -math.pi / 2)
+        assert tree.numbers[0] == 2.0
+        assert close(tree.numbers[1], math.pi / 4)
+        assert close(tree.numbers[2], -math.pi / 2)
 
     def test_scalar_expressions_in_slots(self):
         tree = parse("c[1+1, 2*3, 2^3, (4-1)/2]")
-        assert tree.coeffs == (2.0, 6.0, 8.0, 1.5)
+        assert tree.numbers == (2.0, 6.0, 8.0, 1.5)
 
     def test_precedence_power_before_unary(self):
         tree = parse("-c[1,1]^2")
@@ -83,7 +82,7 @@ class TestParsing:
     def test_s3_literal_arity(self):
         with pytest.raises(ExprTypeError):
             parse("s3[1,2]")
-        assert parse("s3[1,2,3]") == LitS3((1.0, 2.0, 3.0))
+        assert parse("s3[1,2,3]") == Literal("s3", (1.0, 2.0, 3.0))
 
     def test_offsets_reported(self):
         with pytest.raises(ParseError) as err:
@@ -168,8 +167,8 @@ class TestEvaluation:
 
     def test_roots_value(self):
         got = ev("roots(c[-1,0], 2)")
-        assert isinstance(got, RootsValue) and len(got.items) == 2
-        assert vec_close(got.items[0].coeffs, (0, 1))
+        assert isinstance(got, RootSet) and len(got) == 2
+        assert vec_close(got[0].coeffs, (0, 1))
 
     def test_chained_products_compose_at_angle_level(self):
         # (1; [0, 1.4])^2 * (1; [0, 0.5]) must match the angle sums, which
@@ -258,7 +257,7 @@ class TestPrinterParserRoundTrip:
     @given(
         st.recursive(
             st.builds(
-                lambda a, b: LitCart((a, b)), literal_floats, literal_floats
+                lambda a, b: Literal("c", (a, b)), literal_floats, literal_floats
             ),
             lambda children: st.one_of(
                 st.builds(lambda l, r: Binary("+", l, r), children, children),
@@ -303,6 +302,6 @@ class TestLimits:
     def test_root_order_bound(self):
         from hyperspace.expr import MAX_ROOT_ORDER
 
-        assert len(ev(f"roots(c[1,1], {MAX_ROOT_ORDER})").items) == MAX_ROOT_ORDER
+        assert len(ev(f"roots(c[1,1], {MAX_ROOT_ORDER})")) == MAX_ROOT_ORDER
         with pytest.raises(ExprTypeError):
             parse(f"roots(c[1,1], {MAX_ROOT_ORDER + 1})")
