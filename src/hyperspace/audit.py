@@ -35,9 +35,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from ._version import VERSION
 from .core import (
@@ -58,6 +56,9 @@ from .core import (
     to_polar,
 )
 from . import algebra, coeff_formulas, space3
+
+if TYPE_CHECKING:  # for the annotations; _sample_rng loads numpy itself
+    import numpy as np
 
 _ACW = Orientation.ANTICLOCKWISE
 _SINGULAR_MODULUS = 1e-8
@@ -130,6 +131,10 @@ class AuditReport:
 # sampling
 
 def _sample_rng(seed: int, law: str, dim: int, index: int) -> np.random.Generator:
+    # numpy loads on the first draw, so importing this module (and with it
+    # the hsc front end) does not pay for it
+    import numpy as np
+
     ss = np.random.SeedSequence((seed, _LAW_CODES[law], dim, index))
     return np.random.default_rng(ss)
 
@@ -355,12 +360,17 @@ NORMATIVE_LAWS = frozenset(law for law in LAW_IDS if _LAWS[law].normative)
 HYPOTHESIS_LAWS = frozenset(LAW_IDS) - NORMATIVE_LAWS
 
 
-def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
-    """Tally one law over cfg.samples seeded draws at one dimension."""
+def _law(law: str) -> _Law:
+    """The table entry of a law id; the one place an unknown id is rejected."""
     if law not in _LAWS:
         raise ValueError(f"unknown law id: {law!r} (known: {', '.join(LAW_IDS)})")
+    return _LAWS[law]
+
+
+def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
+    """Tally one law over cfg.samples seeded draws at one dimension."""
+    spec = _law(law)
     d = int(dim)
-    spec = _LAWS[law]
     passes = 0
     max_dev = 0.0
     resamples = 0
@@ -388,9 +398,8 @@ def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
 def select_laws(laws: list[str] | None = None) -> tuple[str, ...]:
     """The law ids to audit, all by default; an unknown or repeated id raises."""
     chosen = tuple(laws) if laws is not None else LAW_IDS
-    unknown = [law for law in chosen if law not in _LAWS]
-    if unknown:
-        raise ValueError(f"unknown law ids: {unknown}")
+    for law in chosen:
+        _law(law)
     if len(set(chosen)) < len(chosen):
         raise ValueError(f"law ids must not repeat, got {list(chosen)}")
     return chosen

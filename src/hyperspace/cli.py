@@ -145,7 +145,7 @@ def _cmd_roots(args) -> int:
 def _cmd_audit(args) -> int:
     try:  # the options and the report file, checked before the audit runs
         cfg = audit_mod.AuditConfig(
-            dims=tuple(args.dim) if args.dim else (2, 3, 4),
+            **({"dims": tuple(args.dim)} if args.dim else {}),
             samples=args.samples,
             seed=args.seed,
             tolerance=Tolerance(args.abs_eps, args.rel_eps),

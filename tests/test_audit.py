@@ -16,6 +16,7 @@ from hyperspace.audit import (
     report_to_json,
     report_to_markdown,
     run_audit,
+    select_laws,
     _sample_rng,
 )
 from hyperspace.core import Tolerance, from_dict
@@ -150,6 +151,14 @@ class TestStructure:
             audit_law("barycentric", AuditConfig(samples=1), 2)
         with pytest.raises(ValueError):
             run_audit(AuditConfig(samples=1), ["no_such_law"])
+
+    def test_unknown_law_has_one_message(self):
+        with pytest.raises(ValueError) as by_cell:
+            audit_law("barycentric", AuditConfig(samples=1), 2)
+        with pytest.raises(ValueError) as by_selection:
+            select_laws(["add_commutative", "barycentric"])
+        assert str(by_cell.value) == str(by_selection.value)
+        assert str(by_cell.value).startswith("unknown law id: 'barycentric' (known: ")
 
     def test_repeated_law_rejected(self):
         with pytest.raises(ValueError, match="repeat"):

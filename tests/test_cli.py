@@ -1,8 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args):
@@ -172,6 +176,13 @@ class TestAudit:
         out = run_cli("audit", "--law", "no_such_law")
         assert out.returncode == 1
 
+    def test_default_dims_are_the_library_defaults(self):
+        from hyperspace.audit import AuditConfig
+
+        code, out, err = run_in_process("audit", "--samples", "1", "--law", "add_commutative")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["dims"] == list(AuditConfig().dims)
+
     def test_domain_flag(self):
         out = run_cli(
             "audit", "--samples", "30", "--dim", "2",
@@ -313,3 +324,45 @@ class TestExitContract:
         ccw = run_in_process("roots", "s3[1,2,3] * s3[0.5,-1,2]", "3")
         cw = run_in_process("roots", "--orientation", "cw", "s3[1,2,3] * s3[0.5,-1,2]", "3")
         assert ccw == cw and ccw[0] == 0 and ccw[1].count("s3[") == 3
+
+
+_MAIN_IN_A_FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+from hyperspace import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, "numpy" in sys.modules]))
+"""
+
+
+def main_in_a_fresh_interpreter(*argvs):
+    """Exit codes of cli.main over argvs in one new interpreter, and whether
+    numpy was loaded after the last of them."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", _MAIN_IN_A_FRESH_INTERPRETER, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return tuple(json.loads(out.stdout))
+
+
+class TestImports:
+    def test_number_commands_do_not_load_numpy(self):
+        codes, numpy_loaded = main_in_a_fresh_interpreter(
+            ["eval", "c[1,1] * c[1,1]"],
+            ["convert", "--to", "polar", "c[1,1,1]"],
+            ["roots", "c[-1,0]", "2"],
+            ["eval", "c[1,0] / c[0,0]"],
+        )
+        assert codes == [0, 0, 0, 2]
+        assert not numpy_loaded
+
+    def test_the_audit_loads_numpy(self):
+        # the control: the probe above can see numpy load
+        codes, numpy_loaded = main_in_a_fresh_interpreter(
+            ["audit", "--samples", "1", "--law", "add_commutative", "--dim", "2"],
+        )
+        assert codes == [0]
+        assert numpy_loaded
