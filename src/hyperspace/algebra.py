@@ -31,9 +31,9 @@ from .core import (
     CartesianHC,
     Orientation,
     PolarHC,
+    _cartesian,
+    _polar,
     from_polar,
-    make_cartesian,
-    make_polar,
     resolve_orientation,
     to_polar,
 )
@@ -70,12 +70,12 @@ class RootSet:
 def add(s1: CartesianHC, s2: CartesianHC) -> CartesianHC:
     """Coefficientwise sum."""
     o = resolve_orientation(None, s1, s2)
-    return make_cartesian(o, tuple(map(operator.add, s1.coeffs, s2.coeffs)))
+    return _cartesian(o, tuple(map(operator.add, s1.coeffs, s2.coeffs)))
 
 
 def negate(s: CartesianHC) -> CartesianHC:
     """Coefficientwise negation."""
-    return make_cartesian(s.orientation, tuple(map(operator.neg, s.coeffs)))
+    return _cartesian(s.orientation, tuple(map(operator.neg, s.coeffs)))
 
 
 def sub(s1: CartesianHC, s2: CartesianHC) -> CartesianHC:
@@ -96,7 +96,7 @@ def as_polar(x: HCNumber, orientation: Orientation | None = None) -> PolarHC:
 def mul_polar(p1: PolarHC, p2: PolarHC) -> PolarHC:
     """Moduli multiply, angle chains add; no canonicalization."""
     o = resolve_orientation(None, p1, p2)
-    return make_polar(
+    return _polar(
         o,
         p1.modulus * p2.modulus,
         tuple(map(operator.add, p1.angles, p2.angles)),
@@ -108,7 +108,7 @@ def div_polar(p1: PolarHC, p2: PolarHC) -> PolarHC:
     o = resolve_orientation(None, p1, p2)
     if p2.modulus == 0.0:
         raise ZeroDivisionError("division by a zero-modulus number")
-    return make_polar(
+    return _polar(
         o,
         p1.modulus / p2.modulus,
         tuple(map(operator.sub, p1.angles, p2.angles)),
@@ -120,7 +120,7 @@ def pow_int_polar(p: PolarHC, n: int) -> PolarHC:
     n = int(n)
     if p.modulus == 0.0 and n < 0:
         raise ZeroDivisionError("negative power of a zero-modulus number")
-    return make_polar(
+    return _polar(
         p.orientation,
         math.pow(p.modulus, n),
         tuple(n * a for a in p.angles),
@@ -137,7 +137,7 @@ def nth_roots_polar(p: PolarHC, n: int) -> tuple[PolarHC, ...]:
     for m in range(n):
         shift = 2.0 * math.pi * m
         out.append(
-            make_polar(p.orientation, r, tuple((a + shift) / n for a in p.angles))
+            _polar(p.orientation, r, tuple((a + shift) / n for a in p.angles))
         )
     return tuple(out)
 

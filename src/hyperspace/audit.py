@@ -18,12 +18,16 @@ Each law is declared once, in the ``_LAWS`` table (operand count, fixed
 dimension, draw, normative flag); ``audit_law`` alone draws the operands,
 evaluates the law's ``(lhs, rhs, tags)`` claims and judges them in order.
 
-Determinism contract: the generator state for each sample is derived from
-(seed, law id, dim, sample index), so per-sample results are independent of
-evaluation order and stable under parallel execution.  Operands that are
-nearly singular (tiny modulus, or a canonical angle within 1e-8 of a range
-boundary) are redrawn from the same stream and counted, separating law
-violations from float pathology near the coordinate-chart seams.
+Determinism contract: each sample's stream is exactly numpy's
+``SeedSequence((seed, law code, dim, sample index))`` seeding a PCG64, the
+law code being the law's index in ``_LAWS``, so per-sample results are
+independent of evaluation order and stable under parallel execution.
+``_sample_rng`` builds that generator for one sample; ``audit_law`` derives
+the states of a whole cell at a time (``_seed_words``) and takes each
+sample's operands from one draw call.  Operands that are nearly singular
+(tiny modulus, or a canonical angle within 1e-8 of a range boundary) are
+redrawn from the same stream and counted, separating law violations from
+float pathology near the coordinate-chart seams.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .core import (
 )
 from . import algebra, coeff_formulas, space3
 
-if TYPE_CHECKING:  # for the annotations; _sample_rng loads numpy itself
+if TYPE_CHECKING:  # for the annotations; the samplers load numpy themselves
     import numpy as np
 
 _ACW = Orientation.ANTICLOCKWISE
@@ -131,12 +135,91 @@ class AuditReport:
 # sampling
 
 def _sample_rng(seed: int, law: str, dim: int, index: int) -> np.random.Generator:
+    """The generator one sample starts from: numpy's own seeding of its
+    stream, which :func:`_streams` reproduces a cell at a time."""
     # numpy loads on the first draw, so importing this module (and with it
     # the hsc front end) does not pay for it
     import numpy as np
 
     ss = np.random.SeedSequence((seed, _LAW_CODES[law], dim, index))
     return np.random.default_rng(ss)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the 128-bit PCG multiplier (O'Neill, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", HMC-CS-2014-0905)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_POOL = 4
+_BLOCK = 1024  # samples whose seeds are derived at once
+
+
+def _seed_words(seed: int, code: int, dim: int, i0: int, m: int) -> list[tuple[int, ...]]:
+    """PCG64 seed words of samples i0 ... i0+m-1 of one cell: for each index,
+    ``SeedSequence((seed, code, dim, index)).generate_state(4, uint64)``,
+    computed as uint32 array arithmetic over all m indices at once."""
+    import numpy as np
+
+    u32 = np.uint32
+
+    def words(n: int) -> list[int]:  # an int's little-endian 32-bit words; 0 is one word
+        return [n & _MASK32] + (words(n >> 32) if n >> 32 else [])
+
+    if not 0 <= i0 <= i0 + m <= 2**32:
+        raise ValueError("sample indices must fit in 32 bits")
+    entropy = [np.full(m, w, u32) for w in words(seed) + words(code) + words(dim)]
+    entropy.append(np.arange(i0, i0 + m, dtype=np.int64).astype(u32))
+
+    def hasher(const: int, mult: int):  # a hash whose constant steps per call
+        def hash_(v):
+            nonlocal const
+            v = v ^ u32(const)
+            const = const * mult & _MASK32
+            v = v * u32(const)
+            return v ^ (v >> u32(16))
+        return hash_
+
+    def mix(x, y):
+        r = u32(_MIX_L) * x - u32(_MIX_R) * y
+        return r ^ (r >> u32(16))
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(m, u32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[_POOL:]:  # a seed of two words leaves the index over
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+    out = hasher(_INIT_B, _MULT_B)
+    state = [out(pool[k % _POOL]).astype(np.uint64) for k in range(2 * _POOL)]
+    # uint32 pairs, low word first, as uint64 by arithmetic (any byte order)
+    pairs = [(state[k] | state[k + 1] << np.uint64(32)).tolist() for k in range(0, 2 * _POOL, 2)]
+    return list(zip(*pairs))
+
+
+def _streams(seed: int, law: str, dim: int, samples: int):
+    """One generator, set in turn to the start of every sample's stream of
+    one cell: the stream :func:`_sample_rng` gives for that index."""
+    import numpy as np
+
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for i0 in range(0, samples, _BLOCK):
+        m = min(_BLOCK, samples - i0)
+        for s0, s1, q0, q1 in _seed_words(seed, _LAW_CODES[law], dim, i0, m):
+            # PCG64 seeding: from state 0 with an odd increment, step, add the
+            # initial state, step
+            inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
+            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                            "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def _near_singular(s: CartesianHC) -> bool:
@@ -151,32 +234,49 @@ def _near_singular(s: CartesianHC) -> bool:
     )
 
 
-def _draw_cartesian(rng: np.random.Generator, dim: int, domain: Domain) -> CartesianHC:
-    mag = 10.0 ** rng.uniform(-2.0, 2.0)
-    if domain is Domain.UNRESTRICTED:
-        return CartesianHC(tuple(rng.uniform(-1.0, 1.0, dim) * mag))
-    angles = rng.uniform(-math.pi / 4, math.pi / 4, dim - 1)
-    return from_polar(PolarHC(mag, tuple(angles), _ACW))
+def _uniform(lo: float, hi: float, u: float) -> float:
+    """numpy's ``Generator.uniform(lo, hi)`` of the standard double ``u``."""
+    return lo + (hi - lo) * u
 
 
-def _draw_space3(rng: np.random.Generator, dim: int, domain: Domain) -> Space3:
-    mag = 10.0 ** rng.uniform(-2.0, 2.0)
+# A draw builds one operand from its attempt's uniform doubles: the
+# magnitude, then dim coefficients (unrestricted) or the angles (positive).
+
+def _draw_cartesian(u: list[float], dim: int, domain: Domain) -> CartesianHC:
+    mag = 10.0 ** _uniform(-2.0, 2.0, u[0])
     if domain is Domain.UNRESTRICTED:
-        a, b, c = rng.uniform(-1.0, 1.0, 3) * mag
-        return Space3(a, b, c)
-    theta = rng.uniform(0.0, math.pi / 4)
-    phi = rng.uniform(-math.pi / 4, math.pi / 4)
+        return CartesianHC(tuple(_uniform(-1.0, 1.0, x) * mag for x in u[1:]))
+    angles = tuple(_uniform(-math.pi / 4, math.pi / 4, x) for x in u[1:])
+    return from_polar(PolarHC(mag, angles, _ACW))
+
+
+def _draw_space3(u: list[float], dim: int, domain: Domain) -> Space3:
+    mag = 10.0 ** _uniform(-2.0, 2.0, u[0])
+    if domain is Domain.UNRESTRICTED:
+        return Space3(*(_uniform(-1.0, 1.0, x) * mag for x in u[1:]))
+    theta = _uniform(0.0, math.pi / 4, u[1])
+    phi = _uniform(-math.pi / 4, math.pi / 4, u[2])
     return from_polar(Space3Polar(mag, theta, phi % TWO_PI))
 
 
 def _draw_operands(
     rng: np.random.Generator, law: _Law, dim: int, domain: Domain
 ) -> tuple[list[CartesianHC], int]:
+    """The law's operands, from one ``rng.random`` call of w doubles per
+    operand.  An attempt that is near singular is redrawn from w more, so
+    the stream ends where drawing attempt by attempt would leave it."""
+    d = law.dim or dim
+    w = d + (domain is Domain.UNRESTRICTED)  # mag + d coefficients, or mag + d-1 angles
+    u = rng.random(law.operands * w).tolist()
+    pos = 0
     out: list[CartesianHC] = []
     redraws = 0
     for _ in range(law.operands):
-        for attempt in range(_MAX_REDRAWS):
-            s = law.draw(rng, law.dim or dim, domain)
+        for _ in range(_MAX_REDRAWS):
+            if pos == len(u):
+                u += rng.random(w).tolist()
+            s = law.draw(u[pos : pos + w], d, domain)
+            pos += w
             if not _near_singular(s):
                 break
             redraws += 1
@@ -375,8 +475,7 @@ def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
     max_dev = 0.0
     resamples = 0
     first_cex: dict | None = None
-    for index in range(cfg.samples):
-        rng = _sample_rng(cfg.seed, law, d, index)
+    for index, rng in enumerate(_streams(cfg.seed, law, d, cfg.samples)):
         operands, redraws = _draw_operands(rng, spec, d, cfg.domain)
         resamples += redraws
         dev, failed = _judge(spec.claims(rng, *operands), cfg.tolerance)

@@ -30,7 +30,7 @@ scalings) may leave the canonical ranges and are still meaningful inputs to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 
 TWO_PI = 2.0 * math.pi
@@ -185,16 +185,62 @@ class Space3Polar(PolarHC):
         return f"s3p[{self.modulus:.17g}; {self.theta:.17g}, {self.phi:.17g}]"
 
 
+def _refuse_set(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# Python 3.10/3.11 give a frozen slots dataclass a __setattr__ whose super()
+# call names the class from before slots were added, so assigning any name
+# that is not a field raised TypeError; refuse every name alike.
+CartesianHC.__setattr__ = PolarHC.__setattr__ = _refuse_set
+CartesianHC.__delattr__ = PolarHC.__delattr__ = _refuse_delete
+
+
 def make_cartesian(orientation: Orientation | None, coeffs) -> CartesianHC:
-    """Coordinate value of a chart's family (``Space3`` for s3)."""
+    """Checked coordinate value of a chart's family (``Space3`` for s3)."""
     return Space3(*coeffs) if orientation is _S3 else CartesianHC(coeffs)
 
 
 def make_polar(orientation: Orientation, modulus: float, angles) -> PolarHC:
-    """Polar value of a chart, ``Space3Polar`` for s3 (other lengths: PolarHC raises)."""
+    """Checked polar value of a chart, ``Space3Polar`` for s3 (other lengths: PolarHC raises)."""
     if orientation is _S3 and len(angles) == 2:
         return Space3Polar(modulus, *angles)
     return PolarHC(modulus, angles, orientation)
+
+
+# The engine's results are built from checked values, so their builders
+# check only what arithmetic can break: finiteness, which turns overflow
+# into an error, and the s3 chart's dimension.  They fill the slots directly.
+_set_coeffs = CartesianHC.coeffs.__set__
+_set_modulus = PolarHC.modulus.__set__
+_set_angles = PolarHC.angles.__set__
+_set_orientation = PolarHC.orientation.__set__
+
+
+def _cartesian(orientation: Orientation | None, coeffs: tuple[float, ...]) -> CartesianHC:
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError(f"coefficients must be finite, got {coeffs}")
+    s = object.__new__(Space3 if orientation is _S3 else CartesianHC)
+    _set_coeffs(s, coeffs)
+    return s
+
+
+def _polar(orientation: Orientation, modulus: float, angles: tuple[float, ...]) -> PolarHC:
+    if not math.isfinite(modulus):
+        raise ValueError(f"modulus must be finite and >= 0, got {modulus}")
+    if not all(map(math.isfinite, angles)):
+        raise ValueError(f"angles must be finite, got {angles}")
+    if orientation is _S3 and len(angles) != 2:
+        raise _not_3d(len(angles) + 1)
+    p = object.__new__(Space3Polar if orientation is _S3 else PolarHC)
+    _set_modulus(p, modulus)
+    _set_angles(p, angles)
+    _set_orientation(p, orientation)
+    return p
 
 
 def resolve_orientation(
@@ -284,7 +330,7 @@ def _chain(c: tuple[float, ...], r: float, o: Orientation) -> tuple[float, ...]:
     return tuple(chain)
 
 
-def _point(r: float, th: tuple[float, ...], o: Orientation):
+def _point(r: float, th: tuple[float, ...], o: Orientation) -> tuple[float, ...]:
     """Coefficients of the chain ``th`` with modulus ``r``."""
     if o is _CW:
         return _mirror(_point(r, th[::-1], _CCW))
@@ -299,7 +345,7 @@ def _point(r: float, th: tuple[float, ...], o: Orientation):
         out[k] = r * math.sin(th[k - 1]) * suffix
         suffix *= math.cos(th[k - 1])
     out[0] = r * suffix
-    return out
+    return tuple(out)
 
 
 def modulus(s: CartesianHC) -> float:
@@ -329,7 +375,7 @@ def to_polar(
     """Canonical polar form of ``s``: (modulus, component arguments)."""
     o = s.orientation or orientation  # 3D values keep the s3 chart
     r = math.hypot(*s.coeffs)
-    return make_polar(o, r, _chain(s.coeffs, r, o))
+    return _polar(o, r, _chain(s.coeffs, r, o))
 
 
 def from_polar(p: PolarHC) -> CartesianHC:
@@ -342,7 +388,7 @@ def from_polar(p: PolarHC) -> CartesianHC:
     canonical ones.
     """
     o = p.orientation
-    return make_cartesian(o, _point(p.modulus, p.angles, o))
+    return _cartesian(o, _point(p.modulus, p.angles, o))
 
 
 def canonicalize(p: PolarHC) -> PolarHC:
@@ -357,7 +403,7 @@ def conjugate(s: CartesianHC) -> CartesianHC:
     canonicalized).
     """
     c = s.coeffs
-    return make_cartesian(s.orientation, (c[0],) + tuple(-x for x in c[1:]))
+    return _cartesian(s.orientation, (c[0],) + tuple(-x for x in c[1:]))
 
 
 def closeness(

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from hyperspace import algebra
+from hyperspace import algebra, audit
 from hyperspace.audit import (
     HYPOTHESIS_LAWS,
     LAW_IDS,
@@ -19,7 +20,18 @@ from hyperspace.audit import (
     select_laws,
     _sample_rng,
 )
-from hyperspace.core import Tolerance, from_dict
+from hyperspace.core import (
+    TWO_PI,
+    CartesianHC,
+    Orientation,
+    PolarHC,
+    Space3,
+    Space3Polar,
+    Tolerance,
+    from_dict,
+    from_polar,
+    to_dict,
+)
 
 from util import vec_close
 
@@ -203,3 +215,134 @@ class TestStructure:
         cfg = AuditConfig(dims=(2,), samples=5, tolerance=Tolerance(1e-10, 1e-7))
         payload = report_to_dict(run_audit(cfg, ["add_commutative"]))
         assert payload["config"]["tolerance"] == {"abs_eps": 1e-10, "rel_eps": 1e-7}
+
+
+# ---------------------------------------------------------------------------
+# The audit derives every sample's stream a cell at a time and draws each
+# sample's operands in one call.  Its reference is numpy itself: a fresh
+# SeedSequence per sample and one uniform call per value, as below.
+
+STREAM_SEEDS = [0, 42, 2**32 - 1, 2**32, 2**64 - 1]
+ACW = Orientation.ANTICLOCKWISE
+
+
+def ref_rng(seed, law, dim, index):
+    return np.random.default_rng(np.random.SeedSequence((seed, LAW_IDS.index(law), dim, index)))
+
+
+def ref_draw_cartesian(rng, dim, domain):
+    mag = 10.0 ** rng.uniform(-2.0, 2.0)
+    if domain is Domain.UNRESTRICTED:
+        return CartesianHC(tuple(rng.uniform(-1.0, 1.0, dim) * mag))
+    angles = rng.uniform(-math.pi / 4, math.pi / 4, dim - 1)
+    return from_polar(PolarHC(mag, tuple(angles), ACW))
+
+
+def ref_draw_space3(rng, dim, domain):
+    mag = 10.0 ** rng.uniform(-2.0, 2.0)
+    if domain is Domain.UNRESTRICTED:
+        a, b, c = rng.uniform(-1.0, 1.0, 3) * mag
+        return Space3(a, b, c)
+    theta = rng.uniform(0.0, math.pi / 4)
+    phi = rng.uniform(-math.pi / 4, math.pi / 4)
+    return from_polar(Space3Polar(mag, theta, phi % TWO_PI))
+
+
+def ref_draw_operands(rng, spec, dim, domain):
+    draw = ref_draw_space3 if spec.draw is audit._draw_space3 else ref_draw_cartesian
+    out, redraws = [], 0
+    for _ in range(spec.operands):
+        while True:
+            s = draw(rng, spec.dim or dim, domain)
+            if not audit._near_singular(s):
+                break
+            redraws += 1
+        out.append(s)
+    return out, redraws
+
+
+def ref_audit_law(law, cfg, dim):
+    spec = audit._LAWS[law]
+    passes, max_dev, resamples, first_cex = 0, 0.0, 0, None
+    for index in range(cfg.samples):
+        rng = ref_rng(cfg.seed, law, dim, index)
+        operands, redraws = ref_draw_operands(rng, spec, dim, cfg.domain)
+        resamples += redraws
+        dev, failed = audit._judge(spec.claims(rng, *operands), cfg.tolerance)
+        max_dev = max(max_dev, dev)
+        if failed is None:
+            passes += 1
+        elif first_cex is None:
+            lhs, rhs, tags = failed
+            first_cex = {
+                "operands": [to_dict(s) for s in operands],
+                "lhs": to_dict(lhs),
+                "rhs": to_dict(rhs),
+                **tags,
+                "sample_index": index,
+            }
+    return audit.LawResult(law, dim, cfg.samples, passes, max_dev, first_cex, resamples)
+
+
+def drawn(draw_operands, rng, law, dim, domain):
+    """One sample's operands and redraws, then what a law would draw next."""
+    operands, redraws = draw_operands(rng, audit._LAWS[law], dim, domain)
+    after = [int(rng.integers(-4, 9)), int(rng.integers(1, 7)), int(rng.integers(0, 9))]
+    return [to_dict(s) for s in operands], redraws, after, rng.random(2).tolist()
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_seed_words_are_numpys(self, seed):
+        for code in range(len(LAW_IDS)):
+            for dim in (2, 3, 8):
+                for i0, m in ((0, 3), (audit._BLOCK - 2, 5)):
+                    want = [
+                        tuple(np.random.SeedSequence((seed, code, dim, i)).generate_state(4, np.uint64).tolist())
+                        for i in range(i0, i0 + m)
+                    ]
+                    assert audit._seed_words(seed, code, dim, i0, m) == want
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_streams_draw_what_numpy_draws(self, seed, monkeypatch):
+        # small blocks, so every cell crosses two block boundaries
+        monkeypatch.setattr(audit, "_BLOCK", 4)
+        for law in LAW_IDS:
+            for dim in (2, 3, 8):
+                for index, rng in enumerate(audit._streams(seed, law, dim, 10)):
+                    ref = ref_rng(seed, law, dim, index)
+                    assert rng.random(9).tolist() == ref.random(9).tolist()
+                    assert rng.integers(-4, 9) == ref.integers(-4, 9)
+                    assert rng.integers(1, 7) == ref.integers(1, 7)
+
+    def test_streams_cross_the_real_block_boundary(self):
+        seed, law = 2**64 - 1, "roots_correct"
+        for index, rng in enumerate(audit._streams(seed, law, 3, audit._BLOCK + 3)):
+            ref = ref_rng(seed, law, 3, index)
+            assert (rng.random(), int(rng.integers(1, 7))) == (ref.random(), int(ref.integers(1, 7)))
+        assert index == audit._BLOCK + 2
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_one_call_draws_match_per_value_draws(self, domain, monkeypatch):
+        monkeypatch.setattr(audit, "_BLOCK", 4)
+        for law in LAW_IDS:
+            for dim in (2, 3, 8):
+                for index, rng in enumerate(audit._streams(42, law, dim, 6)):
+                    ref = ref_rng(42, law, dim, index)
+                    got = drawn(audit._draw_operands, rng, law, dim, domain)
+                    assert got == drawn(ref_draw_operands, ref, law, dim, domain)
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    @pytest.mark.parametrize("law", ["distributive", "roots_correct", "space3_mul_agreement"])
+    def test_redraws_match_the_reference(self, law, domain, monkeypatch):
+        # a wide angle margin rejects many attempts, so redraws interleave
+        # with the later operands' doubles
+        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
+        cfg = AuditConfig(dims=(3,), samples=30, seed=2**32, domain=domain)
+        for index, rng in enumerate(audit._streams(cfg.seed, law, 3, cfg.samples)):
+            ref = ref_rng(cfg.seed, law, 3, index)
+            got = drawn(audit._draw_operands, rng, law, 3, domain)
+            assert got == drawn(ref_draw_operands, ref, law, 3, domain)
+        got = audit_law(law, cfg, 3)
+        assert got == ref_audit_law(law, cfg, 3)
+        assert got.resamples > 0

@@ -212,6 +212,12 @@ class TestExitContract:
         assert (code, out) == (2, "")
         assert err.startswith("hsc: arithmetic error:") and err.count("\n") == 1
 
+    def test_an_engine_result_that_overflows_keeps_its_message(self):
+        # the modulus of an operand overflows inside to_polar, not at a literal
+        code, out, err = run_in_process("eval", "c[1e308,1e308] * c[1e308,1e308]")
+        assert (code, out) == (2, "")
+        assert err == "hsc: arithmetic error: modulus must be finite and >= 0, got inf\n"
+
     @pytest.mark.parametrize(
         "expr",
         [

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hyperspace.core import (
     DimensionMismatchError,
     Orientation,
     PolarHC,
+    Space3,
+    Space3Polar,
     Tolerance,
     approx_eq,
     arguments,
@@ -258,3 +261,87 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             from_dict({"kind": "spherical"})
+
+
+class TestEntryChecks:
+    """Decoded payloads are entry points: they keep every check and the
+    float coercion that the engine's own results skip."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "polar", "modulus": -1.0, "angles": [0.0], "orientation": "ccw"},
+            {"kind": "space3polar", "modulus": -0.5, "theta": 0.0, "phi": 0.0},
+        ],
+    )
+    def test_negative_modulus(self, payload):
+        with pytest.raises(ValueError, match="modulus must be finite and >= 0"):
+            from_dict(payload)
+
+    def test_int_and_bool_coefficients_come_back_as_floats(self):
+        s = from_dict({"kind": "cartesian", "coeffs": [1, True, False]})
+        assert s.coeffs == (1.0, 1.0, 0.0)
+        assert all(type(x) is float for x in s.coeffs)
+        p = from_dict({"kind": "polar", "modulus": True, "angles": [0, 2], "orientation": "cw"})
+        assert type(p.modulus) is float and all(type(a) is float for a in p.angles)
+        q = from_dict({"kind": "space3polar", "modulus": 2, "theta": 1, "phi": False})
+        assert [type(x) for x in (q.modulus, *q.angles)] == [float] * 3
+        t = from_dict({"kind": "space3", "a": 1, "b": True, "c": 0})
+        assert t.coeffs == (1.0, 1.0, 0.0) and all(type(x) is float for x in t.coeffs)
+
+    def test_bad_orientation(self):
+        with pytest.raises(ValueError, match="not a valid Orientation"):
+            from_dict({"kind": "polar", "modulus": 1.0, "angles": [0.0], "orientation": "up"})
+        with pytest.raises(TypeError, match="bad orientation"):
+            PolarHC(1.0, (0.0,), "ccw")
+
+    @pytest.mark.parametrize(
+        "payload,error",
+        [
+            ({"kind": "polar", "modulus": 1.0, "angles": [0.0, 0.0, 0.0], "orientation": "s3"},
+             "the s3 chart is 3-dimensional, got dimension 4"),
+            ({"kind": "polar", "modulus": 1.0, "angles": [0.0], "orientation": "s3"},
+             "the s3 chart is 3-dimensional, got dimension 2"),
+            ({"kind": "polar", "modulus": 1.0, "angles": [], "orientation": "ccw"},
+             "need at least one angle"),
+            ({"kind": "cartesian", "coeffs": [1.0]}, "need at least 2 coefficients"),
+        ],
+    )
+    def test_wrong_length(self, payload, error):
+        with pytest.raises(ValueError, match=error):
+            from_dict(payload)
+
+    def test_wrong_length_space3(self):
+        with pytest.raises(KeyError):
+            from_dict({"kind": "space3", "a": 1.0, "b": 2.0})
+
+
+class TestFrozen:
+    VALUES = [
+        CartesianHC((1.0, 2.0)),
+        PolarHC(1.0, (0.5,), CW),
+        Space3(1.0, 2.0, 3.0),
+        Space3Polar(1.0, 0.5, 0.25),
+        # engine results, built without the constructors
+        to_polar(CartesianHC((1.0, 2.0, 3.0))),
+        from_polar(PolarHC(2.0, (0.5, 0.25), CW)),
+        to_polar(Space3(1.0, 2.0, 3.0)),
+        conjugate(Space3(1.0, 2.0, 3.0)),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    @pytest.mark.parametrize("name", ["coeffs", "modulus", "angles", "orientation", "a", "theta", "x"])
+    def test_every_attribute_is_frozen(self, value, name):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+
+    def test_engine_results_are_whole_values(self):
+        p = to_polar(Space3(1.0, 2.0, 3.0))
+        assert type(p) is Space3Polar and p.orientation is Orientation.S3
+        q = Space3Polar(p.modulus, p.theta, p.phi)
+        assert p == q and hash(p) == hash(q)
+        s = from_polar(PolarHC(2.0, (0.5, 0.25), CW))
+        assert type(s) is CartesianHC and s == CartesianHC(s.coeffs)
+        assert type(conjugate(Space3(1.0, 2.0, 3.0))) is Space3
