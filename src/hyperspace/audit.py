@@ -76,6 +76,11 @@ class Domain(Enum):
     UNRESTRICTED = "unrestricted"
     POSITIVE_RESTRICTED = "positive_restricted"
 
+    @classmethod
+    def _missing_(cls, value):
+        known = ", ".join(d.value for d in cls)
+        raise ValueError(f"unknown domain: {value!r} (known: {known})")
+
 
 @dataclass(frozen=True, slots=True)
 class AuditConfig:
@@ -96,6 +101,7 @@ class AuditConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "domain", Domain(self.domain))
         object.__setattr__(self, "samples", int(self.samples))
         object.__setattr__(self, "seed", int(self.seed))
 

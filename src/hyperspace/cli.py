@@ -9,9 +9,11 @@ Subcommands::
 
 Exit codes: 0 success, 1 parse/type/usage error (including an expression
 nested deeper than expr.MAX_DEPTH, a root order outside 1 ..
-expr.MAX_ROOT_ORDER, an option out of range or repeated and an unwritable
---out file, all found before any work), 2 arithmetic error (zero divisor,
-overflow), 3 audit found failing law samples (the report is still written).
+expr.MAX_ROOT_ORDER, a scalar or root-set expression given to convert or
+roots, an option out of range or repeated, an unknown --law or --domain and
+an unwritable --out file, all found before any work), 2 arithmetic error
+(zero divisor, overflow), 3 audit found failing law samples (the report is
+still written).
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import json
 import sys
 
 from . import algebra
-from . import audit as audit_mod
 from . import expr as expr_mod
 from ._version import VERSION
-from .core import CartesianHC, Orientation, Tolerance, to_polar
+from .core import Orientation, Tolerance, to_polar
 from .expr import ExprTypeError, ParseError
 
 EXIT_OK = 0
@@ -76,36 +77,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.add_argument("expr", help="expression text")
     p_roots.add_argument("n", type=int, help=f"root order (1 to {expr_mod.MAX_ROOT_ORDER})")
 
-    p_audit = sub.add_parser("audit", help="run the law audit")
-    p_audit.add_argument(
-        "--dim", type=int, action="append", help="dimension to audit (repeatable)"
-    )
-    p_audit.add_argument("--samples", type=int, default=1000)
-    p_audit.add_argument("--seed", type=int, default=42)
-    p_audit.add_argument(
-        "--law",
-        action="append",
-        choices=list(audit_mod.LAW_IDS),
-        help="law to audit (repeatable; default: all)",
+    # only the options given reach the audit, which owns every default and check
+    p_audit = sub.add_parser(
+        "audit", help="run the law audit", argument_default=argparse.SUPPRESS
     )
     p_audit.add_argument(
-        "--domain",
-        choices=[d.value for d in audit_mod.Domain],
-        default=audit_mod.Domain.UNRESTRICTED.value,
+        "--dim", dest="dims", metavar="DIM", type=int, action="append",
+        help="dimension to audit (repeatable)",
     )
-    p_audit.add_argument("--abs-eps", type=float, default=1e-12)
-    p_audit.add_argument("--rel-eps", type=float, default=1e-9)
+    p_audit.add_argument("--samples", type=int)
+    p_audit.add_argument("--seed", type=int)
+    p_audit.add_argument("--law", action="append", help="law to audit (repeatable; default: all)")
+    p_audit.add_argument("--domain")
+    p_audit.add_argument("--abs-eps", type=float)
+    p_audit.add_argument("--rel-eps", type=float)
     p_audit.add_argument("--format", choices=["json", "markdown"], default="json")
-    p_audit.add_argument("--out", help="write the report here instead of stdout")
+    p_audit.add_argument("--out", default=None, help="write the report here instead of stdout")
     return parser
 
 
-def _evaluate(args) -> tuple[expr_mod.Value, Orientation]:
+def _evaluate(args, command: str | None = None) -> tuple[expr_mod.Value, Orientation]:
+    """The expression's value in coordinate form. A command named here needs
+    a number: the expression's static type is checked before it is evaluated."""
     if not 0 <= args.digits <= MAX_DIGITS:
         raise argparse.ArgumentError(None, f"--digits must be 0 to {MAX_DIGITS}, got {args.digits}")
     tree = expr_mod.parse(args.expr)
+    if command and expr_mod.check(tree)[0] not in ("ndim", "s3"):
+        raise ExprTypeError(0, f"{command} expects a number-valued expression")
     orientation = Orientation(args.orientation)
-    return expr_mod.evaluate(tree, orientation), orientation
+    return expr_mod._cart(expr_mod.evaluate(tree, orientation)), orientation
 
 
 def _emit(value: expr_mod.Value, args) -> None:
@@ -115,53 +115,46 @@ def _emit(value: expr_mod.Value, args) -> None:
         print(expr_mod.format_value(value, args.digits))
 
 
-def _number(args, command: str) -> tuple[CartesianHC, Orientation]:
-    """The expression's value in coordinate form; it must be a number."""
-    value, orientation = _evaluate(args)
-    if isinstance(value, (float, algebra.RootSet)):
-        raise ExprTypeError(0, f"{command} expects a number-valued expression")
-    return expr_mod._cart(value), orientation
-
-
 def _cmd_eval(args) -> int:
     # eval reports coordinate form; polar stays available via `convert`
-    _emit(expr_mod._cart(_evaluate(args)[0]), args)
+    _emit(_evaluate(args)[0], args)
     return EXIT_OK
 
 
 def _cmd_convert(args) -> int:
-    value, orientation = _number(args, "convert")
+    value, orientation = _evaluate(args, "convert")
     _emit(to_polar(value, orientation) if args.to == "polar" else value, args)
     return EXIT_OK
 
 
 def _cmd_roots(args) -> int:
     expr_mod.check_root_order(args.n)
-    value, orientation = _number(args, "roots")
+    value, orientation = _evaluate(args, "roots")
     _emit(algebra.nth_roots(value, args.n, orientation), args)
     return EXIT_OK
 
 
 def _cmd_audit(args) -> int:
+    from . import audit  # loaded here: no other command runs it
+
+    opts = vars(args)
+    eps = {k: opts[k] for k in ("abs_eps", "rel_eps") if k in opts}
     try:  # the options and the report file, checked before the audit runs
-        cfg = audit_mod.AuditConfig(
-            **({"dims": tuple(args.dim)} if args.dim else {}),
-            samples=args.samples,
-            seed=args.seed,
-            tolerance=Tolerance(args.abs_eps, args.rel_eps),
-            domain=audit_mod.Domain(args.domain),
+        cfg = audit.AuditConfig(
+            **{k: opts[k] for k in ("dims", "samples", "seed", "domain") if k in opts},
+            **({"tolerance": Tolerance(**eps)} if eps else {}),
         )
-        laws = audit_mod.select_laws(args.law)
+        laws = audit.select_laws(opts.get("law"))
         out = open(args.out, "w", encoding="utf-8") if args.out else None
     except (ValueError, OSError) as exc:
         raise argparse.ArgumentError(None, str(exc)) from None
     with out or contextlib.nullcontext(sys.stdout) as fh:
-        report = audit_mod.run_audit(cfg, laws)
+        report = audit.run_audit(cfg, laws)
         if args.format == "json":
-            fh.write(audit_mod.report_to_json(report) + "\n")
+            fh.write(audit.report_to_json(report) + "\n")
         else:
-            fh.write(audit_mod.report_to_markdown(report) + "\n")
-    return EXIT_AUDIT_FAILURES if audit_mod.has_failures(report) else EXIT_OK
+            fh.write(audit.report_to_markdown(report) + "\n")
+    return EXIT_AUDIT_FAILURES if audit.has_failures(report) else EXIT_OK
 
 
 _COMMANDS = {

@@ -53,6 +53,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="repeat"):
             AuditConfig(dims=(3, 2, 3))
 
+    def test_domain_by_value(self):
+        assert AuditConfig(domain="positive_restricted").domain is Domain.POSITIVE_RESTRICTED
+        assert AuditConfig(domain="unrestricted") == AuditConfig()
+
+    def test_unknown_domain_lists_the_known_ones(self):
+        message = "unknown domain: 'bogus' (known: unrestricted, positive_restricted)"
+        for make in (Domain, lambda d: AuditConfig(domain=d)):
+            with pytest.raises(ValueError) as exc:
+                make("bogus")
+            assert str(exc.value) == message
+
     def test_law_registry(self):
         assert len(LAW_IDS) == 14
         assert NORMATIVE_LAWS | HYPOTHESIS_LAWS == set(LAW_IDS)

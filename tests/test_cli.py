@@ -288,6 +288,8 @@ class TestExitContract:
             ("audit", "--dim", "1"),
             ("audit", "--abs-eps", "0"),
             ("audit", "--rel-eps", "-1"),
+            ("audit", "--law", "bogus"),
+            ("audit", "--domain", "bogus"),
         ],
     )
     def test_option_out_of_range_is_a_usage_error(self, argv):
@@ -318,6 +320,52 @@ class TestExitContract:
         assert err.startswith("hsc: ") and err.count("\n") == 1 and "repeat" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "option,known", [("--law", "add_commutative"), ("--domain", "unrestricted")]
+    )
+    def test_unknown_choice_is_rejected_before_the_audit(
+        self, option, known, tmp_path, monkeypatch
+    ):
+        from hyperspace import audit
+
+        monkeypatch.setattr(audit, "run_audit", lambda *args: pytest.fail("the audit ran"))
+        path = tmp_path / "r.json"
+        code, out, err = run_in_process("audit", option, "bogus", "--out", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("hsc: unknown ") and err.count("\n") == 1 and known in err
+        assert not path.exists()
+
+    def test_a_bare_audit_hands_over_the_library_defaults(self, monkeypatch):
+        from hyperspace import audit
+
+        calls = []
+
+        def run_audit(cfg, laws):
+            calls.append((cfg, laws))
+            return audit.AuditReport(cfg, laws, (), "", "")
+
+        monkeypatch.setattr(audit, "run_audit", run_audit)
+        code, _, err = run_in_process("audit")
+        assert (code, err) == (0, "")
+        assert calls == [(audit.AuditConfig(), audit.LAW_IDS)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("convert", "--to", "polar", "abs(c[1e300,1e300] * c[1e300,1e300])"),
+            ("roots", "abs(c[1e300,1e300] * c[1e300,1e300])", "2"),
+            ("roots", "roots(c[1,0], 1000)", "2"),
+        ],
+        ids=["convert_overflow", "roots_overflow", "roots_of_roots"],
+    )
+    def test_a_non_number_is_rejected_before_it_is_evaluated(self, argv, monkeypatch):
+        from hyperspace import expr
+
+        monkeypatch.setattr(expr, "evaluate", lambda *args: pytest.fail("evaluated"))
+        code, out, err = run_in_process(*argv)
+        assert (code, out) == (1, "")
+        assert err == f"hsc: type error at offset 0: {argv[0]} expects a number-valued expression\n"
+
     def test_report_file_holds_the_report(self, tmp_path):
         argv = ("audit", "--samples", "3", "--dim", "2", "--law", "add_commutative")
         code, out, err = run_in_process(*argv)
@@ -332,6 +380,8 @@ class TestExitContract:
         assert ccw == cw and ccw[0] == 0 and ccw[1].count("s3[") == 3
 
 
+_WATCHED = ("numpy", "hyperspace.audit", "hyperspace.coeff_formulas")
+
 _MAIN_IN_A_FRESH_INTERPRETER = """
 import contextlib, io, json, sys
 from hyperspace import cli
@@ -339,36 +389,46 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.main(argv))
-print(json.dumps([codes, "numpy" in sys.modules]))
+print(json.dumps([codes, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
 """
 
 
 def main_in_a_fresh_interpreter(*argvs):
-    """Exit codes of cli.main over argvs in one new interpreter, and whether
-    numpy was loaded after the last of them."""
+    """Exit codes of cli.main over argvs in one new interpreter, and which of
+    the _WATCHED modules were loaded after the last of them."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
-        [sys.executable, "-c", _MAIN_IN_A_FRESH_INTERPRETER, json.dumps(argvs)],
+        [sys.executable, "-c", _MAIN_IN_A_FRESH_INTERPRETER, json.dumps(argvs),
+         json.dumps(_WATCHED)],
         capture_output=True, text=True, env=env, check=True,
     )
     return tuple(json.loads(out.stdout))
 
 
+@pytest.fixture(scope="module")
+def number_commands():
+    """One fresh interpreter's run of eval, convert and roots."""
+    return main_in_a_fresh_interpreter(
+        ["eval", "c[1,1] * c[1,1]"],
+        ["convert", "--to", "polar", "c[1,1,1]"],
+        ["roots", "c[-1,0]", "2"],
+        ["eval", "c[1,0] / c[0,0]"],
+    )
+
+
 class TestImports:
-    def test_number_commands_do_not_load_numpy(self):
-        codes, numpy_loaded = main_in_a_fresh_interpreter(
-            ["eval", "c[1,1] * c[1,1]"],
-            ["convert", "--to", "polar", "c[1,1,1]"],
-            ["roots", "c[-1,0]", "2"],
-            ["eval", "c[1,0] / c[0,0]"],
-        )
+    def test_number_commands_do_not_load_numpy(self, number_commands):
+        codes, loaded = number_commands
         assert codes == [0, 0, 0, 2]
-        assert not numpy_loaded
+        assert "numpy" not in loaded
+
+    def test_number_commands_do_not_load_the_audit(self, number_commands):
+        assert number_commands[1] == []
 
     def test_the_audit_loads_numpy(self):
-        # the control: the probe above can see numpy load
-        codes, numpy_loaded = main_in_a_fresh_interpreter(
+        # the control: the probe above can see these modules load
+        codes, loaded = main_in_a_fresh_interpreter(
             ["audit", "--samples", "1", "--law", "add_commutative", "--dim", "2"],
         )
         assert codes == [0]
-        assert numpy_loaded
+        assert loaded == list(_WATCHED)
