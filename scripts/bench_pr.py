@@ -1,0 +1,90 @@
+"""Run the benchmark on one or more checkouts and record every run in BENCH_<pr>.json.
+
+    python3 scripts/bench_pr.py --pr N --workload audit --seed 501 502 503 \\
+        --side parent=/path/to/parent-checkout --side change=. [--trace 0]
+
+Each run is ``python3 <checkout>/perfbench/run.py --workload W --seed S
+--seconds 40 --trace X`` (40 s being the benchmark's run length), so every
+checkout is measured with its own copy of the benchmark.  For each seed and
+workload the sides run in turn, and the side that goes first alternates from
+one seed to the next.  After every run
+its environment line and result line are appended, under the side's label,
+to the JSON list in BENCH_<pr>.json at the root of this repository; a run
+that fails is recorded with its exit code and the tail of its stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("audit", "eval_cli", "expr_batch")
+SECONDS = 40.0  # BENCHMARK.json's run_seconds
+
+
+def bench_path(pr: int) -> Path:
+    return ROOT / f"BENCH_{pr}.json"
+
+
+def load(path: Path) -> list[dict]:
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+
+
+def append(path: Path, record: dict) -> None:
+    records = load(path)
+    records.append(record)
+    path.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+
+
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One benchmark run: its environment and result lines, or why it failed."""
+    argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=checkout)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        return {"exit_code": proc.returncode, "stderr": proc.stderr[-2000:]}
+    return {**json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def run(args) -> int:
+    sides = []
+    for side in args.side or [f"change={ROOT}"]:
+        label, _, directory = side.partition("=")
+        checkout = Path(directory or ".").resolve()
+        if not label or not (checkout / "perfbench" / "run.py").is_file():
+            print(f"bench_pr: --side wants LABEL=CHECKOUT with perfbench/run.py, got {side!r}",
+                  file=sys.stderr)
+            return 2
+        sides.append((label, checkout))
+    path = bench_path(args.pr)
+    for i, seed in enumerate(args.seed):
+        order = sides if i % 2 == 0 else sides[::-1]
+        for workload in args.workload:
+            for label, checkout in order:
+                record = {"label": label, "workload": workload, "seed": seed,
+                          "seconds": SECONDS, "trace": args.trace}
+                record.update(run_once(checkout, workload, seed, args.trace))
+                append(path, record)
+                ok = "result" in record
+                print(f"{label} {workload} seed {seed}: {'recorded' if ok else 'FAILED'}", flush=True)
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
+    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=["audit"])
+    parser.add_argument("--seed", nargs="+", type=int, required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--side", action="append", metavar="LABEL=CHECKOUT",
+                        help="a checkout to measure (repeatable; default: change=this repository)")
+    return run(parser.parse_args(argv))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,105 @@
+"""The audit's column kernels: the ccw and s3 charts and the closeness measure
+of :mod:`hyperspace.core` over blocks of numbers, one number per row.
+
+Every result is the scalar engine's to the bit.  ``+ - * /``, ``abs`` and
+``max`` run in numpy in the scalar engine's operation order, which IEEE
+rounding makes exact; every transcendental is the scalar engine's own
+``math`` function mapped over a column, since numpy's may round otherwise.
+Only numpy APIs of numpy 1.24 and later are used.  ``audit.audit_law`` alone
+imports this module, so importing the audit loads no numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from .core import TWO_PI, Orientation, Tolerance
+
+_S3 = Orientation.S3
+
+
+def mapped(f, *cols: np.ndarray) -> np.ndarray:
+    """``f`` over the elements of equal-length columns, as a float column."""
+    return np.fromiter(map(f, *(c.tolist() for c in cols)), float, len(cols[0]))
+
+
+def _wrap(a: np.ndarray) -> np.ndarray:
+    """``core._wrap`` of a column of atan2 angles."""
+    a = np.where(a < 0.0, a + TWO_PI, a)
+    a[a == TWO_PI] = 0.0
+    return a
+
+
+def chain(c: np.ndarray, r: np.ndarray, o: Orientation) -> np.ndarray:
+    """``core._chain`` of every row of ``c`` (ccw or s3), with moduli ``r``."""
+    if o is _S3:
+        a, b, z = c.T
+        r_yz = mapped(math.hypot, b, z)
+        phi = np.where(r_yz != 0.0, _wrap(mapped(math.atan2, z, b)), 0.0)
+        th = np.stack([mapped(math.atan2, r_yz, a), phi], axis=1)
+    else:
+        cols = [_wrap(mapped(math.atan2, c[:, 1], c[:, 0]))]
+        sub = mapped(math.hypot, c[:, 0], c[:, 1])
+        for k in range(2, c.shape[1]):
+            cols.append(mapped(math.atan2, c[:, k], sub))
+            sub = mapped(math.hypot, sub, c[:, k])
+        th = np.stack(cols, axis=1)
+    th[r == 0.0] = 0.0
+    return th
+
+
+def point(r: np.ndarray, th: np.ndarray, o: Orientation) -> np.ndarray:
+    """``core._point`` of every row: the coefficients of chains ``th``, moduli ``r``."""
+    if o is _S3:
+        theta, phi = th.T
+        st = mapped(math.sin, theta)
+        cols = [r * mapped(math.cos, theta), r * st * mapped(math.cos, phi), r * st * mapped(math.sin, phi)]
+        return np.stack(cols, axis=1)
+    out = np.empty((len(r), th.shape[1] + 1))
+    suffix = 1.0
+    for k in range(th.shape[1], 0, -1):
+        out[:, k] = r * mapped(math.sin, th[:, k - 1]) * suffix
+        suffix = suffix * mapped(math.cos, th[:, k - 1])
+    out[:, 0] = r * suffix
+    return out
+
+
+class Rows(NamedTuple):
+    """A block of numbers of one chart: coefficients, moduli and chains."""
+
+    c: np.ndarray
+    r: np.ndarray
+    t: np.ndarray
+    o: Orientation
+
+    def take(self, sel) -> Rows:
+        return Rows(self.c[sel], self.r[sel], self.t[sel], self.o)
+
+
+def rows(c: np.ndarray, o: Orientation) -> Rows:
+    """``core.to_polar`` of every row (``math.hypot`` of all N coefficients)."""
+    r = np.fromiter(map(math.hypot, *c.T.tolist()), float, len(c))
+    return Rows(c, r, chain(c, r, o), o)
+
+
+def closeness(lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """``core.closeness`` over the last axis: (agree, relative gap)."""
+    gap = np.abs(lhs - rhs).max(axis=-1)
+    scale = np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1))
+    return gap <= np.maximum(tol.abs_eps, tol.rel_eps * scale), gap / np.maximum(1e-30, scale)
+
+
+def judge(claims, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """``audit._judge`` of every row of ``(lhs, rhs, distinct)`` claims:
+    (deviation, failed).  A row's deviation is its largest gap up to and
+    including its first failing claim; a distinct claim adds no gap, and it
+    fails where its sides agree."""
+    ok, gap = closeness(np.stack([c[0] for c in claims]), np.stack([c[1] for c in claims]), tol)
+    distinct = np.array([c[2] for c in claims])[:, None]
+    failing = ok == distinct
+    failed = failing.any(axis=0)
+    upto = np.arange(len(claims))[:, None] <= np.where(failed, failing.argmax(axis=0), len(claims))
+    return np.where(upto & ~distinct, gap, 0.0).max(axis=0), failed

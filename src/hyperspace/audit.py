@@ -15,19 +15,29 @@ kinds:
   patched.
 
 Each law is declared once, in the ``_LAWS`` table (operand count, fixed
-dimension, draw, normative flag); ``audit_law`` alone draws the operands,
-evaluates the law's ``(lhs, rhs, tags)`` claims and judges them in order.
+dimension, draw, drawn integers, normative flag, and its claims over one
+sample and over a block of samples); ``audit_law`` alone draws the operands,
+evaluates the law's claims and judges them in order.
 
 Determinism contract: each sample's stream is exactly numpy's
 ``SeedSequence((seed, law code, dim, sample index))`` seeding a PCG64, the
 law code being the law's index in ``_LAWS``, so per-sample results are
 independent of evaluation order and stable under parallel execution.
-``_sample_rng`` builds that generator for one sample; ``audit_law`` derives
-the states of a whole cell at a time (``_seed_words``) and takes each
-sample's operands from one draw call.  Operands that are nearly singular
-(tiny modulus, or a canonical angle within 1e-8 of a range boundary) are
-redrawn from the same stream and counted, separating law violations from
-float pathology near the coordinate-chart seams.
+``_sample_rng`` builds that generator for one sample, the scalar path.
+``audit_law`` computes the same streams a block of samples at a time
+(``_seed_words``, then PCG64's seeding and output over uint64 arrays in
+``_stream_words``) and takes each sample's doubles and integers from them
+as numpy's ``Generator.random`` and ``integers`` do.  It evaluates the
+block as float64 columns (``hyperspace._columns``), bit for bit what the
+scalar path computes; the literal coefficient formulas and the N = 2
+``complex`` oracle run per sample, and the first failing sample is replayed
+on the scalar path for its counterexample.  A block holds at most
+``_BLOCK_WORDS`` stream words, so at a high dimension it holds few samples;
+a cell whose blocks would hold too few runs on the scalar path.  Operands
+that are nearly singular (tiny modulus, or a canonical angle within 1e-8 of
+a range boundary) are redrawn from the same stream and counted, on the
+scalar path, separating law violations from float pathology near the chart
+seams.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ import cmath
 import datetime as _dt
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -51,6 +62,7 @@ from .core import (
     Space3,
     Space3Polar,
     Tolerance,
+    _cartesian,
     canonical_ranges,
     closeness,
     conjugate,
@@ -65,6 +77,7 @@ if TYPE_CHECKING:  # for the annotations; the samplers load numpy themselves
     import numpy as np
 
 _ACW = Orientation.ANTICLOCKWISE
+_S3 = Orientation.S3
 _SINGULAR_MODULUS = 1e-8
 _ANGLE_MARGIN = 1e-8
 _MAX_REDRAWS = 128
@@ -142,7 +155,7 @@ class AuditReport:
 
 def _sample_rng(seed: int, law: str, dim: int, index: int) -> np.random.Generator:
     """The generator one sample starts from: numpy's own seeding of its
-    stream, which :func:`_streams` reproduces a cell at a time."""
+    stream, which :func:`_stream_words` reproduces a block at a time."""
     # numpy loads on the first draw, so importing this module (and with it
     # the hsc front end) does not pay for it
     import numpy as np
@@ -160,13 +173,15 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _POOL = 4
-_BLOCK = 1024  # samples whose seeds are derived at once
+_BLOCK = 1024  # most samples the audit evaluates at once
+_BLOCK_WORDS = 1 << 14  # most stream words it draws at once
+_MIN_ROWS = 40  # fewest samples a block of columns holds per group
 
 
-def _seed_words(seed: int, code: int, dim: int, i0: int, m: int) -> list[tuple[int, ...]]:
-    """PCG64 seed words of samples i0 ... i0+m-1 of one cell: for each index,
-    ``SeedSequence((seed, code, dim, index)).generate_state(4, uint64)``,
-    computed as uint32 array arithmetic over all m indices at once."""
+def _seed_words(seed: int, code: int, dim: int, i0: int, m: int):
+    """PCG64 seed words of samples i0 ... i0+m-1 of one cell, an (m, 4) uint64
+    array: row i is ``SeedSequence((seed, code, dim, i0 + i)).generate_state(4,
+    uint64)``, computed as uint32 array arithmetic over all m indices at once."""
     import numpy as np
 
     u32 = np.uint32
@@ -205,27 +220,76 @@ def _seed_words(seed: int, code: int, dim: int, i0: int, m: int) -> list[tuple[i
     out = hasher(_INIT_B, _MULT_B)
     state = [out(pool[k % _POOL]).astype(np.uint64) for k in range(2 * _POOL)]
     # uint32 pairs, low word first, as uint64 by arithmetic (any byte order)
-    pairs = [(state[k] | state[k + 1] << np.uint64(32)).tolist() for k in range(0, 2 * _POOL, 2)]
-    return list(zip(*pairs))
+    return np.stack([state[k] | state[k + 1] << np.uint64(32) for k in range(0, 2 * _POOL, 2)], 1)
 
 
-def _streams(seed: int, law: str, dim: int, samples: int):
-    """One generator, set in turn to the start of every sample's stream of
-    one cell: the stream :func:`_sample_rng` gives for that index."""
+# 128-bit integers as lists of four uint64 arrays of 32-bit limbs, low first
+
+def _carry(cols: list) -> list:
+    """Limb-wise sums (each below 2**63) as limbs, mod 2**128."""
+    out, c = [], 0
+    for v in cols:
+        v = v + c
+        out.append(v & _MASK32)
+        c = v >> 32
+    return out
+
+
+def _mul128(x: list, y: list) -> list:
+    cols = [0, 0, 0, 0]
+    for i in range(4):
+        for j in range(4 - i):
+            p = x[i] * y[j]
+            cols[i + j] = cols[i + j] + (p & _MASK32)
+            if i + j < 3:
+                cols[i + j + 1] = cols[i + j + 1] + (p >> 32)
+    return _carry(cols)
+
+
+def _pcg_jumps(k: int) -> tuple[list, list]:
+    """Limbs of (A_n, C_n), n = 2 ... k+1: n PCG64 steps take a state x to
+    A_n * x + C_n * inc."""
     import numpy as np
 
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for i0 in range(0, samples, _BLOCK):
-        m = min(_BLOCK, samples - i0)
-        for s0, s1, q0, q1 in _seed_words(seed, _LAW_CODES[law], dim, i0, m):
-            # PCG64 seeding: from state 0 with an odd increment, step, add the
-            # initial state, step
-            inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
-            state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-            bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                            "has_uint32": 0, "uinteger": 0}
-            yield rng
+    a, c, ac = 1, 0, []
+    for _ in range(k + 1):
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        ac += (a, c)
+    limbs = [np.array([v >> s & _MASK32 for v in ac[2:]], np.uint64) for s in (0, 32, 64, 96)]
+    return [x[0::2] for x in limbs], [x[1::2] for x in limbs]
+
+
+def _stream_words(seed: int, law: str, dim: int, i0: int, m: int, k: int):
+    """The first k outputs of the streams of samples i0 ... i0+m-1 of one
+    cell, an (m, k) uint64 array: row i is what ``_sample_rng(seed, law, dim,
+    i0 + i).bit_generator.random_raw(k)`` gives.  PCG64 seeds from state 0
+    with the odd increment inc = 2 * seq + 1 (step, add the initial state,
+    step); each output steps, then takes the XSL-RR of the state."""
+    s0, s1, q0, q1 = (w[:, None] for w in _seed_words(seed, _LAW_CODES[law], dim, i0, m).T)
+    init = [s1 & _MASK32, s1 >> 32, s0 & _MASK32, s0 >> 32]
+    seq = [q1 & _MASK32, q1 >> 32, q0 & _MASK32, q0 >> 32]
+    inc = [(seq[0] << 1 | 1) & _MASK32] + [(seq[i] << 1 | seq[i - 1] >> 31) & _MASK32 for i in (1, 2, 3)]
+    a, c = _pcg_jumps(k)
+    x = _carry([p + q for p, q in zip(init, inc)])
+    s = _carry([p + q for p, q in zip(_mul128(a, x), _mul128(c, inc))])
+    xor = (s[3] << 32 | s[2]) ^ (s[1] << 32 | s[0])
+    rot = s[3] >> 26
+    return xor >> rot | xor << (64 - rot & 63)
+
+
+def _integers(raw, ranges):
+    """numpy's ``Generator.integers(lo, hi)`` of each range in turn from a
+    fresh generator's next words ``raw``: Lemire's method on 32-bit draws, a
+    word's low half first.  Also flags the rows where its rejection step
+    might draw again; numpy must draw those."""
+    import numpy as np
+
+    out, unsure = [], np.zeros(len(raw), bool)
+    for t, (lo, hi) in enumerate(ranges):
+        m = (raw[:, t // 2] >> 32 * (t % 2) & _MASK32) * (hi - lo)
+        out.append(lo + (m >> 32).astype(np.int64))
+        unsure |= (m & _MASK32) < hi - lo
+    return out, unsure
 
 
 def _near_singular(s: CartesianHC) -> bool:
@@ -292,6 +356,31 @@ def _draw_operands(
     return out, redraws
 
 
+def _draw_columns(K, u, spec: _Law, chart: Orientation, domain: Domain):
+    """The first attempt at every operand of a block of samples, as ``K.Rows``
+    in the operands' chart, and the rows ``_near_singular`` would redraw.
+    Row i of u holds the doubles ``_draw_operands`` takes for sample i."""
+    w = u.shape[1] // spec.operands
+    out, redraw = [], False
+    for j in range(0, u.shape[1], w):
+        mag = K.mapped(partial(pow, 10.0), _uniform(-2.0, 2.0, u[:, j]))
+        v = u[:, j + 1 : j + w]
+        if domain is Domain.UNRESTRICTED:
+            c = _uniform(-1.0, 1.0, v) * mag[:, None]
+        else:
+            th = _uniform(-math.pi / 4, math.pi / 4, v)
+            if chart is _S3:  # _draw_space3's theta and phi
+                th[:, 0] = _uniform(0.0, math.pi / 4, v[:, 0])
+                th[:, 1] = K.mapped(lambda a: a % TWO_PI, th[:, 1])
+            c = K.point(mag, th, chart)
+        s = K.rows(c, chart)
+        out.append(s)
+        redraw = redraw | (s.r < _SINGULAR_MODULUS)
+        for a, (lo, hi, _) in zip(s.t.T, canonical_ranges(chart, c.shape[1])):
+            redraw = redraw | (a - lo < _ANGLE_MARGIN) | (hi - a < _ANGLE_MARGIN)
+    return out, redraw
+
+
 # ---------------------------------------------------------------------------
 # comparison
 
@@ -317,7 +406,9 @@ def _judge(claims, tol: Tolerance) -> tuple[float, tuple | None]:
 
 # ---------------------------------------------------------------------------
 # laws: (rng, *operands) -> [(lhs, rhs, tags), ...]; a law draws from rng only
-# after its operands are drawn
+# after its operands are drawn, the integers its table entry declares
+
+_POW_ORDERS, _ROOT_ORDERS, _DEMOIVRE_ORDERS = (-4, 9), (1, 7), (0, 9)
 
 def _law_add_commutative(rng, s1, s2):
     lhs, rhs = algebra.add(s1, s2), algebra.add(s2, s1)
@@ -368,9 +459,9 @@ def _law_n2_classic_equiv(rng, s1, s2):
 
     checks.append((algebra.mul(s1, s2), classic(z1 * z2), {"check": "mul"}))
     checks.append((algebra.div(s1, s2), classic(z1 / z2), {"check": "div"}))
-    n_pow = int(rng.integers(-4, 9))
+    n_pow = int(rng.integers(*_POW_ORDERS))
     checks.append((algebra.pow_int(s1, n_pow), classic(z1**n_pow), {"check": f"pow {n_pow}"}))
-    n_root = int(rng.integers(1, 7))
+    n_root = int(rng.integers(*_ROOT_ORDERS))
     phase = cmath.phase(z1) % TWO_PI
     root_mod = abs(z1) ** (1.0 / n_root)
     for m, root in enumerate(algebra.nth_roots(s1, n_root)):
@@ -382,7 +473,7 @@ def _law_n2_classic_equiv(rng, s1, s2):
 def _law_roots_correct(rng, s):
     # Roots power back through their own chains (angle level); the list of
     # coordinate projections must be pairwise distinct.
-    n = int(rng.integers(1, 7))
+    n = int(rng.integers(*_ROOT_ORDERS))
     chains = algebra.nth_roots_polar(to_polar(s, _ACW), n)
     roots = [from_polar(p) for p in chains]
     backs = [
@@ -397,7 +488,7 @@ def _law_roots_correct(rng, s):
 
 
 def _law_demoivre(rng, s):
-    n = int(rng.integers(0, 9))
+    n = int(rng.integers(*_DEMOIVRE_ORDERS))
     p = to_polar(s, _ACW)
     lhs = algebra.pow_int(s, n)
     acc = PolarHC(1.0, (0.0,) * (p.dim - 1), _ACW)
@@ -413,16 +504,16 @@ def _agreement(normative, routes, rng, s1, s2):
     return [(route(s1, s2).assembled, nm, {"route": label}) for label, route in routes]
 
 
-_law_cartesian_mul_agreement = partial(_agreement, algebra.mul, [
+_CARTESIAN_MUL_ROUTES = [
     ("general", lambda a, b: coeff_formulas.mul_coeffs_general(a, b, _ACW)),
     ("coordinate", lambda a, b: coeff_formulas.mul_coeffs_coordinate(a, b, _ACW)),
-])
-_law_cartesian_div_agreement = partial(_agreement, algebra.div, [
+]
+_CARTESIAN_DIV_ROUTES = [
     ("general", lambda a, b: coeff_formulas.div_coeffs_general(a, b, _ACW)),
     ("coordinate", lambda a, b: coeff_formulas.div_coeffs_coordinate(a, b, _ACW)),
-])
-_law_space3_mul_agreement = partial(_agreement, space3.mul3, [("coefficients", space3.mul3_coeffs)])
-_law_space3_div_agreement = partial(_agreement, space3.div3, [("coefficients", space3.div3_coeffs)])
+]
+_SPACE3_MUL_ROUTES = [("coefficients", space3.mul3_coeffs)]
+_SPACE3_DIV_ROUTES = [("coefficients", space3.div3_coeffs)]
 
 
 def _law_space3_conj_modulus(rng, s):
@@ -433,31 +524,150 @@ def _law_space3_conj_modulus(rng, s):
     return [(lhs, rhs, {})]
 
 
+# ---------------------------------------------------------------------------
+# column laws: (K, ints, *operands) -> [(lhs, rhs, distinct), ...] over a
+# block of samples, K being the kernel module and each operand a ``K.Rows``.
+# ints holds a column per integer the law draws; a block's rows share the
+# last.  Each mirrors its scalar law operation by operation, to the bit.
+
+def _cmul(K, a, b):  # algebra.mul of two blocks
+    return K.point(a.r * b.r, a.t + b.t, a.o)
+
+
+def _cdiv(K, a, b):  # algebra.div of two blocks
+    return K.point(a.r / b.r, a.t - b.t, a.o)
+
+
+def _real(x, n: int):  # the numbers (x, 0, ..., 0), x >= 0, so the zeros are +0.0
+    return x[:, None] * ((1.0,) + (0.0,) * (n - 1))
+
+
+def _classic(zs):  # the numbers (z.real, z.imag) of complex values
+    import numpy as np
+
+    z = np.array(list(zs), complex)
+    return np.stack([z.real, z.imag], axis=1)
+
+
+def _cols_add_commutative(K, ints, s1, s2):
+    return [(s1.c + s2.c, s2.c + s1.c, False)]
+
+
+def _cols_add_associative(K, ints, s1, s2, s3):
+    return [((s1.c + s2.c) + s3.c, s1.c + (s2.c + s3.c), False)]
+
+
+def _cols_mul_commutative(K, ints, s1, s2):
+    return [(_cmul(K, s1, s2), _cmul(K, s2, s1), False)]
+
+
+def _cols_mul_associative(K, ints, p1, p2, p3):
+    lhs = K.point((p1.r * p2.r) * p3.r, (p1.t + p2.t) + p3.t, _ACW)
+    rhs = K.point(p1.r * (p2.r * p3.r), p1.t + (p2.t + p3.t), _ACW)
+    return [(lhs, rhs, False)]
+
+
+def _cols_distributive(K, ints, s, t1, t2):
+    lhs = _cmul(K, s, K.rows(t1.c + t2.c, _ACW))
+    return [(lhs, _cmul(K, s, t1) + _cmul(K, s, t2), False)]
+
+
+def _cols_conj_modulus(K, ints, s):
+    n = s.c.shape[1]
+    lhs = _cmul(K, s, K.rows(s.c * ((1.0,) + (-1.0,) * (n - 1)), _ACW))
+    return [(lhs, _real(s.r * s.r, n), False)]
+
+
+def _cols_n2_classic_equiv(K, ints, s1, s2):
+    n_pow, n = ints[0], int(ints[1][0])
+    z1, z2 = ([complex(*c) for c in s.c.tolist()] for s in (s1, s2))
+    root_r = K.mapped(lambda r: math.pow(r, 1.0 / n), s1.r)
+    polar = [(abs(z) ** (1.0 / n), cmath.phase(z) % TWO_PI) for z in z1]
+    return [
+        (_cmul(K, s1, s2), _classic(map(operator.mul, z1, z2)), False),
+        (_cdiv(K, s1, s2), _classic(map(operator.truediv, z1, z2)), False),
+        (K.point(K.mapped(math.pow, s1.r, n_pow), n_pow[:, None] * s1.t, _ACW),
+         _classic(map(operator.pow, z1, n_pow.tolist())), False),
+    ] + [
+        (K.point(root_r, (s1.t + 2.0 * math.pi * m) / n, _ACW),
+         _classic(cmath.rect(rm, (ph + TWO_PI * m) / n) for rm, ph in polar), False)
+        for m in range(n)
+    ]
+
+
+def _cols_roots_correct(K, ints, s):
+    n = int(ints[-1][0])
+    root_r = K.mapped(lambda r: math.pow(r, 1.0 / n), s.r)
+    chains = [(s.t + 2.0 * math.pi * m) / n for m in range(n)]
+    roots = [K.point(root_r, t, _ACW) for t in chains]
+    back_r = K.mapped(lambda r: math.pow(r, n), root_r)
+    backs = [(K.point(back_r, n * t, _ACW), s.c, False) for t in chains]
+    return backs + [(roots[i], roots[j], True) for i in range(n) for j in range(i + 1, n)]
+
+
+def _cols_demoivre(K, ints, s):
+    import numpy as np
+
+    n = int(ints[-1][0])
+    lhs = K.point(K.mapped(lambda r: math.pow(r, n), s.r), n * s.t, _ACW)
+    acc_r, acc_t = np.ones(len(s.r)), np.zeros(s.t.shape)
+    for _ in range(n):
+        acc_r, acc_t = acc_r * s.r, acc_t + s.t
+    return [(lhs, K.point(acc_r, acc_t, _ACW), False)]
+
+
+def _cols_agreement(normative, routes, K, ints, s1, s2):
+    """The normative operation on the blocks; each formula route per row."""
+    import numpy as np
+
+    nm = normative(K, s1, s2)
+    pairs = [(_cartesian(s1.o, tuple(a)), _cartesian(s1.o, tuple(b)))
+             for a, b in zip(s1.c.tolist(), s2.c.tolist())]
+    return [(np.array([route(a, b).assembled.coeffs for a, b in pairs]), nm, False)
+            for _, route in routes]
+
+
+def _cols_space3_conj_modulus(K, ints, s):
+    lhs = K.point(s.r * s.r, s.t + s.t * (-1.0, 1.0), _S3)
+    return [(lhs, _real(s.r * s.r, 3), False)]
+
+
+def _agreement_law(normative, cols, routes, **kw) -> _Law:
+    return _Law(partial(_agreement, normative, routes), partial(_cols_agreement, cols, routes),
+                2, False, **kw)
+
+
 @dataclass(frozen=True, slots=True)
 class _Law:
     claims: Callable  # (rng, *operands) -> [(lhs, rhs, tags), ...]
+    cols: Callable  # (K, ints, *operand blocks) -> [(lhs, rhs, distinct), ...]
     operands: int
     normative: bool
     dim: int | None = None  # operand dimension if fixed, else the audited one
     draw: Callable = _draw_cartesian
+    ints: tuple[tuple[int, int], ...] = ()  # integer ranges drawn after the operands
 
 
 # The order is part of the determinism contract: a law's index seeds its streams.
 _LAWS = {
-    "add_commutative": _Law(_law_add_commutative, 2, True),
-    "add_associative": _Law(_law_add_associative, 3, True),
-    "mul_commutative": _Law(_law_mul_commutative, 2, True),
-    "mul_associative": _Law(_law_mul_associative, 3, True),
-    "distributive": _Law(_law_distributive, 3, False),
-    "conj_modulus": _Law(_law_conj_modulus, 1, True),
-    "n2_classic_equiv": _Law(_law_n2_classic_equiv, 2, True, dim=2),
-    "roots_correct": _Law(_law_roots_correct, 1, True),
-    "demoivre": _Law(_law_demoivre, 1, True),
-    "cartesian_mul_agreement": _Law(_law_cartesian_mul_agreement, 2, False),
-    "cartesian_div_agreement": _Law(_law_cartesian_div_agreement, 2, False),
-    "space3_mul_agreement": _Law(_law_space3_mul_agreement, 2, False, dim=3, draw=_draw_space3),
-    "space3_div_agreement": _Law(_law_space3_div_agreement, 2, False, dim=3, draw=_draw_space3),
-    "space3_conj_modulus": _Law(_law_space3_conj_modulus, 1, True, dim=3, draw=_draw_space3),
+    "add_commutative": _Law(_law_add_commutative, _cols_add_commutative, 2, True),
+    "add_associative": _Law(_law_add_associative, _cols_add_associative, 3, True),
+    "mul_commutative": _Law(_law_mul_commutative, _cols_mul_commutative, 2, True),
+    "mul_associative": _Law(_law_mul_associative, _cols_mul_associative, 3, True),
+    "distributive": _Law(_law_distributive, _cols_distributive, 3, False),
+    "conj_modulus": _Law(_law_conj_modulus, _cols_conj_modulus, 1, True),
+    "n2_classic_equiv": _Law(_law_n2_classic_equiv, _cols_n2_classic_equiv, 2, True, dim=2,
+                             ints=(_POW_ORDERS, _ROOT_ORDERS)),
+    "roots_correct": _Law(_law_roots_correct, _cols_roots_correct, 1, True, ints=(_ROOT_ORDERS,)),
+    "demoivre": _Law(_law_demoivre, _cols_demoivre, 1, True, ints=(_DEMOIVRE_ORDERS,)),
+    "cartesian_mul_agreement": _agreement_law(algebra.mul, _cmul, _CARTESIAN_MUL_ROUTES),
+    "cartesian_div_agreement": _agreement_law(algebra.div, _cdiv, _CARTESIAN_DIV_ROUTES),
+    "space3_mul_agreement": _agreement_law(space3.mul3, _cmul, _SPACE3_MUL_ROUTES,
+                                           dim=3, draw=_draw_space3),
+    "space3_div_agreement": _agreement_law(space3.div3, _cdiv, _SPACE3_DIV_ROUTES,
+                                           dim=3, draw=_draw_space3),
+    "space3_conj_modulus": _Law(_law_space3_conj_modulus, _cols_space3_conj_modulus, 1, True,
+                                dim=3, draw=_draw_space3),
 }
 
 LAW_IDS: tuple[str, ...] = tuple(_LAWS)
@@ -473,25 +683,73 @@ def _law(law: str) -> _Law:
     return _LAWS[law]
 
 
+def _sample(cfg: AuditConfig, law: str, dim: int, index: int):
+    """One sample on the scalar path, from its own stream: (operands,
+    redraws, deviation, first failing claim or None)."""
+    spec = _LAWS[law]
+    rng = _sample_rng(cfg.seed, law, dim, index)
+    operands, redraws = _draw_operands(rng, spec, dim, cfg.domain)
+    return (operands, redraws, *_judge(spec.claims(rng, *operands), cfg.tolerance))
+
+
+def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, i0: int, dev, failed):
+    """Judge samples i0 ... i0+len(dev)-1 of one cell as columns, into dev and
+    failed, from the n doubles each draws and the integers after them.
+    Returns the rows left to the scalar path: those with an operand
+    ``_near_singular`` redraws, and those whose integers numpy might draw
+    twice."""
+    import numpy as np
+
+    from . import _columns as K  # loaded here: importing the audit loads no numpy
+
+    spec = _LAWS[law]
+    chart = _S3 if spec.draw is _draw_space3 else _ACW
+    raw = _stream_words(cfg.seed, law, dim, i0, len(dev), n + (len(spec.ints) + 1) // 2)
+    u = (raw[:, :n] >> 11) * 2.0**-53  # Generator.random's doubles
+    ints, scalar = _integers(raw[:, n:], spec.ints)
+    ints = np.array(ints or [np.zeros(len(u), int)])  # a row per integer; the last groups samples
+    operands, redraw = _draw_columns(K, u, spec, chart, cfg.domain)
+    scalar |= redraw
+    for key in sorted(set(ints[-1][~scalar].tolist())):
+        sel = np.flatnonzero(~scalar & (ints[-1] == key))
+        claims = spec.cols(K, ints[:, sel], *(s.take(sel) for s in operands))
+        dev[sel], failed[sel] = K.judge(claims, cfg.tolerance)
+    return scalar
+
+
 def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
     """Tally one law over cfg.samples seeded draws at one dimension."""
-    spec = _law(law)
-    d = int(dim)
-    passes = 0
-    max_dev = 0.0
-    resamples = 0
-    first_cex: dict | None = None
-    for index, rng in enumerate(_streams(cfg.seed, law, d, cfg.samples)):
-        operands, redraws = _draw_operands(rng, spec, d, cfg.domain)
-        resamples += redraws
-        dev, failed = _judge(spec.claims(rng, *operands), cfg.tolerance)
-        max_dev = max(max_dev, dev)
-        if failed is None:
-            passes += 1
-        elif first_cex is None:
-            lhs, rhs, tags = failed
+    import numpy as np
+
+    spec, d = _law(law), int(dim)
+    n = spec.operands * ((spec.dim or d) + (cfg.domain is Domain.UNRESTRICTED))
+    # A sample takes n doubles and at most one word of integers, and a block
+    # of columns at most _BLOCK_WORDS words, whatever the dimension.  A cell
+    # whose blocks would judge too few samples per call (one call per root
+    # or power order) runs on the scalar path, which is faster there.
+    fit = _BLOCK_WORDS // (n + 1)
+    groups = spec.ints[-1][1] - spec.ints[-1][0] if spec.ints else 1
+    columnar = fit >= _MIN_ROWS * groups
+    rows = min(_BLOCK, fit) if columnar else _BLOCK
+    passes, max_dev, resamples, first_cex = 0, 0.0, 0, None
+    for i0 in range(0, cfg.samples, rows):
+        m = min(rows, cfg.samples - i0)
+        dev, failed = np.zeros(m), np.zeros(m, bool)
+        scalar = _column_block(law, cfg, d, n, i0, dev, failed) if columnar else np.ones(m, bool)
+        for i in np.flatnonzero(scalar).tolist():
+            _, redraws, dev[i], claim = _sample(cfg, law, d, i0 + i)
+            resamples += redraws
+            failed[i] = claim is not None
+        passes += m - int(failed.sum())
+        max_dev = max(max_dev, float(dev.max()))
+        if first_cex is None and failed.any():
+            index = i0 + int(failed.argmax())
+            drawn, _, replayed, claim = _sample(cfg, law, d, index)
+            if claim is None or replayed != dev[index - i0]:
+                raise RuntimeError(f"{law} sample {index}: column and scalar verdicts differ")
+            lhs, rhs, tags = claim
             first_cex = {
-                "operands": [to_dict(s) for s in operands],
+                "operands": [to_dict(s) for s in drawn],
                 "lhs": to_dict(lhs),
                 "rhs": to_dict(rhs),
                 **tags,

@@ -36,7 +36,26 @@ EXIT_AUDIT_FAILURES = 3
 MAX_DIGITS = 999  # enough for the exact decimal value of any float
 
 
+class _Once(argparse.Action):
+    """Store an argument's value; giving it a second time is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in parser.given:
+            raise argparse.ArgumentError(self, "may not be repeated")
+        parser.given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)  # the default action: only --dim and --law repeat
+        self.given: set[str] = set()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.given = set()  # the arguments seen in this parse
+        return super().parse_known_args(args, namespace)
+
     # usage mistakes share the parse-error exit code, not argparse's 2
     def error(self, message: str):
         self.print_usage(sys.stderr)

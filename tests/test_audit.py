@@ -309,51 +309,191 @@ class TestStreams:
             for dim in (2, 3, 8):
                 for i0, m in ((0, 3), (audit._BLOCK - 2, 5)):
                     want = [
-                        tuple(np.random.SeedSequence((seed, code, dim, i)).generate_state(4, np.uint64).tolist())
+                        np.random.SeedSequence((seed, code, dim, i)).generate_state(4, np.uint64).tolist()
                         for i in range(i0, i0 + m)
                     ]
-                    assert audit._seed_words(seed, code, dim, i0, m) == want
+                    assert audit._seed_words(seed, code, dim, i0, m).tolist() == want
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
-    def test_streams_draw_what_numpy_draws(self, seed, monkeypatch):
-        # small blocks, so every cell crosses two block boundaries
-        monkeypatch.setattr(audit, "_BLOCK", 4)
+    def test_streams_draw_what_numpy_draws(self, seed):
+        # the raw words, the doubles and integers audit_law takes from them,
+        # against numpy's generator for each sample
+        ranges = [(-4, 9), (1, 7), (0, 9)]
         for law in LAW_IDS:
             for dim in (2, 3, 8):
-                for index, rng in enumerate(audit._streams(seed, law, dim, 10)):
-                    ref = ref_rng(seed, law, dim, index)
-                    assert rng.random(9).tolist() == ref.random(9).tolist()
-                    assert rng.integers(-4, 9) == ref.integers(-4, 9)
-                    assert rng.integers(1, 7) == ref.integers(1, 7)
+                raw = audit._stream_words(seed, law, dim, 3, 7, 11)
+                ints, unsure = audit._integers(raw[:, 9:], ranges)
+                assert not unsure.any()
+                for i in range(7):
+                    assert raw[i].tolist() == ref_rng(seed, law, dim, 3 + i).bit_generator.random_raw(11).tolist()
+                    ref = ref_rng(seed, law, dim, 3 + i)
+                    assert ((raw[i, :9] >> 11) * 2.0**-53).tolist() == ref.random(9).tolist()
+                    assert [int(x[i]) for x in ints] == [int(ref.integers(*r)) for r in ranges]
 
     def test_streams_cross_the_real_block_boundary(self):
-        seed, law = 2**64 - 1, "roots_correct"
-        for index, rng in enumerate(audit._streams(seed, law, 3, audit._BLOCK + 3)):
-            ref = ref_rng(seed, law, 3, index)
-            assert (rng.random(), int(rng.integers(1, 7))) == (ref.random(), int(ref.integers(1, 7)))
-        assert index == audit._BLOCK + 2
+        # samples on both sides of the audit's block boundary, drawn as one
+        # block and as two
+        seed, law, i0 = 2**64 - 1, "roots_correct", audit._BLOCK - 2
+        whole = audit._stream_words(seed, law, 3, i0, 5, 3).tolist()
+        assert whole == audit._stream_words(seed, law, 3, i0, 2, 3).tolist() + \
+            audit._stream_words(seed, law, 3, audit._BLOCK, 3, 3).tolist()
+        assert whole == [ref_rng(seed, law, 3, i).bit_generator.random_raw(3).tolist() for i in range(i0, i0 + 5)]
+
+    def test_an_integer_numpy_might_redraw_is_left_to_numpy(self):
+        # Lemire's method redraws only when the low half of x * (hi - lo)
+        # is below hi - lo; those rows are flagged, the others are not
+        raw = np.array([[0], [1 << 32], [1 << 32 | 2**32 - 1], [(2**32 - 1) << 32 | 12345]], np.uint64)
+        ints, unsure = audit._integers(raw, [(-4, 9), (1, 7)])
+        assert unsure.tolist() == [True, True, False, False]
+        assert [x.tolist() for x in ints] == [[-4, -4, 8, -4], [1, 1, 1, 6]]
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_one_call_draws_match_per_value_draws(self, domain, monkeypatch):
-        monkeypatch.setattr(audit, "_BLOCK", 4)
         for law in LAW_IDS:
             for dim in (2, 3, 8):
-                for index, rng in enumerate(audit._streams(42, law, dim, 6)):
-                    ref = ref_rng(42, law, dim, index)
+                for index in range(6):
+                    rng, ref = audit._sample_rng(42, law, dim, index), ref_rng(42, law, dim, index)
                     got = drawn(audit._draw_operands, rng, law, dim, domain)
                     assert got == drawn(ref_draw_operands, ref, law, dim, domain)
 
     @pytest.mark.parametrize("domain", list(Domain))
-    @pytest.mark.parametrize("law", ["distributive", "roots_correct", "space3_mul_agreement"])
+    @pytest.mark.parametrize("law", LAW_IDS)
     def test_redraws_match_the_reference(self, law, domain, monkeypatch):
         # a wide angle margin rejects many attempts, so redraws interleave
-        # with the later operands' doubles
+        # with the later operands' doubles, and the audit's blocks mix rows
+        # evaluated as columns with redrawn rows evaluated on the scalar path
         monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
+        monkeypatch.setattr(audit, "_BLOCK", 8)
         cfg = AuditConfig(dims=(3,), samples=30, seed=2**32, domain=domain)
-        for index, rng in enumerate(audit._streams(cfg.seed, law, 3, cfg.samples)):
-            ref = ref_rng(cfg.seed, law, 3, index)
+        for index in range(cfg.samples):
+            rng, ref = audit._sample_rng(cfg.seed, law, 3, index), ref_rng(cfg.seed, law, 3, index)
             got = drawn(audit._draw_operands, rng, law, 3, domain)
             assert got == drawn(ref_draw_operands, ref, law, 3, domain)
         got = audit_law(law, cfg, 3)
         assert got == ref_audit_law(law, cfg, 3)
         assert got.resamples > 0
+
+
+# ---------------------------------------------------------------------------
+# The audit evaluates a block of samples at a time as float64 columns.  Its
+# reference is the scalar engine, to the bit: the kernels against core's
+# chart maps, and whole cells against ref_audit_law above.
+
+S3 = Orientation.S3
+
+
+def bits(values):
+    """The IEEE bit patterns of floats, so that 0.0 and -0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+def edge_rows(n):
+    """Zero, signed zeros, on-axis points and an atan2 just below zero."""
+    rows = [[0.0] * n, [-0.0] * n, [-0.0] + [0.0] * (n - 1), [1.0] + [-0.0] * (n - 1),
+            [-1.0] + [-0.0] * (n - 1), [1.0, -1e-300] + [0.0] * (n - 2)]
+    for k in range(n):
+        for x in (2.5, -2.5):
+            rows.append([0.0] * k + [x] + [0.0] * (n - k - 1))
+    return np.array(rows)
+
+
+CHARTS = [(n, ACW) for n in range(2, 9)] + [(3, S3)]
+
+
+class TestColumns:
+    @pytest.mark.parametrize("n,chart", CHARTS)
+    def test_chain_is_the_scalar_chain(self, n, chart):
+        from hyperspace import _columns, core
+
+        rng = np.random.default_rng(n)
+        c = np.vstack([edge_rows(n), rng.uniform(-1, 1, (300, n)) * 10.0 ** rng.uniform(-3, 3, (300, 1))])
+        rows = _columns.rows(c, chart)
+        r = [math.hypot(*row) for row in c.tolist()]
+        assert bits(rows.r) == bits(r)
+        assert bits(rows.t) == bits([core._chain(tuple(row), m, chart) for row, m in zip(c.tolist(), r)])
+
+    def test_a_negative_angle_within_half_an_ulp_of_zero_wraps_to_zero(self):
+        from hyperspace import _columns, core
+
+        # -1e-15 is more than half an ulp of 2*pi below zero, -1e-300 less
+        c = np.array([[1.0, -1e-300], [1.0, -1e-15], [1.0, -0.0]])
+        want = [core._chain(tuple(row), 1.0, ACW) for row in c.tolist()]
+        assert want == [(0.0,), (TWO_PI - 1e-15,), (-0.0,)] and TWO_PI - 1e-15 < TWO_PI
+        assert bits(_columns.rows(c, ACW).t) == bits(want)
+
+    @pytest.mark.parametrize("n,chart", CHARTS)
+    def test_point_is_the_scalar_point(self, n, chart):
+        from hyperspace import _columns, core
+
+        rng = np.random.default_rng(100 + n)
+        th = np.vstack([np.zeros((2, n - 1)), -np.zeros((1, n - 1)), rng.uniform(-7, 7, (300, n - 1))])
+        r = np.concatenate([[1.0, 0.0, 2.0], rng.uniform(0, 50, 300)])
+        want = [core._point(m, tuple(t), chart) for m, t in zip(r.tolist(), th.tolist())]
+        assert bits(_columns.point(r, th, chart)) == bits(want)
+
+    def test_closeness_is_the_scalar_closeness(self):
+        from hyperspace import _columns, core
+
+        rng = np.random.default_rng(7)
+        a = rng.uniform(-1, 1, (400, 4))
+        b = a + rng.choice([0.0, 1e-13, 1e-9, 1e-3], (400, 1)) * rng.uniform(-1, 1, (400, 4))
+        for tol in (Tolerance(), Tolerance(1e-10, 1e-3)):
+            ok, gap = _columns.closeness(a, b, tol)
+            want = [core.closeness(CartesianHC(x), CartesianHC(y), tol) for x, y in zip(a.tolist(), b.tolist())]
+            assert ok.tolist() == [w[0] for w in want] and 0 < sum(ok) < len(ok)
+            assert bits(gap) == bits([w[1] for w in want])
+
+
+class TestColumnAudit:
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_cells_are_the_scalar_cells(self, seed, domain, monkeypatch):
+        # blocks of 4 samples, so every cell crosses block boundaries
+        monkeypatch.setattr(audit, "_BLOCK", 4)
+        cfg = AuditConfig(dims=(2, 3, 4, 8), samples=10, seed=seed, domain=domain)
+        for law in LAW_IDS:
+            for dim in cfg.dims:
+                assert audit_law(law, cfg, dim) == ref_audit_law(law, cfg, dim), (law, dim)
+
+    @pytest.mark.parametrize("tolerance", [Tolerance(0.5, 0.5), Tolerance(1e-300, 1e-17)],
+                             ids=["loose", "tight"])
+    def test_failing_claims_are_the_scalar_ones(self, tolerance, monkeypatch):
+        # loose: roots coincide (a distinct claim fails); tight: normative
+        # claims fail at float accuracy, each row at its first failing claim
+        monkeypatch.setattr(audit, "_BLOCK", 4)
+        cfg = AuditConfig(dims=(2, 3, 8), samples=10, seed=11, tolerance=tolerance)
+        failing = 0
+        for law in LAW_IDS:
+            for dim in cfg.dims:
+                got = audit_law(law, cfg, dim)
+                assert got == ref_audit_law(law, cfg, dim), (law, dim)
+                failing += got.passes < got.samples
+        assert failing > 0
+
+
+class TestBlockSize:
+    def test_a_block_stays_small_at_a_high_dimension(self, monkeypatch):
+        # blocks shrink with the dimension, and a cell whose block would hold
+        # too few samples runs on the scalar path
+        blocks = []
+
+        def stream_words(seed, law, dim, i0, m, k):
+            blocks.append((dim, m, k))
+            return stream_words.real(seed, law, dim, i0, m, k)
+
+        stream_words.real = audit._stream_words
+        monkeypatch.setattr(audit, "_stream_words", stream_words)
+        for dim in (8, 100, 600):
+            audit_law("mul_associative", AuditConfig(samples=100), dim)
+        assert all(m * k <= audit._BLOCK_WORDS for _, m, k in blocks)
+        assert [(dim, m) for dim, m, _ in blocks] == [(8, 100), (100, 53), (100, 47)]
+
+    @pytest.mark.parametrize("words", [300, 1000])
+    def test_small_blocks_and_scalar_cells_are_the_scalar_cells(self, words, monkeypatch):
+        # few words a block: cells split into blocks of fewer samples, or
+        # run on the scalar path
+        monkeypatch.setattr(audit, "_BLOCK_WORDS", words)
+        cfg = AuditConfig(dims=(2, 3, 8), samples=60, seed=3)
+        for law in LAW_IDS:
+            for dim in cfg.dims:
+                assert audit_law(law, cfg, dim) == ref_audit_law(law, cfg, dim), (law, dim)

@@ -321,6 +321,52 @@ class TestExitContract:
         assert not path.exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--digits", "3", "--digits", "5", "c[1,1]"),
+            ("eval", "--dig", "3", "--digits", "3", "c[1,1]"),  # an abbreviation is the option
+            ("eval", "--orientation", "cw", "--orientation", "ccw", "c[1,1]"),
+            ("eval", "--format", "json", "--format", "json", "c[1,1]"),
+            ("convert", "--to", "polar", "--to", "cartesian", "c[1,1]"),
+            ("roots", "--digits", "3", "--digits", "4", "c[1,0]", "2"),
+            ("audit", "--samples", "3", "--samples", "2"),
+            ("audit", "--seed", "1", "--seed", "1"),
+            ("audit", "--domain", "unrestricted", "--domain", "positive_restricted"),
+            ("audit", "--abs-eps", "1e-9", "--abs-eps", "1e-9"),
+            ("audit", "--rel-eps", "1e-9", "--rel-eps", "1e-6"),
+            ("audit", "--format", "json", "--format", "markdown"),
+            ("audit", "--out", "a.json", "--out", "b.json"),
+        ],
+    )
+    def test_a_repeated_single_option_is_a_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        from hyperspace import audit, cli
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(audit, "run_audit", lambda *args: pytest.fail("the audit ran"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.startswith("usage: hsc ")
+        assert err.endswith(f"error: argument {argv[3]}: may not be repeated\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_repeated_option_exits_1_from_a_process(self):
+        out = run_cli("eval", "--digits", "3", "--digits", "5", "c[1,1]")
+        assert (out.returncode, out.stdout) == (1, "")
+        assert "Traceback" not in out.stderr and "may not be repeated" in out.stderr
+
+    def test_dims_and_laws_stay_repeatable(self):
+        code, out, _ = run_in_process(
+            "audit", "--samples", "2", "--dim", "2", "--dim", "3",
+            "--law", "add_commutative", "--law", "mul_commutative",
+        )
+        cells = [(r["law"], r["dim"]) for r in json.loads(out)["results"]]
+        assert code == 0 and cells == [
+            ("add_commutative", 2), ("add_commutative", 3), ("mul_commutative", 2), ("mul_commutative", 3)
+        ]
+
+    @pytest.mark.parametrize(
         "option,known", [("--law", "add_commutative"), ("--domain", "unrestricted")]
     )
     def test_unknown_choice_is_rejected_before_the_audit(
@@ -380,7 +426,7 @@ class TestExitContract:
         assert ccw == cw and ccw[0] == 0 and ccw[1].count("s3[") == 3
 
 
-_WATCHED = ("numpy", "hyperspace.audit", "hyperspace.coeff_formulas")
+_WATCHED = ("numpy", "hyperspace.audit", "hyperspace.coeff_formulas", "hyperspace._columns")
 
 _MAIN_IN_A_FRESH_INTERPRETER = """
 import contextlib, io, json, sys
@@ -432,3 +478,9 @@ class TestImports:
         )
         assert codes == [0]
         assert loaded == list(_WATCHED)
+
+    def test_importing_the_audit_loads_neither_numpy_nor_its_kernels(self):
+        probe = f"import json, sys, hyperspace.audit; print(json.dumps([m for m in {_WATCHED!r} if m in sys.modules]))"
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert json.loads(out.stdout) == ["hyperspace.audit", "hyperspace.coeff_formulas"]
