@@ -22,22 +22,26 @@ evaluates the law's claims and judges them in order.
 Determinism contract: each sample's stream is exactly numpy's
 ``SeedSequence((seed, law code, dim, sample index))`` seeding a PCG64, the
 law code being the law's index in ``_LAWS``, so per-sample results are
-independent of evaluation order and stable under parallel execution.
-``_sample_rng`` builds that generator for one sample, the scalar path.
-``audit_law`` computes the same streams a block of samples at a time
-(``_seed_words``, then PCG64's seeding and output over uint64 arrays in
-``_stream_words``) and takes each sample's doubles and integers from them
-as numpy's ``Generator.random`` and ``integers`` do.  It evaluates the
-block as float64 columns (``hyperspace._columns``), bit for bit what the
-scalar path computes; the literal coefficient formulas and the N = 2
-``complex`` oracle run per sample, and the first failing sample is replayed
-on the scalar path for its counterexample.  A block holds at most
+independent of evaluation order and stable under parallel execution.  The
+audit has one source of random numbers: ``_stream_words`` computes the
+streams' words a block of samples at a time (``_seed_words``, then PCG64's
+seeding and output over uint64 arrays), and every draw reads them as
+numpy's ``Generator.random`` and ``integers`` would, through one sample's
+``_Stream``.  ``audit_law`` evaluates a block as float64 columns
+(``hyperspace._columns``), bit for bit what the scalar path computes; the
+literal coefficient formulas and the N = 2 ``complex`` oracle run per
+sample, and the first failing sample is replayed on the scalar path, from
+its block's words, for its counterexample.  A block holds at most
 ``_BLOCK_WORDS`` stream words, so at a high dimension it holds few samples;
 a cell whose blocks would hold too few runs on the scalar path.  Operands
 that are nearly singular (tiny modulus, or a canonical angle within 1e-8 of
 a range boundary) are redrawn from the same stream and counted, on the
 scalar path, separating law violations from float pathology near the chart
 seams.
+
+Bounds: at most 2**32 samples per cell (the sample index is one 32-bit
+seed word) and dimensions up to ``MAX_DIM``, so one sample's first attempt
+fits in a block.
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
-from typing import TYPE_CHECKING, Callable
+from functools import lru_cache, partial
+from typing import Callable
 
 from ._version import VERSION
 from .core import (
@@ -73,14 +77,12 @@ from .core import (
 )
 from . import algebra, coeff_formulas, space3
 
-if TYPE_CHECKING:  # for the annotations; the samplers load numpy themselves
-    import numpy as np
-
 _ACW = Orientation.ANTICLOCKWISE
 _S3 = Orientation.S3
 _SINGULAR_MODULUS = 1e-8
 _ANGLE_MARGIN = 1e-8
 _MAX_REDRAWS = 128
+MAX_DIM = 4096  # the largest power of two whose first attempt fits in _BLOCK_WORDS
 
 
 class Domain(Enum):
@@ -107,10 +109,14 @@ class AuditConfig:
         dims = tuple(int(d) for d in self.dims)
         if not dims or any(d < 2 for d in dims):
             raise ValueError(f"dims must be a nonempty list of ints >= 2, got {dims}")
+        if any(d > MAX_DIM for d in dims):
+            raise ValueError(f"dims must be at most {MAX_DIM}, got {dims}")
         if len(set(dims)) < len(dims):
             raise ValueError(f"dims must not repeat, got {dims}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.samples > 2**32:  # the sample index is one 32-bit seed word
+            raise ValueError(f"samples must be at most 2**32, got {self.samples}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         object.__setattr__(self, "dims", dims)
@@ -152,17 +158,6 @@ class AuditReport:
 
 # ---------------------------------------------------------------------------
 # sampling
-
-def _sample_rng(seed: int, law: str, dim: int, index: int) -> np.random.Generator:
-    """The generator one sample starts from: numpy's own seeding of its
-    stream, which :func:`_stream_words` reproduces a block at a time."""
-    # numpy loads on the first draw, so importing this module (and with it
-    # the hsc front end) does not pay for it
-    import numpy as np
-
-    ss = np.random.SeedSequence((seed, _LAW_CODES[law], dim, index))
-    return np.random.default_rng(ss)
-
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # the 128-bit PCG multiplier (O'Neill, "PCG: A Family of Simple Fast
@@ -235,20 +230,23 @@ def _carry(cols: list) -> list:
     return out
 
 
-def _mul128(x: list, y: list) -> list:
+def _mul_add(*pairs) -> list:
+    """The sum of x * y over the pairs (x, y), mod 2**128."""
     cols = [0, 0, 0, 0]
-    for i in range(4):
-        for j in range(4 - i):
-            p = x[i] * y[j]
-            cols[i + j] = cols[i + j] + (p & _MASK32)
-            if i + j < 3:
-                cols[i + j + 1] = cols[i + j + 1] + (p >> 32)
+    for x, y in pairs:
+        for i in range(4):
+            for j in range(4 - i):
+                p = x[i] * y[j]
+                cols[i + j] = cols[i + j] + (p & _MASK32)
+                if i + j < 3:
+                    cols[i + j + 1] = cols[i + j + 1] + (p >> 32)
     return _carry(cols)
 
 
+@lru_cache
 def _pcg_jumps(k: int) -> tuple[list, list]:
     """Limbs of (A_n, C_n), n = 2 ... k+1: n PCG64 steps take a state x to
-    A_n * x + C_n * inc."""
+    A_n * x + C_n * inc.  Cached, so a cell computes them once."""
     import numpy as np
 
     a, c, ac = 1, 0, []
@@ -261,8 +259,9 @@ def _pcg_jumps(k: int) -> tuple[list, list]:
 
 def _stream_words(seed: int, law: str, dim: int, i0: int, m: int, k: int):
     """The first k outputs of the streams of samples i0 ... i0+m-1 of one
-    cell, an (m, k) uint64 array: row i is what ``_sample_rng(seed, law, dim,
-    i0 + i).bit_generator.random_raw(k)`` gives.  PCG64 seeds from state 0
+    cell, an (m, k) uint64 array: row i is what numpy's
+    ``PCG64(SeedSequence((seed, law code, dim, i0 + i))).random_raw(k)``
+    gives.  PCG64 seeds from state 0
     with the odd increment inc = 2 * seq + 1 (step, add the initial state,
     step); each output steps, then takes the XSL-RR of the state."""
     s0, s1, q0, q1 = (w[:, None] for w in _seed_words(seed, _LAW_CODES[law], dim, i0, m).T)
@@ -271,25 +270,52 @@ def _stream_words(seed: int, law: str, dim: int, i0: int, m: int, k: int):
     inc = [(seq[0] << 1 | 1) & _MASK32] + [(seq[i] << 1 | seq[i - 1] >> 31) & _MASK32 for i in (1, 2, 3)]
     a, c = _pcg_jumps(k)
     x = _carry([p + q for p, q in zip(init, inc)])
-    s = _carry([p + q for p, q in zip(_mul128(a, x), _mul128(c, inc))])
+    s = _mul_add((a, x), (c, inc))
     xor = (s[3] << 32 | s[2]) ^ (s[1] << 32 | s[0])
     rot = s[3] >> 26
     return xor >> rot | xor << (64 - rot & 63)
 
 
-def _integers(raw, ranges):
-    """numpy's ``Generator.integers(lo, hi)`` of each range in turn from a
-    fresh generator's next words ``raw``: Lemire's method on 32-bit draws, a
-    word's low half first.  Also flags the rows where its rejection step
-    might draw again; numpy must draw those."""
-    import numpy as np
+def _doubles(words):
+    """``Generator.random``'s doubles of stream words: the top 53 bits."""
+    return (words >> 11) * 2.0**-53
 
-    out, unsure = [], np.zeros(len(raw), bool)
-    for t, (lo, hi) in enumerate(ranges):
-        m = (raw[:, t // 2] >> 32 * (t % 2) & _MASK32) * (hi - lo)
-        out.append(lo + (m >> 32).astype(np.int64))
-        unsure |= (m & _MASK32) < hi - lo
-    return out, unsure
+
+class _Stream:
+    """One sample's stream, read as numpy's ``Generator`` reads it: doubles a
+    word each, integers from 32-bit halves.  It starts from the words its
+    block computed, at word ``pos``, and asks :func:`_stream_words` for more
+    only when a redraw or a rejection runs past them."""
+
+    __slots__ = ("key", "words", "pos", "half")
+
+    def __init__(self, key: tuple, words=(), pos: int = 0):
+        self.key, self.words, self.pos = key, words, pos  # key: (seed, law, dim, index)
+        self.half = None  # the high half of a word whose low half was drawn
+
+    def _take(self, k: int):
+        end = self.pos + k
+        if end > len(self.words):
+            self.words = _stream_words(*self.key, 1, max(end, 2 * len(self.words)))[0]
+        out, self.pos = self.words[self.pos : end], end
+        return out
+
+    def random(self, k: int):
+        return _doubles(self._take(k))
+
+    def integers(self, lo: int, hi: int) -> int:
+        """Lemire's method on 32-bit draws, a word's low half first, with its
+        rejection step (Lemire, "Fast Random Integer Generation in an
+        Interval", ACM TOMACS 2019)."""
+        while True:
+            if self.half is None:
+                word = int(self._take(1)[0])
+                x, self.half = word & _MASK32, word >> 32
+            else:
+                x, self.half = self.half, None
+            m = x * (hi - lo)
+            if m & _MASK32 >= 2**32 % (hi - lo):
+                return lo + (m >> 32)
 
 
 def _near_singular(s: CartesianHC) -> bool:
@@ -330,7 +356,7 @@ def _draw_space3(u: list[float], dim: int, domain: Domain) -> Space3:
 
 
 def _draw_operands(
-    rng: np.random.Generator, law: _Law, dim: int, domain: Domain
+    rng: _Stream, law: _Law, dim: int, domain: Domain
 ) -> tuple[list[CartesianHC], int]:
     """The law's operands, from one ``rng.random`` call of w doubles per
     operand.  An attempt that is near singular is redrawn from w more, so
@@ -683,33 +709,38 @@ def _law(law: str) -> _Law:
     return _LAWS[law]
 
 
-def _sample(cfg: AuditConfig, law: str, dim: int, index: int):
-    """One sample on the scalar path, from its own stream: (operands,
-    redraws, deviation, first failing claim or None)."""
+def _words(spec: _Law, dim: int, domain: Domain) -> tuple[int, int]:
+    """The doubles n of a sample's first attempt, and the words k its block
+    computes: n, then a word for every two integers the law draws."""
+    n = spec.operands * ((spec.dim or dim) + (domain is Domain.UNRESTRICTED))
+    return n, n + (len(spec.ints) + 1) // 2
+
+
+def _sample(cfg: AuditConfig, law: str, dim: int, index: int, words):
+    """One sample on the scalar path, from its block's stream words:
+    (operands, redraws, deviation, first failing claim or None)."""
     spec = _LAWS[law]
-    rng = _sample_rng(cfg.seed, law, dim, index)
+    rng = _Stream((cfg.seed, law, dim, index), words)
     operands, redraws = _draw_operands(rng, spec, dim, cfg.domain)
     return (operands, redraws, *_judge(spec.claims(rng, *operands), cfg.tolerance))
 
 
-def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, i0: int, dev, failed):
-    """Judge samples i0 ... i0+len(dev)-1 of one cell as columns, into dev and
-    failed, from the n doubles each draws and the integers after them.
-    Returns the rows left to the scalar path: those with an operand
-    ``_near_singular`` redraws, and those whose integers numpy might draw
-    twice."""
+def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, i0: int, raw, dev, failed):
+    """Judge samples i0 ... i0+len(raw)-1 of one cell as columns, into dev
+    and failed, from their stream words: the n doubles each draws, then its
+    integers.  Returns the rows left to the scalar path, those with an
+    operand ``_near_singular`` redraws."""
     import numpy as np
 
     from . import _columns as K  # loaded here: importing the audit loads no numpy
 
     spec = _LAWS[law]
     chart = _S3 if spec.draw is _draw_space3 else _ACW
-    raw = _stream_words(cfg.seed, law, dim, i0, len(dev), n + (len(spec.ints) + 1) // 2)
-    u = (raw[:, :n] >> 11) * 2.0**-53  # Generator.random's doubles
-    ints, scalar = _integers(raw[:, n:], spec.ints)
-    ints = np.array(ints or [np.zeros(len(u), int)])  # a row per integer; the last groups samples
-    operands, redraw = _draw_columns(K, u, spec, chart, cfg.domain)
-    scalar |= redraw
+    ints = np.zeros((1, len(raw)), int)  # a row per integer; the last groups samples
+    if spec.ints:
+        streams = (_Stream((cfg.seed, law, dim, i0 + i), row, n) for i, row in enumerate(raw))
+        ints = np.array([[s.integers(*r) for r in spec.ints] for s in streams]).T
+    operands, scalar = _draw_columns(K, _doubles(raw[:, :n]), spec, chart, cfg.domain)
     for key in sorted(set(ints[-1][~scalar].tolist())):
         sel = np.flatnonzero(~scalar & (ints[-1] == key))
         claims = spec.cols(K, ints[:, sel], *(s.take(sel) for s in operands))
@@ -722,29 +753,30 @@ def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
     import numpy as np
 
     spec, d = _law(law), int(dim)
-    n = spec.operands * ((spec.dim or d) + (cfg.domain is Domain.UNRESTRICTED))
-    # A sample takes n doubles and at most one word of integers, and a block
-    # of columns at most _BLOCK_WORDS words, whatever the dimension.  A cell
-    # whose blocks would judge too few samples per call (one call per root
-    # or power order) runs on the scalar path, which is faster there.
+    n, k = _words(spec, d, cfg.domain)
+    # A block computes k <= n + 1 words a sample and at most _BLOCK_WORDS
+    # words, whatever the dimension.  A cell whose blocks would judge too
+    # few samples per call (one call per root or power order) runs on the
+    # scalar path, which is faster there.
     fit = _BLOCK_WORDS // (n + 1)
     groups = spec.ints[-1][1] - spec.ints[-1][0] if spec.ints else 1
     columnar = fit >= _MIN_ROWS * groups
-    rows = min(_BLOCK, fit) if columnar else _BLOCK
+    rows = max(1, min(_BLOCK, fit))
     passes, max_dev, resamples, first_cex = 0, 0.0, 0, None
     for i0 in range(0, cfg.samples, rows):
         m = min(rows, cfg.samples - i0)
+        raw = _stream_words(cfg.seed, law, d, i0, m, k)
         dev, failed = np.zeros(m), np.zeros(m, bool)
-        scalar = _column_block(law, cfg, d, n, i0, dev, failed) if columnar else np.ones(m, bool)
+        scalar = _column_block(law, cfg, d, n, i0, raw, dev, failed) if columnar else np.ones(m, bool)
         for i in np.flatnonzero(scalar).tolist():
-            _, redraws, dev[i], claim = _sample(cfg, law, d, i0 + i)
+            _, redraws, dev[i], claim = _sample(cfg, law, d, i0 + i, raw[i])
             resamples += redraws
             failed[i] = claim is not None
         passes += m - int(failed.sum())
         max_dev = max(max_dev, float(dev.max()))
         if first_cex is None and failed.any():
             index = i0 + int(failed.argmax())
-            drawn, _, replayed, claim = _sample(cfg, law, d, index)
+            drawn, _, replayed, claim = _sample(cfg, law, d, index, raw[index - i0])
             if claim is None or replayed != dev[index - i0]:
                 raise RuntimeError(f"{law} sample {index}: column and scalar verdicts differ")
             lhs, rhs, tags = claim

@@ -10,8 +10,9 @@ Subcommands::
 Exit codes: 0 success, 1 parse/type/usage error (including an expression
 nested deeper than expr.MAX_DEPTH, a root order outside 1 ..
 expr.MAX_ROOT_ORDER, a scalar or root-set expression given to convert or
-roots, an option out of range or repeated, an unknown --law or --domain and
-an unwritable --out file, all found before any work), 2 arithmetic error
+roots, an option out of range or repeated, an audit of more than 2**32
+samples or of a dimension above audit.MAX_DIM, an unknown --law or --domain
+and an unwritable --out file, all found before any work), 2 arithmetic error
 (zero divisor, overflow), 3 audit found failing law samples (the report is
 still written).
 """

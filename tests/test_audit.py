@@ -18,7 +18,6 @@ from hyperspace.audit import (
     report_to_markdown,
     run_audit,
     select_laws,
-    _sample_rng,
 )
 from hyperspace.core import (
     TWO_PI,
@@ -53,6 +52,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="repeat"):
             AuditConfig(dims=(3, 2, 3))
 
+    def test_bounds(self):
+        with pytest.raises(ValueError, match="samples must be at most 2\\*\\*32"):
+            AuditConfig(samples=2**32 + 1)
+        with pytest.raises(ValueError, match=f"dims must be at most {audit.MAX_DIM}"):
+            AuditConfig(dims=(audit.MAX_DIM + 1,))
+        assert AuditConfig(samples=2**32, dims=(audit.MAX_DIM,)).samples == 2**32
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_max_dim_is_the_largest_power_of_two_whose_samples_fit_a_block(self, domain):
+        # a block holds at least one sample's first attempt at MAX_DIM
+        def words(dim):
+            return max(audit._words(audit._LAWS[law], dim, domain)[1] for law in LAW_IDS)
+
+        assert words(audit.MAX_DIM) <= audit._BLOCK_WORDS < words(2 * audit.MAX_DIM)
+
     def test_domain_by_value(self):
         assert AuditConfig(domain="positive_restricted").domain is Domain.POSITIVE_RESTRICTED
         assert AuditConfig(domain="unrestricted") == AuditConfig()
@@ -80,10 +94,10 @@ class TestDeterminism:
         assert json.dumps(d1) == json.dumps(d2)
 
     def test_per_sample_streams_order_independent(self):
-        a = _sample_rng(42, "distributive", 3, 7).uniform(-1, 1, 4)
-        _ = _sample_rng(42, "distributive", 3, 99).uniform(-1, 1, 4)
-        b = _sample_rng(42, "distributive", 3, 7).uniform(-1, 1, 4)
-        assert list(a) == list(b)
+        a = stream(42, "distributive", 3, 7).random(4)
+        _ = stream(42, "distributive", 3, 99).random(4)
+        b = stream(42, "distributive", 3, 7).random(4)
+        assert list(a) == list(b) == list(ref_rng(42, "distributive", 3, 7).random(4))
 
     def test_prefix_stability(self):
         cfg3 = AuditConfig(dims=(3,), samples=30)
@@ -241,6 +255,26 @@ def ref_rng(seed, law, dim, index):
     return np.random.default_rng(np.random.SeedSequence((seed, LAW_IDS.index(law), dim, index)))
 
 
+def stream(seed, law, dim, index):
+    """A sample's stream as the audit reads it, computing its own words."""
+    return audit._Stream((seed, law, dim, index))
+
+
+def pcg64_whose_next_word_is(word):
+    """A PCG64 whose next output is word: PCG64 steps its 128-bit state s,
+    then outputs rotr64(hi(s) ^ lo(s), s >> 122), so choose the stepped
+    state and step back."""
+    mult, mask = 0x2360ED051FC65DA44385DF649FCCF645, 2**128 - 1
+    bits = np.random.PCG64(0)
+    inc, rot = bits.state["state"]["inc"], 5
+    hi = rot << 58 | 0x123456789
+    lo = hi ^ ((word << rot | word >> (64 - rot)) & 2**64 - 1)
+    state = ((hi << 64 | lo) - inc) * pow(mult, -1, 2**128) & mask
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                  "has_uint32": 0, "uinteger": 0}
+    return bits
+
+
 def ref_draw_cartesian(rng, dim, domain):
     mag = 10.0 ** rng.uniform(-2.0, 2.0)
     if domain is Domain.UNRESTRICTED:
@@ -322,13 +356,11 @@ class TestStreams:
         for law in LAW_IDS:
             for dim in (2, 3, 8):
                 raw = audit._stream_words(seed, law, dim, 3, 7, 11)
-                ints, unsure = audit._integers(raw[:, 9:], ranges)
-                assert not unsure.any()
                 for i in range(7):
                     assert raw[i].tolist() == ref_rng(seed, law, dim, 3 + i).bit_generator.random_raw(11).tolist()
-                    ref = ref_rng(seed, law, dim, 3 + i)
-                    assert ((raw[i, :9] >> 11) * 2.0**-53).tolist() == ref.random(9).tolist()
-                    assert [int(x[i]) for x in ints] == [int(ref.integers(*r)) for r in ranges]
+                    ref, got = ref_rng(seed, law, dim, 3 + i), audit._Stream((seed, law, dim, 3 + i), raw[i])
+                    assert got.random(9).tolist() == ref.random(9).tolist()
+                    assert [got.integers(*r) for r in ranges] == [int(ref.integers(*r)) for r in ranges]
 
     def test_streams_cross_the_real_block_boundary(self):
         # samples on both sides of the audit's block boundary, drawn as one
@@ -339,20 +371,29 @@ class TestStreams:
             audit._stream_words(seed, law, 3, audit._BLOCK, 3, 3).tolist()
         assert whole == [ref_rng(seed, law, 3, i).bit_generator.random_raw(3).tolist() for i in range(i0, i0 + 5)]
 
-    def test_an_integer_numpy_might_redraw_is_left_to_numpy(self):
-        # Lemire's method redraws only when the low half of x * (hi - lo)
-        # is below hi - lo; those rows are flagged, the others are not
-        raw = np.array([[0], [1 << 32], [1 << 32 | 2**32 - 1], [(2**32 - 1) << 32 | 12345]], np.uint64)
-        ints, unsure = audit._integers(raw, [(-4, 9), (1, 7)])
-        assert unsure.tolist() == [True, True, False, False]
-        assert [x.tolist() for x in ints] == [[-4, -4, 8, -4], [1, 1, 1, 6]]
+    # Lemire's method rejects a 32-bit draw x when the low half of x * 13 is
+    # below 2**32 % 13 = 9, as for x = 0: integers(-4, 9) then draws again,
+    # from the word's high half or from the next word's low half
+    @pytest.mark.parametrize("word", [(2**32 - 1) << 32, 2**32 - 1], ids=["low-half", "high-half"])
+    def test_a_rejected_integer_is_drawn_again_as_numpy_does(self, word):
+        bits = pcg64_whose_next_word_is(word)
+        copy = np.random.PCG64()
+        copy.state = bits.state
+        raw = copy.random_raw(4)
+        assert int(raw[0]) == word
+        ref, got = np.random.Generator(bits), audit._Stream(None, raw)
+        want = [int(ref.integers(-4, 9)) for _ in range(2)] + [ref.random()]
+        assert [got.integers(-4, 9) for _ in range(2)] + got.random(1).tolist() == want
+        # one rejected half, so the three halves drawn end in the second
+        # word and the double comes from the third
+        assert want[2] == (int(raw[2]) >> 11) * 2.0**-53
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_one_call_draws_match_per_value_draws(self, domain, monkeypatch):
         for law in LAW_IDS:
             for dim in (2, 3, 8):
                 for index in range(6):
-                    rng, ref = audit._sample_rng(42, law, dim, index), ref_rng(42, law, dim, index)
+                    rng, ref = stream(42, law, dim, index), ref_rng(42, law, dim, index)
                     got = drawn(audit._draw_operands, rng, law, dim, domain)
                     assert got == drawn(ref_draw_operands, ref, law, dim, domain)
 
@@ -366,7 +407,7 @@ class TestStreams:
         monkeypatch.setattr(audit, "_BLOCK", 8)
         cfg = AuditConfig(dims=(3,), samples=30, seed=2**32, domain=domain)
         for index in range(cfg.samples):
-            rng, ref = audit._sample_rng(cfg.seed, law, 3, index), ref_rng(cfg.seed, law, 3, index)
+            rng, ref = stream(cfg.seed, law, 3, index), ref_rng(cfg.seed, law, 3, index)
             got = drawn(audit._draw_operands, rng, law, 3, domain)
             assert got == drawn(ref_draw_operands, ref, law, 3, domain)
         got = audit_law(law, cfg, 3)
@@ -474,7 +515,7 @@ class TestColumnAudit:
 class TestBlockSize:
     def test_a_block_stays_small_at_a_high_dimension(self, monkeypatch):
         # blocks shrink with the dimension, and a cell whose block would hold
-        # too few samples runs on the scalar path
+        # too few samples runs on the scalar path, from blocks just as small
         blocks = []
 
         def stream_words(seed, law, dim, i0, m, k):
@@ -486,7 +527,8 @@ class TestBlockSize:
         for dim in (8, 100, 600):
             audit_law("mul_associative", AuditConfig(samples=100), dim)
         assert all(m * k <= audit._BLOCK_WORDS for _, m, k in blocks)
-        assert [(dim, m) for dim, m, _ in blocks] == [(8, 100), (100, 53), (100, 47)]
+        assert [(dim, m) for dim, m, _ in blocks] == \
+            [(8, 100), (100, 53), (100, 47)] + [(600, 9)] * 11 + [(600, 1)]
 
     @pytest.mark.parametrize("words", [300, 1000])
     def test_small_blocks_and_scalar_cells_are_the_scalar_cells(self, words, monkeypatch):

@@ -298,6 +298,15 @@ class TestExitContract:
         assert err.startswith("hsc: ") and err.count("\n") == 1
         assert "arithmetic" not in err
 
+    def test_a_request_over_the_audit_bounds_is_rejected_before_the_audit(self, monkeypatch):
+        from hyperspace import audit
+
+        monkeypatch.setattr(audit, "run_audit", lambda *args: pytest.fail("the audit ran"))
+        for option in (("--dim", str(audit.MAX_DIM + 1)), ("--samples", str(2**32 + 1))):
+            code, out, err = run_in_process("audit", *option)
+            assert (code, out) == (1, "")
+            assert err.startswith("hsc: ") and err.count("\n") == 1 and "at most" in err
+
     def test_unwritable_report_file_is_rejected_before_the_audit(self, tmp_path, monkeypatch):
         from hyperspace import audit
 
@@ -439,13 +448,13 @@ print(json.dumps([codes, [m for m in json.loads(sys.argv[2]) if m in sys.modules
 """
 
 
-def main_in_a_fresh_interpreter(*argvs):
+def main_in_a_fresh_interpreter(*argvs, watched=_WATCHED):
     """Exit codes of cli.main over argvs in one new interpreter, and which of
-    the _WATCHED modules were loaded after the last of them."""
+    the watched modules were loaded after the last of them."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c", _MAIN_IN_A_FRESH_INTERPRETER, json.dumps(argvs),
-         json.dumps(_WATCHED)],
+         json.dumps(watched)],
         capture_output=True, text=True, env=env, check=True,
     )
     return tuple(json.loads(out.stdout))
@@ -478,6 +487,20 @@ class TestImports:
         )
         assert codes == [0]
         assert loaded == list(_WATCHED)
+
+    def test_an_audit_that_replays_a_failing_sample_leaves_numpy_random_unloaded(self):
+        # every draw, the counterexample's replay too, reads the audit's own
+        # stream words; numpy's generators are never built
+        bare = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+                              capture_output=True, text=True, check=True)
+        if bare.stdout.strip() == "True":
+            pytest.skip("a bare `import numpy` loads numpy.random (numpy 1.x)")
+        codes, loaded = main_in_a_fresh_interpreter(
+            ["audit", "--law", "distributive", "--dim", "3", "--samples", "50"],
+            watched=("numpy", "numpy.random"),
+        )
+        assert codes == [3]
+        assert loaded == ["numpy"]
 
     def test_importing_the_audit_loads_neither_numpy_nor_its_kernels(self):
         probe = f"import json, sys, hyperspace.audit; print(json.dumps([m for m in {_WATCHED!r} if m in sys.modules]))"
