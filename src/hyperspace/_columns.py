@@ -5,13 +5,16 @@ Every result is the scalar engine's to the bit.  ``+ - * /``, ``abs`` and
 ``max`` run in numpy in the scalar engine's operation order, which IEEE
 rounding makes exact; every transcendental is the scalar engine's own
 ``math`` function mapped over a column, since numpy's may round otherwise.
-Only numpy APIs of numpy 1.24 and later are used.  ``audit.audit_law`` alone
-imports this module, so importing the audit loads no numpy.
+Each kernel makes a fixed number of numpy calls per block, whatever the
+dimension.  Only numpy APIs of numpy 1.24 and later are used.  The audit's
+draws and ``audit.audit_law`` import this module when they run, so importing
+the audit loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
@@ -19,11 +22,13 @@ import numpy as np
 from .core import TWO_PI, Orientation, Tolerance
 
 _S3 = Orientation.S3
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 def mapped(f, *cols: np.ndarray) -> np.ndarray:
-    """``f`` over the elements of equal-length columns, as a float column."""
-    return np.fromiter(map(f, *(c.tolist() for c in cols)), float, len(cols[0]))
+    """``f`` over the elements of equal-shape arrays, as a float array of that shape."""
+    out = np.fromiter(map(f, *(c.ravel().tolist() for c in cols)), float, cols[0].size)
+    return out.reshape(cols[0].shape)
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:
@@ -41,12 +46,11 @@ def chain(c: np.ndarray, r: np.ndarray, o: Orientation) -> np.ndarray:
         phi = np.where(r_yz != 0.0, _wrap(mapped(math.atan2, z, b)), 0.0)
         th = np.stack([mapped(math.atan2, r_yz, a), phi], axis=1)
     else:
-        cols = [_wrap(mapped(math.atan2, c[:, 1], c[:, 0]))]
-        sub = mapped(math.hypot, c[:, 0], c[:, 1])
-        for k in range(2, c.shape[1]):
-            cols.append(mapped(math.atan2, c[:, k], sub))
-            sub = mapped(math.hypot, sub, c[:, k])
-        th = np.stack(cols, axis=1)
+        # the running sub-moduli m_0 = c_0, m_k = hypot(m_{k-1}, c_k), and
+        # theta_k = atan2(c_k, m_{k-1}): theta_1 is atan2(c_1, c_0), wrapped
+        sub = _hypot.accumulate(c[:, :-1].astype(object), axis=1).astype(float)
+        th = mapped(math.atan2, c[:, 1:], sub)
+        th[:, 0] = _wrap(th[:, 0])
     th[r == 0.0] = 0.0
     return th
 
@@ -58,13 +62,11 @@ def point(r: np.ndarray, th: np.ndarray, o: Orientation) -> np.ndarray:
         st = mapped(math.sin, theta)
         cols = [r * mapped(math.cos, theta), r * st * mapped(math.cos, phi), r * st * mapped(math.sin, phi)]
         return np.stack(cols, axis=1)
-    out = np.empty((len(r), th.shape[1] + 1))
-    suffix = 1.0
-    for k in range(th.shape[1], 0, -1):
-        out[:, k] = r * mapped(math.sin, th[:, k - 1]) * suffix
-        suffix = suffix * mapped(math.cos, th[:, k - 1])
-    out[:, 0] = r * suffix
-    return out
+    # suffix_k = prod_{j >= k} cos(theta_j), multiplied top axis first, and 1
+    cos = np.multiply.accumulate(mapped(math.cos, th)[:, ::-1], axis=1)[:, ::-1]
+    suffix = np.hstack([cos, np.ones((len(r), 1))])
+    rc = r[:, None]
+    return np.hstack([rc * suffix[:, :1], rc * mapped(math.sin, th) * suffix[:, 1:]])
 
 
 class Rows(NamedTuple):
@@ -81,7 +83,7 @@ class Rows(NamedTuple):
 
 def rows(c: np.ndarray, o: Orientation) -> Rows:
     """``core.to_polar`` of every row (``math.hypot`` of all N coefficients)."""
-    r = np.fromiter(map(math.hypot, *c.T.tolist()), float, len(c))
+    r = np.fromiter(starmap(math.hypot, c.tolist()), float, len(c))
     return Rows(c, r, chain(c, r, o), o)
 
 

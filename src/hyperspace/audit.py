@@ -27,17 +27,17 @@ audit has one source of random numbers: ``_stream_words`` computes the
 streams' words a block of samples at a time (``_seed_words``, then PCG64's
 seeding and output over uint64 arrays), and every draw reads them as
 numpy's ``Generator.random`` and ``integers`` would, through one sample's
-``_Stream``.  ``audit_law`` evaluates a block as float64 columns
-(``hyperspace._columns``), bit for bit what the scalar path computes; the
+``_Stream``.  ``audit_law`` evaluates every block of every cell as float64
+columns (``hyperspace._columns``), bit for bit what the scalar path
+computes, in numpy calls whose count does not grow with the dimension; the
 literal coefficient formulas and the N = 2 ``complex`` oracle run per
 sample, and the first failing sample is replayed on the scalar path, from
 its block's words, for its counterexample.  A block holds at most
-``_BLOCK_WORDS`` stream words, so at a high dimension it holds few samples;
-a cell whose blocks would hold too few runs on the scalar path.  Operands
-that are nearly singular (tiny modulus, or a canonical angle within 1e-8 of
-a range boundary) are redrawn from the same stream and counted, on the
-scalar path, separating law violations from float pathology near the chart
-seams.
+``_BLOCK_WORDS`` stream words, so at a high dimension it holds few samples.
+Operands that are nearly singular (tiny modulus, or a canonical angle
+within 1e-8 of a range boundary) are redrawn from the same stream and
+counted, on the scalar path, separating law violations from float
+pathology near the chart seams.
 
 Bounds: at most 2**32 samples per cell (the sample index is one 32-bit
 seed word) and dimensions up to ``MAX_DIM``, so one sample's first attempt
@@ -54,6 +54,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
+from itertools import chain, islice, repeat
 from typing import Callable
 
 from ._version import VERSION
@@ -64,7 +65,6 @@ from .core import (
     Orientation,
     PolarHC,
     Space3,
-    Space3Polar,
     Tolerance,
     _cartesian,
     canonical_ranges,
@@ -170,7 +170,6 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _POOL = 4
 _BLOCK = 1024  # most samples the audit evaluates at once
 _BLOCK_WORDS = 1 << 14  # most stream words it draws at once
-_MIN_ROWS = 40  # fewest samples a block of columns holds per group
 
 
 def _seed_words(seed: int, code: int, dim: int, i0: int, m: int):
@@ -318,93 +317,65 @@ class _Stream:
                 return lo + (m >> 32)
 
 
-def _near_singular(s: CartesianHC) -> bool:
-    # ccw for N-dimensional operands; 3D operands keep their s3 chart
-    p = to_polar(s, _ACW)
-    if p.modulus < _SINGULAR_MODULUS:
-        return True
-    ranges = canonical_ranges(p.orientation, p.dim)
-    return any(
-        a - lo < _ANGLE_MARGIN or hi - a < _ANGLE_MARGIN
-        for a, (lo, hi, _) in zip(p.angles, ranges)
-    )
-
-
-def _uniform(lo: float, hi: float, u: float) -> float:
-    """numpy's ``Generator.uniform(lo, hi)`` of the standard double ``u``."""
+def _uniform(lo: float, hi: float, u):
+    """numpy's ``Generator.uniform(lo, hi)`` of standard doubles ``u``."""
     return lo + (hi - lo) * u
 
 
-# A draw builds one operand from its attempt's uniform doubles: the
-# magnitude, then dim coefficients (unrestricted) or the angles (positive).
+@lru_cache
+def _bounds(chart: Orientation, dim: int):
+    """The low and high ends of every canonical angle's range, as arrays."""
+    import numpy as np
 
-def _draw_cartesian(u: list[float], dim: int, domain: Domain) -> CartesianHC:
-    mag = 10.0 ** _uniform(-2.0, 2.0, u[0])
+    lo, hi, _ = np.array(canonical_ranges(chart, dim)).T
+    return lo, hi
+
+
+def _draw(K, u, chart: Orientation, domain: Domain):
+    """One attempt at an operand per row of u, as ``K.Rows`` in ``chart``, and
+    the rows that are near singular: a modulus under ``_SINGULAR_MODULUS``,
+    or a canonical angle within ``_ANGLE_MARGIN`` of its range's ends.  A row
+    of u is an attempt's doubles: the magnitude, then the coefficients
+    (unrestricted) or the angles (positive), K being ``hyperspace._columns``."""
+    mag = K.mapped(partial(pow, 10.0), _uniform(-2.0, 2.0, u[:, 0]))
+    v = u[:, 1:]
     if domain is Domain.UNRESTRICTED:
-        return CartesianHC(tuple(_uniform(-1.0, 1.0, x) * mag for x in u[1:]))
-    angles = tuple(_uniform(-math.pi / 4, math.pi / 4, x) for x in u[1:])
-    return from_polar(PolarHC(mag, angles, _ACW))
-
-
-def _draw_space3(u: list[float], dim: int, domain: Domain) -> Space3:
-    mag = 10.0 ** _uniform(-2.0, 2.0, u[0])
-    if domain is Domain.UNRESTRICTED:
-        return Space3(*(_uniform(-1.0, 1.0, x) * mag for x in u[1:]))
-    theta = _uniform(0.0, math.pi / 4, u[1])
-    phi = _uniform(-math.pi / 4, math.pi / 4, u[2])
-    return from_polar(Space3Polar(mag, theta, phi % TWO_PI))
+        c = _uniform(-1.0, 1.0, v) * mag[:, None]
+    else:
+        th = _uniform(-math.pi / 4, math.pi / 4, v)
+        if chart is _S3:  # theta in [0, pi/4), phi wrapped to [0, 2*pi)
+            th[:, 0] = _uniform(0.0, math.pi / 4, v[:, 0])
+            th[:, 1] = K.mapped(lambda a: a % TWO_PI, th[:, 1])
+        c = K.point(mag, th, chart)
+    s = K.rows(c, chart)
+    lo, hi = _bounds(chart, c.shape[1])
+    edge = (s.t - lo < _ANGLE_MARGIN) | (hi - s.t < _ANGLE_MARGIN)
+    return s, (s.r < _SINGULAR_MODULUS) | edge.any(axis=1)
 
 
 def _draw_operands(
     rng: _Stream, law: _Law, dim: int, domain: Domain
 ) -> tuple[list[CartesianHC], int]:
-    """The law's operands, from one ``rng.random`` call of w doubles per
-    operand.  An attempt that is near singular is redrawn from w more, so
-    the stream ends where drawing attempt by attempt would leave it."""
-    d = law.dim or dim
-    w = d + (domain is Domain.UNRESTRICTED)  # mag + d coefficients, or mag + d-1 angles
-    u = rng.random(law.operands * w).tolist()
-    pos = 0
+    """The law's operands, one ``_draw`` of one row per attempt, from one
+    ``rng.random`` call of w doubles per operand.  An attempt that is near
+    singular is redrawn from w more, so the stream ends where drawing
+    attempt by attempt would leave it."""
+    from . import _columns as K
+
+    w = (law.dim or dim) + (domain is Domain.UNRESTRICTED)  # mag + d coefficients, or mag + d-1 angles
+    attempts = chain(rng.random(law.operands * w).reshape(-1, w), map(rng.random, repeat(w)))
     out: list[CartesianHC] = []
     redraws = 0
     for _ in range(law.operands):
-        for _ in range(_MAX_REDRAWS):
-            if pos == len(u):
-                u += rng.random(w).tolist()
-            s = law.draw(u[pos : pos + w], d, domain)
-            pos += w
-            if not _near_singular(s):
+        for u in islice(attempts, _MAX_REDRAWS):
+            s, near = _draw(K, u[None], law.chart, domain)
+            if not near[0]:
                 break
             redraws += 1
         else:
             raise RuntimeError("exhausted redraws for a non-singular operand")
-        out.append(s)
+        out.append(_cartesian(law.chart, tuple(s.c[0].tolist())))
     return out, redraws
-
-
-def _draw_columns(K, u, spec: _Law, chart: Orientation, domain: Domain):
-    """The first attempt at every operand of a block of samples, as ``K.Rows``
-    in the operands' chart, and the rows ``_near_singular`` would redraw.
-    Row i of u holds the doubles ``_draw_operands`` takes for sample i."""
-    w = u.shape[1] // spec.operands
-    out, redraw = [], False
-    for j in range(0, u.shape[1], w):
-        mag = K.mapped(partial(pow, 10.0), _uniform(-2.0, 2.0, u[:, j]))
-        v = u[:, j + 1 : j + w]
-        if domain is Domain.UNRESTRICTED:
-            c = _uniform(-1.0, 1.0, v) * mag[:, None]
-        else:
-            th = _uniform(-math.pi / 4, math.pi / 4, v)
-            if chart is _S3:  # _draw_space3's theta and phi
-                th[:, 0] = _uniform(0.0, math.pi / 4, v[:, 0])
-                th[:, 1] = K.mapped(lambda a: a % TWO_PI, th[:, 1])
-            c = K.point(mag, th, chart)
-        s = K.rows(c, chart)
-        out.append(s)
-        redraw = redraw | (s.r < _SINGULAR_MODULUS)
-        for a, (lo, hi, _) in zip(s.t.T, canonical_ranges(chart, c.shape[1])):
-            redraw = redraw | (a - lo < _ANGLE_MARGIN) | (hi - a < _ANGLE_MARGIN)
-    return out, redraw
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +641,7 @@ class _Law:
     operands: int
     normative: bool
     dim: int | None = None  # operand dimension if fixed, else the audited one
-    draw: Callable = _draw_cartesian
+    chart: Orientation = _ACW  # the operands' chart
     ints: tuple[tuple[int, int], ...] = ()  # integer ranges drawn after the operands
 
 
@@ -689,11 +660,11 @@ _LAWS = {
     "cartesian_mul_agreement": _agreement_law(algebra.mul, _cmul, _CARTESIAN_MUL_ROUTES),
     "cartesian_div_agreement": _agreement_law(algebra.div, _cdiv, _CARTESIAN_DIV_ROUTES),
     "space3_mul_agreement": _agreement_law(space3.mul3, _cmul, _SPACE3_MUL_ROUTES,
-                                           dim=3, draw=_draw_space3),
+                                           dim=3, chart=_S3),
     "space3_div_agreement": _agreement_law(space3.div3, _cdiv, _SPACE3_DIV_ROUTES,
-                                           dim=3, draw=_draw_space3),
+                                           dim=3, chart=_S3),
     "space3_conj_modulus": _Law(_law_space3_conj_modulus, _cols_space3_conj_modulus, 1, True,
-                                dim=3, draw=_draw_space3),
+                                dim=3, chart=_S3),
 }
 
 LAW_IDS: tuple[str, ...] = tuple(_LAWS)
@@ -728,19 +699,21 @@ def _sample(cfg: AuditConfig, law: str, dim: int, index: int, words):
 def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, i0: int, raw, dev, failed):
     """Judge samples i0 ... i0+len(raw)-1 of one cell as columns, into dev
     and failed, from their stream words: the n doubles each draws, then its
-    integers.  Returns the rows left to the scalar path, those with an
-    operand ``_near_singular`` redraws."""
+    integers.  Every block of every cell runs here.  Returns the rows left to
+    the scalar path, those with an operand that ``_draw`` finds near
+    singular, which are redrawn there."""
     import numpy as np
 
     from . import _columns as K  # loaded here: importing the audit loads no numpy
 
     spec = _LAWS[law]
-    chart = _S3 if spec.draw is _draw_space3 else _ACW
     ints = np.zeros((1, len(raw)), int)  # a row per integer; the last groups samples
     if spec.ints:
         streams = (_Stream((cfg.seed, law, dim, i0 + i), row, n) for i, row in enumerate(raw))
         ints = np.array([[s.integers(*r) for r in spec.ints] for s in streams]).T
-    operands, scalar = _draw_columns(K, _doubles(raw[:, :n]), spec, chart, cfg.domain)
+    u, w = _doubles(raw[:, :n]), n // spec.operands
+    operands, near = zip(*(_draw(K, u[:, j : j + w], spec.chart, cfg.domain) for j in range(0, n, w)))
+    scalar = np.any(near, axis=0)
     for key in sorted(set(ints[-1][~scalar].tolist())):
         sel = np.flatnonzero(~scalar & (ints[-1] == key))
         claims = spec.cols(K, ints[:, sel], *(s.take(sel) for s in operands))
@@ -755,19 +728,14 @@ def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
     spec, d = _law(law), int(dim)
     n, k = _words(spec, d, cfg.domain)
     # A block computes k <= n + 1 words a sample and at most _BLOCK_WORDS
-    # words, whatever the dimension.  A cell whose blocks would judge too
-    # few samples per call (one call per root or power order) runs on the
-    # scalar path, which is faster there.
-    fit = _BLOCK_WORDS // (n + 1)
-    groups = spec.ints[-1][1] - spec.ints[-1][0] if spec.ints else 1
-    columnar = fit >= _MIN_ROWS * groups
-    rows = max(1, min(_BLOCK, fit))
+    # words, whatever the dimension.
+    rows = max(1, min(_BLOCK, _BLOCK_WORDS // (n + 1)))
     passes, max_dev, resamples, first_cex = 0, 0.0, 0, None
     for i0 in range(0, cfg.samples, rows):
         m = min(rows, cfg.samples - i0)
         raw = _stream_words(cfg.seed, law, d, i0, m, k)
         dev, failed = np.zeros(m), np.zeros(m, bool)
-        scalar = _column_block(law, cfg, d, n, i0, raw, dev, failed) if columnar else np.ones(m, bool)
+        scalar = _column_block(law, cfg, d, n, i0, raw, dev, failed)
         for i in np.flatnonzero(scalar).tolist():
             _, redraws, dev[i], claim = _sample(cfg, law, d, i0 + i, raw[i])
             resamples += redraws

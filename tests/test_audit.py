@@ -27,9 +27,11 @@ from hyperspace.core import (
     Space3,
     Space3Polar,
     Tolerance,
+    canonical_ranges,
     from_dict,
     from_polar,
     to_dict,
+    to_polar,
 )
 
 from util import vec_close
@@ -248,7 +250,7 @@ class TestStructure:
 # SeedSequence per sample and one uniform call per value, as below.
 
 STREAM_SEEDS = [0, 42, 2**32 - 1, 2**32, 2**64 - 1]
-ACW = Orientation.ANTICLOCKWISE
+ACW, S3 = Orientation.ANTICLOCKWISE, Orientation.S3
 
 
 def ref_rng(seed, law, dim, index):
@@ -293,13 +295,23 @@ def ref_draw_space3(rng, dim, domain):
     return from_polar(Space3Polar(mag, theta, phi % TWO_PI))
 
 
+def ref_near_singular(s):
+    # ccw for N-dimensional operands; 3D operands keep their s3 chart
+    p = to_polar(s, ACW)
+    if p.modulus < audit._SINGULAR_MODULUS:
+        return True
+    margin = audit._ANGLE_MARGIN
+    ranges = canonical_ranges(p.orientation, p.dim)
+    return any(a - lo < margin or hi - a < margin for a, (lo, hi, _) in zip(p.angles, ranges))
+
+
 def ref_draw_operands(rng, spec, dim, domain):
-    draw = ref_draw_space3 if spec.draw is audit._draw_space3 else ref_draw_cartesian
+    draw = ref_draw_space3 if spec.chart is S3 else ref_draw_cartesian
     out, redraws = [], 0
     for _ in range(spec.operands):
         while True:
             s = draw(rng, spec.dim or dim, domain)
-            if not audit._near_singular(s):
+            if not ref_near_singular(s):
                 break
             redraws += 1
         out.append(s)
@@ -420,25 +432,32 @@ class TestStreams:
 # reference is the scalar engine, to the bit: the kernels against core's
 # chart maps, and whole cells against ref_audit_law above.
 
-S3 = Orientation.S3
-
-
 def bits(values):
     """The IEEE bit patterns of floats, so that 0.0 and -0.0 differ."""
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
-def edge_rows(n):
-    """Zero, signed zeros, on-axis points and an atan2 just below zero."""
+def edge_rows(n, axes=None):
+    """Zero, signed zeros, on-axis points (on every axis, or on the given
+    ones) and an atan2 just below zero."""
     rows = [[0.0] * n, [-0.0] * n, [-0.0] + [0.0] * (n - 1), [1.0] + [-0.0] * (n - 1),
             [-1.0] + [-0.0] * (n - 1), [1.0, -1e-300] + [0.0] * (n - 2)]
-    for k in range(n):
+    for k in range(n) if axes is None else axes:
         for x in (2.5, -2.5):
             rows.append([0.0] * k + [x] + [0.0] * (n - k - 1))
     return np.array(rows)
 
 
-CHARTS = [(n, ACW) for n in range(2, 9)] + [(3, S3)]
+def in_blocks(rows):
+    """Up to N = 8, the rows as one block; above, as blocks of 1, 2 and 3
+    rows in turn, the block sizes of a high dimension's cells."""
+    if rows.shape[1] <= 8:
+        return [rows]
+    return [b for b in np.split(rows, np.cumsum([1, 2, 3] * len(rows))) if len(b)]
+
+
+HIGH_DIMS = [300, audit.MAX_DIM]
+CHARTS = [(n, ACW) for n in range(2, 9)] + [(3, S3)] + [(n, ACW) for n in HIGH_DIMS]
 
 
 class TestColumns:
@@ -447,11 +466,13 @@ class TestColumns:
         from hyperspace import _columns, core
 
         rng = np.random.default_rng(n)
-        c = np.vstack([edge_rows(n), rng.uniform(-1, 1, (300, n)) * 10.0 ** rng.uniform(-3, 3, (300, 1))])
-        rows = _columns.rows(c, chart)
-        r = [math.hypot(*row) for row in c.tolist()]
-        assert bits(rows.r) == bits(r)
-        assert bits(rows.t) == bits([core._chain(tuple(row), m, chart) for row, m in zip(c.tolist(), r)])
+        k = 300 if n <= 8 else 4  # a high dimension: few rows, edges on four axes
+        edges = edge_rows(n, None if n <= 8 else (0, 1, n // 2, n - 1))
+        for c in in_blocks(np.vstack([edges, rng.uniform(-1, 1, (k, n)) * 10.0 ** rng.uniform(-3, 3, (k, 1))])):
+            rows = _columns.rows(c, chart)
+            r = [math.hypot(*row) for row in c.tolist()]
+            assert bits(rows.r) == bits(r)
+            assert bits(rows.t) == bits([core._chain(tuple(row), m, chart) for row, m in zip(c.tolist(), r)])
 
     def test_a_negative_angle_within_half_an_ulp_of_zero_wraps_to_zero(self):
         from hyperspace import _columns, core
@@ -467,10 +488,13 @@ class TestColumns:
         from hyperspace import _columns, core
 
         rng = np.random.default_rng(100 + n)
-        th = np.vstack([np.zeros((2, n - 1)), -np.zeros((1, n - 1)), rng.uniform(-7, 7, (300, n - 1))])
-        r = np.concatenate([[1.0, 0.0, 2.0], rng.uniform(0, 50, 300)])
-        want = [core._point(m, tuple(t), chart) for m, t in zip(r.tolist(), th.tolist())]
-        assert bits(_columns.point(r, th, chart)) == bits(want)
+        k = 300 if n <= 8 else 4
+        th = np.vstack([np.zeros((2, n - 1)), -np.zeros((1, n - 1)), rng.uniform(-7, 7, (k, n - 1))])
+        r = np.concatenate([[1.0, 0.0, 2.0], rng.uniform(0, 50, k)])
+        for block in in_blocks(np.hstack([r[:, None], th])):
+            r, th = block[:, 0], block[:, 1:]
+            want = [core._point(m, tuple(t), chart) for m, t in zip(r.tolist(), th.tolist())]
+            assert bits(_columns.point(r, th, chart)) == bits(want)
 
     def test_closeness_is_the_scalar_closeness(self):
         from hyperspace import _columns, core
@@ -514,8 +538,7 @@ class TestColumnAudit:
 
 class TestBlockSize:
     def test_a_block_stays_small_at_a_high_dimension(self, monkeypatch):
-        # blocks shrink with the dimension, and a cell whose block would hold
-        # too few samples runs on the scalar path, from blocks just as small
+        # blocks shrink with the dimension, down to one sample
         blocks = []
 
         def stream_words(seed, law, dim, i0, m, k):
@@ -530,10 +553,36 @@ class TestBlockSize:
         assert [(dim, m) for dim, m, _ in blocks] == \
             [(8, 100), (100, 53), (100, 47)] + [(600, 9)] * 11 + [(600, 1)]
 
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_every_cell_runs_on_the_column_path(self, domain, monkeypatch):
+        # at any dimension only redrawn rows and the counterexample replay
+        # run on the scalar path; the two Cartesian agreement laws' literal
+        # formulas take seconds a sample at MAX_DIM, so they stop at N = 600
+        calls = []
+
+        def sample(cfg, law, dim, index, words):
+            out = sample.real(cfg, law, dim, index, words)
+            calls.append((index, out[1]))
+            return out
+
+        sample.real = audit._sample
+        monkeypatch.setattr(audit, "_sample", sample)
+        slow = {"cartesian_mul_agreement", "cartesian_div_agreement"}
+        for dim, samples in ((600, 10), (audit.MAX_DIM, 2)):
+            cfg = AuditConfig(dims=(dim,), samples=samples, domain=domain)
+            for law in LAW_IDS:
+                if dim > 600 and law in slow:
+                    continue
+                calls.clear()
+                result = audit_law(law, cfg, dim)
+                plain = [index for index, redraws in calls if redraws == 0]
+                cex = result.counterexample
+                assert plain in ([], [] if cex is None else [cex["sample_index"]]), (law, dim)
+
     @pytest.mark.parametrize("words", [300, 1000])
     def test_small_blocks_and_scalar_cells_are_the_scalar_cells(self, words, monkeypatch):
-        # few words a block: cells split into blocks of fewer samples, or
-        # run on the scalar path
+        # few words a block: cells split into blocks of fewer samples, down
+        # to one
         monkeypatch.setattr(audit, "_BLOCK_WORDS", words)
         cfg = AuditConfig(dims=(2, 3, 8), samples=60, seed=3)
         for law in LAW_IDS:
