@@ -10,13 +10,17 @@ workload the sides run in turn, and the side that goes first alternates from
 one seed to the next.  After every run
 its environment line and result line are appended, under the side's label,
 to the JSON list in BENCH_<pr>.json at the root of this repository; a run
-that fails is recorded with its exit code and the tail of its stderr.
+that fails is recorded with its exit code and the tail of its stderr.  After
+the runs it prints, for every workload, end-to-end metric (BENCHMARK.json's
+``end_to_end``) and side in BENCH_<pr>.json, the median and the spread
+between the quartiles over that side's recorded runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +55,31 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return {**json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+def end_to_end_metrics() -> list[str]:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return [m["name"] for m in benchmark["end_to_end"]]
+
+
+def summary(records: list[dict], metrics: list[str]) -> list[str]:
+    """One line per workload, metric and side: the median, the spread between
+    the quartiles, and the quartiles over the side's successful runs.
+    Workloads come in name order, metrics in the given order, and sides in
+    the order they were first recorded."""
+    values: dict[tuple, list[float]] = {}
+    for record in records:
+        got = record.get("result", {}).get("metrics", {})
+        for metric in metrics:
+            if metric in got:
+                key = (record["workload"], metrics.index(metric), record["label"])
+                values.setdefault(key, []).append(got[metric]["value"])
+    lines = []
+    for (workload, m, label), vs in sorted(values.items(), key=lambda item: item[0][:2]):
+        q1, median, q3 = statistics.quantiles(vs, n=4, method="inclusive") if len(vs) > 1 else vs * 3
+        lines.append(f"{workload} {metrics[m]} {label}: median {median:.5g}, "
+                     f"IQR {q3 - q1:.5g} [{q1:.5g}, {q3:.5g}], {len(vs)} runs")
+    return lines
+
+
 def run(args) -> int:
     sides = []
     for side in args.side or [f"change={ROOT}"]:
@@ -72,6 +101,7 @@ def run(args) -> int:
                 append(path, record)
                 ok = "result" in record
                 print(f"{label} {workload} seed {seed}: {'recorded' if ok else 'FAILED'}", flush=True)
+    print("\n".join(summary(load(path), end_to_end_metrics())))
     return 0
 
 

@@ -1,5 +1,6 @@
 """The audit's column kernels: the ccw and s3 charts and the closeness measure
-of :mod:`hyperspace.core` over blocks of numbers, one number per row.
+of :mod:`hyperspace.core` over blocks of numbers, one number per row, and the
+column evaluator of the audit's laws.
 
 Every result is the scalar engine's to the bit.  ``+ - * /``, ``abs`` and
 ``max`` run in numpy in the scalar engine's operation order, which IEEE
@@ -19,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TWO_PI, Orientation, Tolerance
+from .core import TWO_PI, Orientation, Tolerance, _cartesian
 
-_S3 = Orientation.S3
+_CCW, _S3 = Orientation.ANTICLOCKWISE, Orientation.S3
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
@@ -70,7 +71,8 @@ def point(r: np.ndarray, th: np.ndarray, o: Orientation) -> np.ndarray:
 
 
 class Rows(NamedTuple):
-    """A block of numbers of one chart: coefficients, moduli and chains."""
+    """A block of numbers of one chart: coefficients (None in a polar block),
+    moduli and chains."""
 
     c: np.ndarray
     r: np.ndarray
@@ -94,14 +96,99 @@ def closeness(lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance) -> tuple[np.ndar
     return gap <= np.maximum(tol.abs_eps, tol.rel_eps * scale), gap / np.maximum(1e-30, scale)
 
 
-def judge(claims, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
-    """``audit._judge`` of every row of ``(lhs, rhs, distinct)`` claims:
-    (deviation, failed).  A row's deviation is its largest gap up to and
-    including its first failing claim; a distinct claim adds no gap, and it
-    fails where its sides agree."""
-    ok, gap = closeness(np.stack([c[0] for c in claims]), np.stack([c[1] for c in claims]), tol)
-    distinct = np.array([c[2] for c in claims])[:, None]
+def judge(claims, tol: Tolerance, distinct: type) -> tuple[np.ndarray, np.ndarray]:
+    """``audit._judge`` of every row of ``(lhs, rhs, tags)`` claims over
+    blocks: (deviation, failed).  A row's deviation is its largest gap up to
+    and including its first failing claim; a claim whose tags are of type
+    ``distinct`` adds no gap, and it fails where its sides agree."""
+    ok, gap = closeness(*(np.stack([coords(c[k]) for c in claims]) for k in (0, 1)), tol)
+    distinct = np.array([isinstance(c[2], distinct) for c in claims])[:, None]
     failing = ok == distinct
     failed = failing.any(axis=0)
     upto = np.arange(len(claims))[:, None] <= np.where(failed, failing.argmax(axis=0), len(claims))
     return np.where(upto & ~distinct, gap, 0.0).max(axis=0), failed
+
+
+class Columns:
+    """The column evaluator of the audit's laws: each operation a law names,
+    as the library function of that name computes it, over a block.  A block
+    of numbers is a coordinate array, or a ``Rows`` as drawn; a polar block is
+    a ``Rows`` that holds no coordinates.  Coordinates become a ``Rows`` only
+    where the library calls ``to_polar``.  An integer is a column, or one int
+    that every row shares."""
+
+    def to_polar(self, x, o: Orientation = _CCW) -> Rows:
+        return x if isinstance(x, Rows) else rows(x, o)
+
+    def from_polar(self, p: Rows) -> np.ndarray:
+        return point(p.r, p.t, p.o)
+
+    def mul_polar(self, p: Rows, q: Rows) -> Rows:
+        return Rows(None, p.r * q.r, p.t + q.t, p.o)
+
+    def div_polar(self, p: Rows, q: Rows) -> Rows:
+        return Rows(None, p.r / q.r, p.t - q.t, p.o)
+
+    def pow_int_polar(self, p: Rows, n) -> Rows:
+        n = np.full(p.r.shape, n)
+        return Rows(None, mapped(math.pow, p.r, n), n[:, None] * p.t, p.o)
+
+    def nth_roots_polar(self, p: Rows, n: int) -> list[Rows]:
+        r = mapped(lambda x: math.pow(x, 1.0 / n), p.r)
+        return [Rows(None, r, (p.t + 2.0 * math.pi * m) / n, p.o) for m in range(n)]
+
+    def conj3_polar(self, p: Rows) -> Rows:
+        return Rows(None, p.r, p.t * (-1.0, 1.0), p.o)
+
+    def add(self, a, b) -> np.ndarray:
+        return coords(a) + coords(b)
+
+    def mul(self, a, b) -> np.ndarray:
+        return self.from_polar(self.mul_polar(self.to_polar(a), self.to_polar(b)))
+
+    def div(self, a, b) -> np.ndarray:
+        return self.from_polar(self.div_polar(self.to_polar(a), self.to_polar(b)))
+
+    def pow_int(self, s, n) -> np.ndarray:
+        return self.from_polar(self.pow_int_polar(self.to_polar(s), n))
+
+    def nth_roots(self, s, n: int) -> list[np.ndarray]:
+        return [self.from_polar(p) for p in self.nth_roots_polar(self.to_polar(s), n)]
+
+    def conjugate(self, s) -> np.ndarray:
+        c = coords(s)
+        return c * ((1.0,) + (-1.0,) * (c.shape[1] - 1))
+
+    def modulus(self, s) -> np.ndarray:
+        return self.to_polar(s).r
+
+    def real(self, x: np.ndarray, like: Rows) -> np.ndarray:
+        """The numbers (x, 0, ..., 0) of ``like``'s dimension; x >= 0, so the zeros are +0.0."""
+        return x[:, None] * ((1.0,) + (0.0,) * like.t.shape[1])
+
+    def unit(self, p: Rows) -> Rows:
+        return Rows(None, np.ones(len(p.r)), np.zeros(p.t.shape), p.o)
+
+    def formulas(self, routes, a: Rows, b: Rows) -> list[np.ndarray]:
+        """Every ``(label, route)`` formula on each row's values, built once."""
+        pairs = list(zip(*([_cartesian(s.o, tuple(c)) for c in s.c.tolist()] for s in (a, b))))
+        return [np.array([f(x, y).assembled.coeffs for x, y in pairs]) for _, f in routes]
+
+    def to_complex(self, s: Rows) -> list[complex]:
+        return [complex(*c) for c in s.c.tolist()]
+
+    def each(self, f, *cols) -> list:
+        """``f`` row by row, over lists and integer columns."""
+        return list(map(f, *(c.tolist() if isinstance(c, np.ndarray) else c for c in cols)))
+
+    def classic(self, zs: list[complex]) -> np.ndarray:
+        z = np.array(zs, complex)
+        return np.stack([z.real, z.imag], axis=1)
+
+    def fmt(self, text: str, *args) -> None:
+        """A row-dependent tag is formatted for a replayed sample only."""
+
+
+def coords(x) -> np.ndarray:
+    """The coordinates of a block of numbers."""
+    return x.c if isinstance(x, Rows) else x

@@ -14,10 +14,10 @@ kinds:
   *measured*; failures are captured as reproducible counterexamples, never
   patched.
 
-Each law is declared once, in the ``_LAWS`` table (operand count, fixed
-dimension, draw, drawn integers, normative flag, and its claims over one
-sample and over a block of samples); ``audit_law`` alone draws the operands,
-evaluates the law's claims and judges them in order.
+Each law is declared once, in the ``_LAWS`` table: operand count, fixed
+dimension, draw, drawn integers, normative flag, and its claims, written once
+over operations that two evaluators name alike.  ``audit_law`` alone draws
+the operands, evaluates the law's claims and judges them in order.
 
 Determinism contract: each sample's stream is exactly numpy's
 ``SeedSequence((seed, law code, dim, sample index))`` seeding a PCG64, the
@@ -28,16 +28,16 @@ streams' words a block of samples at a time (``_seed_words``, then PCG64's
 seeding and output over uint64 arrays), and every draw reads them as
 numpy's ``Generator.random`` and ``integers`` would, through one sample's
 ``_Stream``.  ``audit_law`` evaluates every block of every cell as float64
-columns (``hyperspace._columns``), bit for bit what the scalar path
-computes, in numpy calls whose count does not grow with the dimension; the
-literal coefficient formulas and the N = 2 ``complex`` oracle run per
-sample, and the first failing sample is replayed on the scalar path, from
-its block's words, for its counterexample.  A block holds at most
-``_BLOCK_WORDS`` stream words, so at a high dimension it holds few samples.
-Operands that are nearly singular (tiny modulus, or a canonical angle
-within 1e-8 of a range boundary) are redrawn from the same stream and
-counted, on the scalar path, separating law violations from float
-pathology near the chart seams.
+columns (``_columns.Columns``), bit for bit what the library's functions
+(``_VALUES``) compute, in numpy calls whose count does not grow with the
+dimension; the literal coefficient formulas and the N = 2 ``complex`` oracle
+run per sample, and the first failing sample is replayed with the library's
+functions, from its block's words, for its counterexample.  A block holds at
+most ``_BLOCK_WORDS`` stream words, so at a high dimension it holds few
+samples.  Operands that are nearly singular (tiny modulus, or a canonical
+angle within 1e-8 of a range boundary) are redrawn from the same stream and
+counted, on the scalar path, separating law violations from float pathology
+near the chart seams.
 
 Bounds: at most 2**32 samples per cell (the sample index is one 32-bit
 seed word) and dimensions up to ``MAX_DIM``, so one sample's first attempt
@@ -54,7 +54,8 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import chain, islice, repeat
+from itertools import islice
+from types import SimpleNamespace
 from typing import Callable
 
 from ._version import VERSION
@@ -63,14 +64,14 @@ from .core import (
     CartesianHC,
     DEFAULT_TOLERANCE,
     Orientation,
-    PolarHC,
-    Space3,
     Tolerance,
     _cartesian,
     canonical_ranges,
     closeness,
     conjugate,
     from_polar,
+    make_cartesian,
+    make_polar,
     modulus,
     to_dict,
     to_polar,
@@ -356,25 +357,29 @@ def _draw(K, u, chart: Orientation, domain: Domain):
 def _draw_operands(
     rng: _Stream, law: _Law, dim: int, domain: Domain
 ) -> tuple[list[CartesianHC], int]:
-    """The law's operands, one ``_draw`` of one row per attempt, from one
-    ``rng.random`` call of w doubles per operand.  An attempt that is near
-    singular is redrawn from w more, so the stream ends where drawing
-    attempt by attempt would leave it."""
+    """The law's operands: one ``_draw`` of all first attempts, from one
+    ``rng.random`` call of w doubles per operand, then one of one row per
+    redraw.  A near-singular attempt is redrawn from the next w doubles, so
+    the stream ends where drawing attempt by attempt would leave it."""
     from . import _columns as K
 
     w = (law.dim or dim) + (domain is Domain.UNRESTRICTED)  # mag + d coefficients, or mag + d-1 angles
-    attempts = chain(rng.random(law.operands * w).reshape(-1, w), map(rng.random, repeat(w)))
-    out: list[CartesianHC] = []
-    redraws = 0
+
+    def attempts():
+        s, near = _draw(K, rng.random(law.operands * w).reshape(-1, w), law.chart, domain)
+        while True:
+            yield from zip(s.c.tolist(), near.tolist())
+            s, near = _draw(K, rng.random(w)[None], law.chart, domain)
+
+    tries, out, redraws = attempts(), [], 0
     for _ in range(law.operands):
-        for u in islice(attempts, _MAX_REDRAWS):
-            s, near = _draw(K, u[None], law.chart, domain)
-            if not near[0]:
+        for c, near in islice(tries, _MAX_REDRAWS):
+            if not near:
                 break
             redraws += 1
         else:
             raise RuntimeError("exhausted redraws for a non-singular operand")
-        out.append(_cartesian(law.chart, tuple(s.c[0].tolist())))
+        out.append(_cartesian(law.chart, tuple(c)))
     return out, redraws
 
 
@@ -402,79 +407,90 @@ def _judge(claims, tol: Tolerance) -> tuple[float, tuple | None]:
 
 
 # ---------------------------------------------------------------------------
-# laws: (rng, *operands) -> [(lhs, rhs, tags), ...]; a law draws from rng only
-# after its operands are drawn, the integers its table entry declares
+# laws: (ops, ints, *operands) -> [(lhs, rhs, tags), ...], each written once
+# and run by two evaluators that name the same operations: ``_VALUES``, the
+# library's own functions on one sample's numbers, and ``_columns.Columns`` on
+# a block of samples.  ints holds the integers the law's table entry
+# declares, drawn after the operands; on a block, a column per integer, the
+# last being one int that the block's rows share.
 
 _POW_ORDERS, _ROOT_ORDERS, _DEMOIVRE_ORDERS = (-4, 9), (1, 7), (0, 9)
 
-def _law_add_commutative(rng, s1, s2):
-    lhs, rhs = algebra.add(s1, s2), algebra.add(s2, s1)
-    return [(lhs, rhs, {})]
+_VALUES = SimpleNamespace(
+    add=algebra.add, mul=algebra.mul, div=algebra.div, pow_int=algebra.pow_int,
+    nth_roots=algebra.nth_roots, mul_polar=algebra.mul_polar,
+    pow_int_polar=algebra.pow_int_polar, nth_roots_polar=algebra.nth_roots_polar,
+    to_polar=to_polar, from_polar=from_polar, conjugate=conjugate, modulus=modulus,
+    conj3_polar=space3.conj3_polar,
+    real=lambda x, like: make_cartesian(like.orientation, (x,) + (0.0,) * (like.dim - 1)),
+    unit=lambda p: make_polar(p.orientation, 1.0, (0.0,) * (p.dim - 1)),
+    formulas=lambda routes, a, b: [route(a, b).assembled for _, route in routes],
+    to_complex=lambda s: complex(*s.coeffs),
+    each=lambda f, *args: f(*args),
+    classic=lambda z: CartesianHC((z.real, z.imag)),
+    fmt=str.format,
+)
 
 
-def _law_add_associative(rng, s1, s2, s3):
-    lhs = algebra.add(algebra.add(s1, s2), s3)
-    rhs = algebra.add(s1, algebra.add(s2, s3))
-    return [(lhs, rhs, {})]
+def _law_add_commutative(ops, ints, s1, s2):
+    return [(ops.add(s1, s2), ops.add(s2, s1), {})]
 
 
-def _law_mul_commutative(rng, s1, s2):
-    lhs, rhs = algebra.mul(s1, s2), algebra.mul(s2, s1)
-    return [(lhs, rhs, {})]
+def _law_add_associative(ops, ints, s1, s2, s3):
+    return [(ops.add(ops.add(s1, s2), s3), ops.add(s1, ops.add(s2, s3)), {})]
 
 
-def _law_mul_associative(rng, *operands):
+def _law_mul_commutative(ops, ints, s1, s2):
+    return [(ops.mul(s1, s2), ops.mul(s2, s1), {})]
+
+
+def _law_mul_associative(ops, ints, *operands):
     # Composition stays at the angle level, where products associate; the
     # conversion boundaries (operands in, result out) are part of the test.
-    p1, p2, p3 = (to_polar(s, _ACW) for s in operands)
-    lhs = from_polar(algebra.mul_polar(algebra.mul_polar(p1, p2), p3))
-    rhs = from_polar(algebra.mul_polar(p1, algebra.mul_polar(p2, p3)))
+    p1, p2, p3 = map(ops.to_polar, operands)
+    lhs = ops.from_polar(ops.mul_polar(ops.mul_polar(p1, p2), p3))
+    rhs = ops.from_polar(ops.mul_polar(p1, ops.mul_polar(p2, p3)))
     return [(lhs, rhs, {})]
 
 
-def _law_distributive(rng, s, t1, t2):
-    lhs = algebra.mul(s, algebra.add(t1, t2))
-    rhs = algebra.add(algebra.mul(s, t1), algebra.mul(s, t2))
+def _law_distributive(ops, ints, s, t1, t2):
+    lhs = ops.mul(s, ops.add(t1, t2))
+    rhs = ops.add(ops.mul(s, t1), ops.mul(s, t2))
     return [(lhs, rhs, {})]
 
 
-def _law_conj_modulus(rng, s):
-    lhs = algebra.mul(s, conjugate(s))
-    r = modulus(s)
-    rhs = CartesianHC((r * r,) + (0.0,) * (s.dim - 1))
-    return [(lhs, rhs, {})]
+def _law_conj_modulus(ops, ints, s):
+    r = ops.modulus(s)
+    return [(ops.mul(s, ops.conjugate(s)), ops.real(r * r, s), {})]
 
 
-def _law_n2_classic_equiv(rng, s1, s2):
-    # Always checked at N = 2 against the textbook complex oracle.
-    z1 = complex(s1.coeffs[0], s1.coeffs[1])
-    z2 = complex(s2.coeffs[0], s2.coeffs[1])
-    checks: list[tuple[CartesianHC, CartesianHC, dict]] = []
-
-    def classic(z: complex) -> CartesianHC:
-        return CartesianHC((z.real, z.imag))
-
-    checks.append((algebra.mul(s1, s2), classic(z1 * z2), {"check": "mul"}))
-    checks.append((algebra.div(s1, s2), classic(z1 / z2), {"check": "div"}))
-    n_pow = int(rng.integers(*_POW_ORDERS))
-    checks.append((algebra.pow_int(s1, n_pow), classic(z1**n_pow), {"check": f"pow {n_pow}"}))
-    n_root = int(rng.integers(*_ROOT_ORDERS))
-    phase = cmath.phase(z1) % TWO_PI
-    root_mod = abs(z1) ** (1.0 / n_root)
-    for m, root in enumerate(algebra.nth_roots(s1, n_root)):
-        oracle = classic(cmath.rect(root_mod, (phase + TWO_PI * m) / n_root))
-        checks.append((root, oracle, {"check": f"root {m}/{n_root}"}))
-    return checks
+def _law_n2_classic_equiv(ops, ints, s1, s2):
+    # Always checked at N = 2 against the textbook complex oracle, row by row;
+    # each operand's complex value, root modulus and phase are taken once.
+    n_pow, n = ints
+    z1, z2 = ops.to_complex(s1), ops.to_complex(s2)
+    root_r = ops.each(lambda z: abs(z) ** (1.0 / n), z1)
+    phase = ops.each(lambda z: cmath.phase(z) % TWO_PI, z1)
+    return [
+        (ops.mul(s1, s2), ops.classic(ops.each(operator.mul, z1, z2)), {"check": "mul"}),
+        (ops.div(s1, s2), ops.classic(ops.each(operator.truediv, z1, z2)), {"check": "div"}),
+        (ops.pow_int(s1, n_pow), ops.classic(ops.each(operator.pow, z1, n_pow)),
+         {"check": ops.fmt("pow {}", n_pow)}),
+    ] + [
+        (root, ops.classic(ops.each(lambda r, a, m=m: cmath.rect(r, (a + TWO_PI * m) / n), root_r, phase)),
+         {"check": f"root {m}/{n}"})
+        for m, root in enumerate(ops.nth_roots(s1, n))
+    ]
 
 
-def _law_roots_correct(rng, s):
+def _law_roots_correct(ops, ints, s):
     # Roots power back through their own chains (angle level); the list of
     # coordinate projections must be pairwise distinct.
-    n = int(rng.integers(*_ROOT_ORDERS))
-    chains = algebra.nth_roots_polar(to_polar(s, _ACW), n)
-    roots = [from_polar(p) for p in chains]
+    n = ints[-1]
+    chains = ops.nth_roots_polar(ops.to_polar(s), n)
+    roots = [ops.from_polar(p) for p in chains]
     backs = [
-        (from_polar(algebra.pow_int_polar(chain, n)), s, {"root_index": m, "order": n})
+        (ops.from_polar(ops.pow_int_polar(chain, n)), s, {"root_index": m, "order": n})
         for m, chain in enumerate(chains)
     ]
     return backs + [
@@ -484,21 +500,20 @@ def _law_roots_correct(rng, s):
     ]
 
 
-def _law_demoivre(rng, s):
-    n = int(rng.integers(*_DEMOIVRE_ORDERS))
-    p = to_polar(s, _ACW)
-    lhs = algebra.pow_int(s, n)
-    acc = PolarHC(1.0, (0.0,) * (p.dim - 1), _ACW)
+def _law_demoivre(ops, ints, s):
+    n = ints[-1]
+    p = ops.to_polar(s)
+    acc = ops.unit(p)
     for _ in range(n):
-        acc = algebra.mul_polar(acc, p)
-    rhs = from_polar(acc)
-    return [(lhs, rhs, {"order": n})]
+        acc = ops.mul_polar(acc, p)
+    return [(ops.pow_int(s, n), ops.from_polar(acc), {"order": n})]
 
 
-def _agreement(normative, routes, rng, s1, s2):
-    """Two operands through the normative operation and every formula route."""
-    nm = normative(s1, s2)
-    return [(route(s1, s2).assembled, nm, {"route": label}) for label, route in routes]
+def _agreement(normative, routes, ops, ints, s1, s2):
+    """Two operands through the normative operation and, row by row, every formula route."""
+    nm = getattr(ops, normative)(s1, s2)
+    sides = ops.formulas(routes, s1, s2)
+    return [(side, nm, {"route": label}) for (label, _), side in zip(routes, sides)]
 
 
 _CARTESIAN_MUL_ROUTES = [
@@ -513,131 +528,15 @@ _SPACE3_MUL_ROUTES = [("coefficients", space3.mul3_coeffs)]
 _SPACE3_DIV_ROUTES = [("coefficients", space3.div3_coeffs)]
 
 
-def _law_space3_conj_modulus(rng, s):
-    p = space3.to_polar3(s)
-    lhs = space3.from_polar3(space3.mul3_polar(p, space3.conj3_polar(p)))
-    r = space3.modulus3(s)
-    rhs = Space3(r * r, 0.0, 0.0)
-    return [(lhs, rhs, {})]
-
-
-# ---------------------------------------------------------------------------
-# column laws: (K, ints, *operands) -> [(lhs, rhs, distinct), ...] over a
-# block of samples, K being the kernel module and each operand a ``K.Rows``.
-# ints holds a column per integer the law draws; a block's rows share the
-# last.  Each mirrors its scalar law operation by operation, to the bit.
-
-def _cmul(K, a, b):  # algebra.mul of two blocks
-    return K.point(a.r * b.r, a.t + b.t, a.o)
-
-
-def _cdiv(K, a, b):  # algebra.div of two blocks
-    return K.point(a.r / b.r, a.t - b.t, a.o)
-
-
-def _real(x, n: int):  # the numbers (x, 0, ..., 0), x >= 0, so the zeros are +0.0
-    return x[:, None] * ((1.0,) + (0.0,) * (n - 1))
-
-
-def _classic(zs):  # the numbers (z.real, z.imag) of complex values
-    import numpy as np
-
-    z = np.array(list(zs), complex)
-    return np.stack([z.real, z.imag], axis=1)
-
-
-def _cols_add_commutative(K, ints, s1, s2):
-    return [(s1.c + s2.c, s2.c + s1.c, False)]
-
-
-def _cols_add_associative(K, ints, s1, s2, s3):
-    return [((s1.c + s2.c) + s3.c, s1.c + (s2.c + s3.c), False)]
-
-
-def _cols_mul_commutative(K, ints, s1, s2):
-    return [(_cmul(K, s1, s2), _cmul(K, s2, s1), False)]
-
-
-def _cols_mul_associative(K, ints, p1, p2, p3):
-    lhs = K.point((p1.r * p2.r) * p3.r, (p1.t + p2.t) + p3.t, _ACW)
-    rhs = K.point(p1.r * (p2.r * p3.r), p1.t + (p2.t + p3.t), _ACW)
-    return [(lhs, rhs, False)]
-
-
-def _cols_distributive(K, ints, s, t1, t2):
-    lhs = _cmul(K, s, K.rows(t1.c + t2.c, _ACW))
-    return [(lhs, _cmul(K, s, t1) + _cmul(K, s, t2), False)]
-
-
-def _cols_conj_modulus(K, ints, s):
-    n = s.c.shape[1]
-    lhs = _cmul(K, s, K.rows(s.c * ((1.0,) + (-1.0,) * (n - 1)), _ACW))
-    return [(lhs, _real(s.r * s.r, n), False)]
-
-
-def _cols_n2_classic_equiv(K, ints, s1, s2):
-    n_pow, n = ints[0], int(ints[1][0])
-    z1, z2 = ([complex(*c) for c in s.c.tolist()] for s in (s1, s2))
-    root_r = K.mapped(lambda r: math.pow(r, 1.0 / n), s1.r)
-    polar = [(abs(z) ** (1.0 / n), cmath.phase(z) % TWO_PI) for z in z1]
-    return [
-        (_cmul(K, s1, s2), _classic(map(operator.mul, z1, z2)), False),
-        (_cdiv(K, s1, s2), _classic(map(operator.truediv, z1, z2)), False),
-        (K.point(K.mapped(math.pow, s1.r, n_pow), n_pow[:, None] * s1.t, _ACW),
-         _classic(map(operator.pow, z1, n_pow.tolist())), False),
-    ] + [
-        (K.point(root_r, (s1.t + 2.0 * math.pi * m) / n, _ACW),
-         _classic(cmath.rect(rm, (ph + TWO_PI * m) / n) for rm, ph in polar), False)
-        for m in range(n)
-    ]
-
-
-def _cols_roots_correct(K, ints, s):
-    n = int(ints[-1][0])
-    root_r = K.mapped(lambda r: math.pow(r, 1.0 / n), s.r)
-    chains = [(s.t + 2.0 * math.pi * m) / n for m in range(n)]
-    roots = [K.point(root_r, t, _ACW) for t in chains]
-    back_r = K.mapped(lambda r: math.pow(r, n), root_r)
-    backs = [(K.point(back_r, n * t, _ACW), s.c, False) for t in chains]
-    return backs + [(roots[i], roots[j], True) for i in range(n) for j in range(i + 1, n)]
-
-
-def _cols_demoivre(K, ints, s):
-    import numpy as np
-
-    n = int(ints[-1][0])
-    lhs = K.point(K.mapped(lambda r: math.pow(r, n), s.r), n * s.t, _ACW)
-    acc_r, acc_t = np.ones(len(s.r)), np.zeros(s.t.shape)
-    for _ in range(n):
-        acc_r, acc_t = acc_r * s.r, acc_t + s.t
-    return [(lhs, K.point(acc_r, acc_t, _ACW), False)]
-
-
-def _cols_agreement(normative, routes, K, ints, s1, s2):
-    """The normative operation on the blocks; each formula route per row."""
-    import numpy as np
-
-    nm = normative(K, s1, s2)
-    pairs = [(_cartesian(s1.o, tuple(a)), _cartesian(s1.o, tuple(b)))
-             for a, b in zip(s1.c.tolist(), s2.c.tolist())]
-    return [(np.array([route(a, b).assembled.coeffs for a, b in pairs]), nm, False)
-            for _, route in routes]
-
-
-def _cols_space3_conj_modulus(K, ints, s):
-    lhs = K.point(s.r * s.r, s.t + s.t * (-1.0, 1.0), _S3)
-    return [(lhs, _real(s.r * s.r, 3), False)]
-
-
-def _agreement_law(normative, cols, routes, **kw) -> _Law:
-    return _Law(partial(_agreement, normative, routes), partial(_cols_agreement, cols, routes),
-                2, False, **kw)
+def _law_space3_conj_modulus(ops, ints, s):
+    p = ops.to_polar(s)
+    r = ops.modulus(s)
+    return [(ops.from_polar(ops.mul_polar(p, ops.conj3_polar(p))), ops.real(r * r, s), {})]
 
 
 @dataclass(frozen=True, slots=True)
 class _Law:
-    claims: Callable  # (rng, *operands) -> [(lhs, rhs, tags), ...]
-    cols: Callable  # (K, ints, *operand blocks) -> [(lhs, rhs, distinct), ...]
+    claims: Callable  # (ops, ints, *operands) -> [(lhs, rhs, tags), ...]
     operands: int
     normative: bool
     dim: int | None = None  # operand dimension if fixed, else the audited one
@@ -645,26 +544,26 @@ class _Law:
     ints: tuple[tuple[int, int], ...] = ()  # integer ranges drawn after the operands
 
 
+def _agreement_law(normative: str, routes, **kw) -> _Law:
+    return _Law(partial(_agreement, normative, routes), 2, False, **kw)
+
+
 # The order is part of the determinism contract: a law's index seeds its streams.
 _LAWS = {
-    "add_commutative": _Law(_law_add_commutative, _cols_add_commutative, 2, True),
-    "add_associative": _Law(_law_add_associative, _cols_add_associative, 3, True),
-    "mul_commutative": _Law(_law_mul_commutative, _cols_mul_commutative, 2, True),
-    "mul_associative": _Law(_law_mul_associative, _cols_mul_associative, 3, True),
-    "distributive": _Law(_law_distributive, _cols_distributive, 3, False),
-    "conj_modulus": _Law(_law_conj_modulus, _cols_conj_modulus, 1, True),
-    "n2_classic_equiv": _Law(_law_n2_classic_equiv, _cols_n2_classic_equiv, 2, True, dim=2,
-                             ints=(_POW_ORDERS, _ROOT_ORDERS)),
-    "roots_correct": _Law(_law_roots_correct, _cols_roots_correct, 1, True, ints=(_ROOT_ORDERS,)),
-    "demoivre": _Law(_law_demoivre, _cols_demoivre, 1, True, ints=(_DEMOIVRE_ORDERS,)),
-    "cartesian_mul_agreement": _agreement_law(algebra.mul, _cmul, _CARTESIAN_MUL_ROUTES),
-    "cartesian_div_agreement": _agreement_law(algebra.div, _cdiv, _CARTESIAN_DIV_ROUTES),
-    "space3_mul_agreement": _agreement_law(space3.mul3, _cmul, _SPACE3_MUL_ROUTES,
-                                           dim=3, chart=_S3),
-    "space3_div_agreement": _agreement_law(space3.div3, _cdiv, _SPACE3_DIV_ROUTES,
-                                           dim=3, chart=_S3),
-    "space3_conj_modulus": _Law(_law_space3_conj_modulus, _cols_space3_conj_modulus, 1, True,
-                                dim=3, chart=_S3),
+    "add_commutative": _Law(_law_add_commutative, 2, True),
+    "add_associative": _Law(_law_add_associative, 3, True),
+    "mul_commutative": _Law(_law_mul_commutative, 2, True),
+    "mul_associative": _Law(_law_mul_associative, 3, True),
+    "distributive": _Law(_law_distributive, 3, False),
+    "conj_modulus": _Law(_law_conj_modulus, 1, True),
+    "n2_classic_equiv": _Law(_law_n2_classic_equiv, 2, True, dim=2, ints=(_POW_ORDERS, _ROOT_ORDERS)),
+    "roots_correct": _Law(_law_roots_correct, 1, True, ints=(_ROOT_ORDERS,)),
+    "demoivre": _Law(_law_demoivre, 1, True, ints=(_DEMOIVRE_ORDERS,)),
+    "cartesian_mul_agreement": _agreement_law("mul", _CARTESIAN_MUL_ROUTES),
+    "cartesian_div_agreement": _agreement_law("div", _CARTESIAN_DIV_ROUTES),
+    "space3_mul_agreement": _agreement_law("mul", _SPACE3_MUL_ROUTES, dim=3, chart=_S3),
+    "space3_div_agreement": _agreement_law("div", _SPACE3_DIV_ROUTES, dim=3, chart=_S3),
+    "space3_conj_modulus": _Law(_law_space3_conj_modulus, 1, True, dim=3, chart=_S3),
 }
 
 LAW_IDS: tuple[str, ...] = tuple(_LAWS)
@@ -693,7 +592,8 @@ def _sample(cfg: AuditConfig, law: str, dim: int, index: int, words):
     spec = _LAWS[law]
     rng = _Stream((cfg.seed, law, dim, index), words)
     operands, redraws = _draw_operands(rng, spec, dim, cfg.domain)
-    return (operands, redraws, *_judge(spec.claims(rng, *operands), cfg.tolerance))
+    ints = [rng.integers(*r) for r in spec.ints]
+    return (operands, redraws, *_judge(spec.claims(_VALUES, ints, *operands), cfg.tolerance))
 
 
 def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, i0: int, raw, dev, failed):
@@ -716,8 +616,9 @@ def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, i0: int, raw, de
     scalar = np.any(near, axis=0)
     for key in sorted(set(ints[-1][~scalar].tolist())):
         sel = np.flatnonzero(~scalar & (ints[-1] == key))
-        claims = spec.cols(K, ints[:, sel], *(s.take(sel) for s in operands))
-        dev[sel], failed[sel] = K.judge(claims, cfg.tolerance)
+        block_ints = (*ints[:-1, sel], key)[: len(spec.ints)]
+        claims = spec.claims(K.Columns(), block_ints, *(s.take(sel) for s in operands))
+        dev[sel], failed[sel] = K.judge(claims, cfg.tolerance, _Distinct)
     return scalar
 
 

@@ -325,7 +325,8 @@ def ref_audit_law(law, cfg, dim):
         rng = ref_rng(cfg.seed, law, dim, index)
         operands, redraws = ref_draw_operands(rng, spec, dim, cfg.domain)
         resamples += redraws
-        dev, failed = audit._judge(spec.claims(rng, *operands), cfg.tolerance)
+        ints = [int(rng.integers(*r)) for r in spec.ints]
+        dev, failed = audit._judge(spec.claims(audit._VALUES, ints, *operands), cfg.tolerance)
         max_dev = max(max_dev, dev)
         if failed is None:
             passes += 1
@@ -507,6 +508,50 @@ class TestColumns:
             want = [core.closeness(CartesianHC(x), CartesianHC(y), tol) for x, y in zip(a.tolist(), b.tolist())]
             assert ok.tolist() == [w[0] for w in want] and 0 < sum(ok) < len(ok)
             assert bits(gap) == bits([w[1] for w in want])
+
+
+def evaluated_block(law, dim, domain, rows):
+    """A block of drawn operands and its integers, as the audit draws them
+    for samples 0 ... rows-1 at seed 5: the operand blocks, and per row the
+    operands as values and the integers."""
+    from hyperspace import _columns, core
+
+    spec = audit._LAWS[law]
+    n, k = audit._words(spec, dim, domain)
+    raw = audit._stream_words(5, law, dim, 0, rows, k)
+    u, w = audit._doubles(raw[:, :n]), n // spec.operands
+    blocks = [audit._draw(_columns, u[:, j : j + w], spec.chart, domain)[0] for j in range(0, n, w)]
+    values = [[core.make_cartesian(spec.chart, b.c[i].tolist()) for b in blocks] for i in range(rows)]
+    streams = [audit._Stream((5, law, dim, i), raw[i], n) for i in range(rows)]
+    ints = [[s.integers(*r) for r in spec.ints] for s in streams]
+    return blocks, values, ints
+
+
+class TestEvaluators:
+    @pytest.mark.parametrize("domain", list(Domain))
+    @pytest.mark.parametrize("dim", [2, 3, 8, 300])
+    def test_the_evaluators_agree_claim_by_claim(self, dim, domain):
+        # each law's one body, run on a block by the column evaluator and on
+        # each of its rows by the library's functions: every claim's sides
+        # to the bit, and every distinct flag
+        from hyperspace import _columns
+
+        for law in LAW_IDS:
+            spec = audit._LAWS[law]
+            blocks, values, ints = evaluated_block(law, dim, domain, 40 if dim <= 8 else 3)
+            last = [row[-1] if row else 0 for row in ints]
+            for key in sorted(set(last)):
+                sel = [i for i, v in enumerate(last) if v == key]
+                columns = np.array([ints[i] for i in sel], int).reshape(len(sel), -1).T
+                block_ints = (*columns[:-1], key) if spec.ints else ()
+                got = spec.claims(_columns.Columns(), block_ints, *(b.take(sel) for b in blocks))
+                for j, i in enumerate(sel):
+                    want = spec.claims(audit._VALUES, ints[i], *values[i])
+                    assert len(got) == len(want), (law, i)
+                    for (gl, gr, gt), (wl, wr, wt) in zip(got, want):
+                        assert bits(_columns.coords(gl)[j]) == bits(wl.coeffs), (law, dim, i)
+                        assert bits(_columns.coords(gr)[j]) == bits(wr.coeffs), (law, dim, i)
+                        assert isinstance(gt, audit._Distinct) == isinstance(wt, audit._Distinct)
 
 
 class TestColumnAudit:
