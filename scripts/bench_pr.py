@@ -4,10 +4,10 @@
         --side parent=/path/to/parent-checkout --side change=. [--trace 0]
 
 Each run is ``python3 <checkout>/perfbench/run.py --workload W --seed S
---seconds 40 --trace X`` (40 s being the benchmark's run length), so every
-checkout is measured with its own copy of the benchmark.  For each seed and
-workload the sides run in turn, and the side that goes first alternates from
-one seed to the next.  After every run
+--seconds T --trace X``, W being one of BENCHMARK.json's ``workloads`` and T
+its ``run_seconds``, so every checkout is measured with its own copy of the
+benchmark.  For each seed and workload the sides run in turn, and the side
+that goes first alternates from one seed to the next.  After every run
 its environment line and result line are appended, under the side's label,
 to the JSON list in BENCH_<pr>.json at the root of this repository; a run
 that fails is recorded with its exit code and the tail of its stderr.  After
@@ -23,11 +23,24 @@ import json
 import statistics
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("audit", "eval_cli", "expr_batch")
-SECONDS = 40.0  # BENCHMARK.json's run_seconds
+
+
+@cache
+def benchmark() -> dict:
+    """BENCHMARK.json, which names the workloads, run length and metrics."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def workloads() -> tuple[str, ...]:
+    return tuple(w["name"] for w in benchmark()["workloads"])
+
+
+def run_seconds() -> float:
+    return float(benchmark()["run_seconds"])
 
 
 def bench_path(pr: int) -> Path:
@@ -47,7 +60,7 @@ def append(path: Path, record: dict) -> None:
 def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One benchmark run: its environment and result lines, or why it failed."""
     argv = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
+            "--seed", str(seed), "--seconds", str(run_seconds()), "--trace", str(trace)]
     proc = subprocess.run(argv, capture_output=True, text=True, cwd=checkout)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -56,8 +69,7 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
 
 
 def end_to_end_metrics() -> list[str]:
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return [m["name"] for m in benchmark["end_to_end"]]
+    return [m["name"] for m in benchmark()["end_to_end"]]
 
 
 def summary(records: list[dict], metrics: list[str]) -> list[str]:
@@ -96,7 +108,7 @@ def run(args) -> int:
         for workload in args.workload:
             for label, checkout in order:
                 record = {"label": label, "workload": workload, "seed": seed,
-                          "seconds": SECONDS, "trace": args.trace}
+                          "seconds": run_seconds(), "trace": args.trace}
                 record.update(run_once(checkout, workload, seed, args.trace))
                 append(path, record)
                 ok = "result" in record
@@ -108,7 +120,7 @@ def run(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
-    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=["audit"])
+    parser.add_argument("--workload", nargs="+", choices=workloads(), default=["audit"])
     parser.add_argument("--seed", nargs="+", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--side", action="append", metavar="LABEL=CHECKOUT",

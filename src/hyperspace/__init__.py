@@ -2,7 +2,7 @@
 
 Cartesian and angle-chain polar representations with conversion accurate
 to the last bits (against 50-digit mpmath: ``to_polar``'s modulus within
-0.5 ulp, ``from_polar`` within about 2 ulp of the modulus up to N = 8),
+0.5 ulp, ``from_polar`` within 3 ulp of the modulus up to N = 8),
 angle-addition arithmetic (products, quotients, powers, roots), a 3D
 specialization with master/slave arguments, a geometric rotation-chain
 oracle, literal evaluators for the expanded coefficient formulas, and a

@@ -25,19 +25,19 @@ law code being the law's index in ``_LAWS``, so per-sample results are
 independent of evaluation order and stable under parallel execution.  The
 audit has one source of random numbers: ``_stream_words`` computes the
 streams' words a block of samples at a time (``_seed_words``, then PCG64's
-seeding and output over uint64 arrays), and every draw reads them as
-numpy's ``Generator.random`` and ``integers`` would, through one sample's
-``_Stream``.  ``audit_law`` evaluates every block of every cell as float64
-columns (``_columns.Columns``), bit for bit what the library's functions
-(``_VALUES``) compute, in numpy calls whose count does not grow with the
-dimension; the literal coefficient formulas and the N = 2 ``complex`` oracle
-run per sample, and the first failing sample is replayed with the library's
-functions, from its block's words, for its counterexample.  A block holds at
-most ``_BLOCK_WORDS`` stream words, so at a high dimension it holds few
-samples.  Operands that are nearly singular (tiny modulus, or a canonical
-angle within 1e-8 of a range boundary) are redrawn from the same stream and
-counted, on the scalar path, separating law violations from float pathology
-near the chart seams.
+seeding and output on (high, low) pairs of uint64 words), and every draw
+reads them as numpy's ``Generator.random`` and ``integers`` would, through
+one sample's ``_Stream``.  ``audit_law`` evaluates every block of every cell
+as float64 columns (``_columns.Columns``), bit for bit what the library's
+functions (``_VALUES``) compute, in numpy calls whose count does not grow
+with the dimension; the literal coefficient formulas and the N = 2
+``complex`` oracle run per sample, and the first failing sample is replayed
+with the library's functions, from its block's words, for its
+counterexample.  A block holds at most ``_BLOCK_WORDS`` stream words, so at
+a high dimension it holds few samples.  Operands that are nearly singular
+(tiny modulus, or a canonical angle within 1e-8 of a range boundary) are
+redrawn from the same stream and counted, on the scalar path, separating law
+violations from float pathology near the chart seams.
 
 Bounds: at most 2**32 samples per cell (the sample index is one 32-bit
 seed word) and dimensions up to ``MAX_DIM``, so one sample's first attempt
@@ -167,7 +167,7 @@ class AuditReport:
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
 _POOL = 4
 _BLOCK = 1024  # most samples the audit evaluates at once
 _BLOCK_WORDS = 1 << 14  # most stream words it draws at once
@@ -218,34 +218,29 @@ def _seed_words(seed: int, code: int, dim: int, i0: int, m: int):
     return np.stack([state[k] | state[k + 1] << np.uint64(32) for k in range(0, 2 * _POOL, 2)], 1)
 
 
-# 128-bit integers as lists of four uint64 arrays of 32-bit limbs, low first
-
-def _carry(cols: list) -> list:
-    """Limb-wise sums (each below 2**63) as limbs, mod 2**128."""
-    out, c = [], 0
-    for v in cols:
-        v = v + c
-        out.append(v & _MASK32)
-        c = v >> 32
-    return out
+# 128-bit integers are (high, low) uint64 pairs, as in the seed words and PCG's C code
+def _mul_hi(x, y):
+    """The high words of the 128-bit products x * y of uint64 words."""
+    x0, x1, y0, y1 = x & _MASK32, x >> 32, y & _MASK32, y >> 32
+    t = x1 * y0 + (x0 * y0 >> 32)
+    mid = (t & _MASK32) + x0 * y1
+    return x1 * y1 + (t >> 32) + (mid >> 32)
 
 
-def _mul_add(*pairs) -> list:
-    """The sum of x * y over the pairs (x, y), mod 2**128."""
-    cols = [0, 0, 0, 0]
-    for x, y in pairs:
-        for i in range(4):
-            for j in range(4 - i):
-                p = x[i] * y[j]
-                cols[i + j] = cols[i + j] + (p & _MASK32)
-                if i + j < 3:
-                    cols[i + j + 1] = cols[i + j + 1] + (p >> 32)
-    return _carry(cols)
+def _mul(x, y):
+    """x * y mod 2**128."""
+    return _mul_hi(x[1], y[1]) + x[0] * y[1] + x[1] * y[0], x[1] * y[1]
+
+
+def _add(x, y):
+    """x + y mod 2**128."""
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < y[1]), lo
 
 
 @lru_cache
-def _pcg_jumps(k: int) -> tuple[list, list]:
-    """Limbs of (A_n, C_n), n = 2 ... k+1: n PCG64 steps take a state x to
+def _pcg_jumps(k: int) -> tuple[tuple, tuple]:
+    """(A_n, C_n), n = 2 ... k+1, as pairs: n PCG64 steps take a state x to
     A_n * x + C_n * inc.  Cached, so a cell computes them once."""
     import numpy as np
 
@@ -253,26 +248,22 @@ def _pcg_jumps(k: int) -> tuple[list, list]:
     for _ in range(k + 1):
         a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
         ac += (a, c)
-    limbs = [np.array([v >> s & _MASK32 for v in ac[2:]], np.uint64) for s in (0, 32, 64, 96)]
-    return [x[0::2] for x in limbs], [x[1::2] for x in limbs]
+    hi, lo = (np.array([v >> s & _MASK64 for v in ac[2:]], np.uint64) for s in (64, 0))
+    return (hi[0::2], lo[0::2]), (hi[1::2], lo[1::2])
 
 
 def _stream_words(seed: int, law: str, dim: int, i0: int, m: int, k: int):
     """The first k outputs of the streams of samples i0 ... i0+m-1 of one
     cell, an (m, k) uint64 array: row i is what numpy's
     ``PCG64(SeedSequence((seed, law code, dim, i0 + i))).random_raw(k)``
-    gives.  PCG64 seeds from state 0
-    with the odd increment inc = 2 * seq + 1 (step, add the initial state,
-    step); each output steps, then takes the XSL-RR of the state."""
+    gives.  PCG64 seeds from state 0 with the odd increment inc = 2 * seq
+    + 1 (step, add the initial state, step); each output steps, then takes
+    the XSL-RR of the state."""
     s0, s1, q0, q1 = (w[:, None] for w in _seed_words(seed, _LAW_CODES[law], dim, i0, m).T)
-    init = [s1 & _MASK32, s1 >> 32, s0 & _MASK32, s0 >> 32]
-    seq = [q1 & _MASK32, q1 >> 32, q0 & _MASK32, q0 >> 32]
-    inc = [(seq[0] << 1 | 1) & _MASK32] + [(seq[i] << 1 | seq[i - 1] >> 31) & _MASK32 for i in (1, 2, 3)]
+    inc = (q0 << 1 | q1 >> 63, q1 << 1 | 1)
     a, c = _pcg_jumps(k)
-    x = _carry([p + q for p, q in zip(init, inc)])
-    s = _mul_add((a, x), (c, inc))
-    xor = (s[3] << 32 | s[2]) ^ (s[1] << 32 | s[0])
-    rot = s[3] >> 26
+    hi, lo = _add(_mul(a, _add((s0, s1), inc)), _mul(c, inc))
+    xor, rot = hi ^ lo, hi >> 58
     return xor >> rot | xor << (64 - rot & 63)
 
 

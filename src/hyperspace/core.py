@@ -212,9 +212,9 @@ def make_polar(orientation: Orientation, modulus: float, angles) -> PolarHC:
     return PolarHC(modulus, angles, orientation)
 
 
-# The engine's results are built from checked values, so their builders
-# check only what arithmetic can break: finiteness, which turns overflow
-# into an error, and the s3 chart's dimension.  They fill the slots directly.
+# The engine's results are built from checked values, s3 chains of two
+# angles included, so their builders check only what arithmetic can break:
+# finiteness, which turns overflow into an error.  They fill the slots directly.
 _set_coeffs = CartesianHC.coeffs.__set__
 _set_modulus = PolarHC.modulus.__set__
 _set_angles = PolarHC.angles.__set__
@@ -234,8 +234,6 @@ def _polar(orientation: Orientation, modulus: float, angles: tuple[float, ...]) 
         raise ValueError(f"modulus must be finite and >= 0, got {modulus}")
     if not all(map(math.isfinite, angles)):
         raise ValueError(f"angles must be finite, got {angles}")
-    if orientation is _S3 and len(angles) != 2:
-        raise _not_3d(len(angles) + 1)
     p = object.__new__(Space3Polar if orientation is _S3 else PolarHC)
     _set_modulus(p, modulus)
     _set_angles(p, angles)

@@ -1,7 +1,10 @@
 """scripts/bench_pr.py's summary of a BENCH_<pr>.json record list."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pr.py"
 _spec = importlib.util.spec_from_file_location("bench_pr", SCRIPT)
@@ -41,3 +44,25 @@ def test_summary_gives_each_sides_median_and_quartile_spread():
 def test_summary_covers_the_benchmarks_end_to_end_metrics():
     assert bench_pr.end_to_end_metrics() == [
         "setup_s", "ops_per_s", "latency_p50_ms", "latency_p90_ms", "peak_rss_mb", "passed_ratio"]
+
+
+def test_workloads_and_run_length_are_the_benchmarks():
+    assert bench_pr.workloads() == ("audit", "eval_cli", "expr_batch")
+    assert bench_pr.run_seconds() == 40.0
+    with pytest.raises(SystemExit) as exit_:
+        bench_pr.main(["--pr", "0", "--workload", "bogus", "--seed", "1"])
+    assert exit_.value.code == 2
+
+
+def test_each_run_lasts_the_benchmarks_run_seconds(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append(argv)
+        return subprocess.CompletedProcess(argv, 0, '{"env": 1}\n{"metrics": {}}\n', "")
+
+    monkeypatch.setattr(bench_pr.subprocess, "run", fake_run)
+    assert bench_pr.run_once(tmp_path, "expr_batch", 5, 0) == {"env": 1, "result": {"metrics": {}}}
+    argv = calls[0]
+    assert argv[argv.index("--workload") + 1] == "expr_batch"
+    assert argv[argv.index("--seconds") + 1] == "40.0"
