@@ -16,8 +16,7 @@ kinds:
 
 Each law is declared once, in the ``_LAWS`` table: operand count, fixed
 dimension, draw, drawn integers, normative flag, and its claims, written once
-over operations that two evaluators name alike.  ``audit_law`` alone draws
-the operands, evaluates the law's claims and judges them in order.
+over operations that two evaluators name alike.
 
 Determinism contract: each sample's stream is exactly numpy's
 ``SeedSequence((seed, law code, dim, sample index))`` seeding a PCG64, the
@@ -27,21 +26,19 @@ audit has one source of random numbers: ``_stream_words`` computes the
 streams' words a block of samples at a time (``_seed_words``, then PCG64's
 seeding and output on (high, low) pairs of uint64 words), and every draw
 reads them as numpy's ``Generator.random`` and ``integers`` would, through
-one sample's ``_Stream``.  ``audit_law`` evaluates every block of every cell
-as float64 columns (``_columns.Columns``), bit for bit what the library's
-functions (``_VALUES``) compute, in numpy calls whose count does not grow
-with the dimension; the literal coefficient formulas and the N = 2
-``complex`` oracle run per sample, and the first failing sample is replayed
-with the library's functions, from its block's words, for its
-counterexample.  A block holds at most ``_BLOCK_WORDS`` stream words, so at
-a high dimension it holds few samples.  Operands that are nearly singular
-(tiny modulus, or a canonical angle within 1e-8 of a range boundary) are
-redrawn from the same stream and counted, on the scalar path, separating law
-violations from float pathology near the chart seams.
+one sample's ``_Stream``.  Operands that are nearly singular (tiny modulus,
+or a canonical angle within 1e-8 of a range boundary) are redrawn from the
+same stream and counted, separating law violations from float pathology
+near the chart seams.  ``audit_law`` judges every sample, redrawn or not,
+with its block as float64 columns (``_columns.Columns``), bit for bit what
+the library's functions (``_VALUES``) compute, in numpy calls whose count
+does not grow with the dimension; the literal coefficient formulas and the
+N = 2 ``complex`` oracle run per sample.  The library's functions only
+replay a cell's first failing sample, for its counterexample.
 
-Bounds: at most 2**32 samples per cell (the sample index is one 32-bit
-seed word) and dimensions up to ``MAX_DIM``, so one sample's first attempt
-fits in a block.
+Bounds: at most 2**32 samples per cell (the sample index is one 32-bit seed
+word) and dimensions up to ``MAX_DIM``, so one sample's first attempt fits
+in a block of ``_BLOCK_WORDS`` words, which holds few samples at a high N.
 """
 
 from __future__ import annotations
@@ -98,6 +95,18 @@ class Domain(Enum):
         raise ValueError(f"unknown domain: {value!r} (known: {known})")
 
 
+def _dims(dims) -> tuple[int, ...]:
+    """Audited dimensions as ints; the one rule for ``AuditConfig`` and ``audit_law``."""
+    dims = tuple(int(d) for d in dims)
+    if not dims or any(d < 2 for d in dims):
+        raise ValueError(f"dims must be a nonempty list of ints >= 2, got {dims}")
+    if any(d > MAX_DIM for d in dims):
+        raise ValueError(f"dims must be at most {MAX_DIM}, got {dims}")
+    if len(set(dims)) < len(dims):
+        raise ValueError(f"dims must not repeat, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True, slots=True)
 class AuditConfig:
     dims: tuple[int, ...] = (2, 3, 4)
@@ -107,20 +116,13 @@ class AuditConfig:
     domain: Domain = Domain.UNRESTRICTED
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 2 for d in dims):
-            raise ValueError(f"dims must be a nonempty list of ints >= 2, got {dims}")
-        if any(d > MAX_DIM for d in dims):
-            raise ValueError(f"dims must be at most {MAX_DIM}, got {dims}")
-        if len(set(dims)) < len(dims):
-            raise ValueError(f"dims must not repeat, got {dims}")
+        object.__setattr__(self, "dims", _dims(self.dims))
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.samples > 2**32:  # the sample index is one 32-bit seed word
             raise ValueError(f"samples must be at most 2**32, got {self.samples}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "domain", Domain(self.domain))
         object.__setattr__(self, "samples", int(self.samples))
         object.__setattr__(self, "seed", int(self.seed))
@@ -578,8 +580,8 @@ def _words(spec: _Law, dim: int, domain: Domain) -> tuple[int, int]:
 
 
 def _sample(cfg: AuditConfig, law: str, dim: int, index: int, words):
-    """One sample on the scalar path, from its block's stream words:
-    (operands, redraws, deviation, first failing claim or None)."""
+    """The counterexample replay: one sample through the library's functions,
+    from its block's stream words: (operands, redraws, deviation, failing claim or None)."""
     spec = _LAWS[law]
     rng = _Stream((cfg.seed, law, dim, index), words)
     operands, redraws = _draw_operands(rng, spec, dim, cfg.domain)
@@ -587,37 +589,43 @@ def _sample(cfg: AuditConfig, law: str, dim: int, index: int, words):
     return (operands, redraws, *_judge(spec.claims(_VALUES, ints, *operands), cfg.tolerance))
 
 
-def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, i0: int, raw, dev, failed):
-    """Judge samples i0 ... i0+len(raw)-1 of one cell as columns, into dev
-    and failed, from their stream words: the n doubles each draws, then its
-    integers.  Every block of every cell runs here.  Returns the rows left to
-    the scalar path, those with an operand that ``_draw`` finds near
-    singular, which are redrawn there."""
+def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, i0: int, raw):
+    """Judge samples i0 ... i0+len(raw)-1 of one cell as columns, from their
+    stream words: the n doubles each draws, then its integers.  A row that
+    ``_draw`` finds near singular is first redrawn from its own stream, as
+    ``_draw_operands`` draws it.  Returns (deviation, failed, redraws)."""
     import numpy as np
 
     from . import _columns as K  # loaded here: importing the audit loads no numpy
 
-    spec = _LAWS[law]
-    ints = np.zeros((1, len(raw)), int)  # a row per integer; the last groups samples
-    if spec.ints:
-        streams = (_Stream((cfg.seed, law, dim, i0 + i), row, n) for i, row in enumerate(raw))
-        ints = np.array([[s.integers(*r) for r in spec.ints] for s in streams]).T
+    spec, m, key = _LAWS[law], len(raw), (cfg.seed, law, dim)
     u, w = _doubles(raw[:, :n]), n // spec.operands
     operands, near = zip(*(_draw(K, u[:, j : j + w], spec.chart, cfg.domain) for j in range(0, n, w)))
-    scalar = np.any(near, axis=0)
-    for key in sorted(set(ints[-1][~scalar].tolist())):
-        sel = np.flatnonzero(~scalar & (ints[-1] == key))
-        block_ints = (*ints[:-1, sel], key)[: len(spec.ints)]
+    redrawn, redraws = {}, 0
+    for i in np.flatnonzero(np.any(near, axis=0)).tolist():
+        redrawn[i] = _Stream((*key, i0 + i), raw[i])
+        drawn, count = _draw_operands(redrawn[i], spec, dim, cfg.domain)
+        redraws += count
+        for s, x in zip(operands, drawn):
+            s.c[i] = x.coeffs
+    if redrawn:
+        operands = [K.rows(s.c, spec.chart) for s in operands]
+    ints = np.zeros((1, m), int)  # a row per integer; the last groups samples
+    if spec.ints:
+        streams = (redrawn.get(i) or _Stream((*key, i0 + i), row, n) for i, row in enumerate(raw))
+        ints = np.array([[s.integers(*r) for r in spec.ints] for s in streams]).T
+    dev, failed = np.zeros(m), np.zeros(m, bool)
+    for group in sorted(set(ints[-1].tolist())):
+        sel = np.flatnonzero(ints[-1] == group)
+        block_ints = (*ints[:-1, sel], group)[: len(spec.ints)]
         claims = spec.claims(K.Columns(), block_ints, *(s.take(sel) for s in operands))
         dev[sel], failed[sel] = K.judge(claims, cfg.tolerance, _Distinct)
-    return scalar
+    return dev, failed, redraws
 
 
 def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
     """Tally one law over cfg.samples seeded draws at one dimension."""
-    import numpy as np
-
-    spec, d = _law(law), int(dim)
+    spec, (d,) = _law(law), _dims((dim,))
     n, k = _words(spec, d, cfg.domain)
     # A block computes k <= n + 1 words a sample and at most _BLOCK_WORDS
     # words, whatever the dimension.
@@ -626,12 +634,8 @@ def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
     for i0 in range(0, cfg.samples, rows):
         m = min(rows, cfg.samples - i0)
         raw = _stream_words(cfg.seed, law, d, i0, m, k)
-        dev, failed = np.zeros(m), np.zeros(m, bool)
-        scalar = _column_block(law, cfg, d, n, i0, raw, dev, failed)
-        for i in np.flatnonzero(scalar).tolist():
-            _, redraws, dev[i], claim = _sample(cfg, law, d, i0 + i, raw[i])
-            resamples += redraws
-            failed[i] = claim is not None
+        dev, failed, redraws = _column_block(law, cfg, d, n, i0, raw)
+        resamples += redraws
         passes += m - int(failed.sum())
         max_dev = max(max_dev, float(dev.max()))
         if first_cex is None and failed.any():

@@ -126,6 +126,8 @@ class PolarHC:
             raise TypeError(f"bad orientation: {self.orientation!r}")
         if self.orientation is _S3 and len(angles) != 2:
             raise _not_3d(len(angles) + 1)
+        if self.orientation is _S3 and not isinstance(self, Space3Polar):
+            raise TypeError("an s3 polar value is built as Space3Polar(modulus, theta, phi)")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "angles", angles)
 
@@ -250,8 +252,11 @@ def resolve_orientation(
     bound to a chart.  A requested orientation must agree with a bound ccw/cw
     chart; it applies to the N-dimensional family only, so 3D values keep the
     s3 chart.  Values bound to no chart take the requested one, ccw by
-    default.
+    default (None).  A request that is not an ``Orientation`` raises
+    ``TypeError``.
     """
+    if requested is not None and not isinstance(requested, Orientation):
+        raise TypeError(f"bad orientation: {requested!r}")
     o = x.orientation
     if y is not None and x.dim != y.dim:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} != {y.dim}")
@@ -283,6 +288,8 @@ def canonical_ranges(
     orientation: Orientation, dim: int
 ) -> tuple[tuple[float, float, bool], ...]:
     """(low, high, high excluded) of every angle of a canonical chain."""
+    if not isinstance(orientation, Orientation):
+        raise TypeError(f"bad orientation: {orientation!r}")
     if orientation is _S3:
         if dim != 3:
             raise _not_3d(dim)
@@ -362,16 +369,18 @@ def arguments(
     it lands in [-pi/2, pi/2].  Clockwise is anticlockwise on the mirrored
     axes; 3D values keep the s3 chart.  A zero sub-modulus degenerates to
     +-pi/2 by the sign of a_k (0 when a_k = 0), and a zero number yields the
-    all-zero chain.
+    all-zero chain.  The orientation must be an :class:`Orientation`, as
+    :func:`resolve_orientation` rules.
     """
-    return _chain(s.coeffs, modulus(s), s.orientation or orientation)
+    return _chain(s.coeffs, modulus(s), resolve_orientation(orientation, s))
 
 
 def to_polar(
     s: CartesianHC, orientation: Orientation = Orientation.ANTICLOCKWISE
 ) -> PolarHC:
-    """Canonical polar form of ``s``: (modulus, component arguments)."""
-    o = s.orientation or orientation  # 3D values keep the s3 chart
+    """Canonical polar form of ``s``: (modulus, component arguments).  The
+    orientation must be an :class:`Orientation`; 3D values keep the s3 chart."""
+    o = resolve_orientation(orientation, s)
     r = math.hypot(*s.coeffs)
     return _polar(o, r, _chain(s.coeffs, r, o))
 

@@ -633,3 +633,40 @@ class TestBlockSize:
         for law in LAW_IDS:
             for dim in cfg.dims:
                 assert audit_law(law, cfg, dim) == ref_audit_law(law, cfg, dim), (law, dim)
+
+
+class TestOneJudge:
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_redrawn_samples_are_judged_with_their_block(self, domain, monkeypatch):
+        # a wide angle margin redraws many samples; every sample is judged by
+        # the column kernels, and the library's functions run once a cell at
+        # most, to replay its counterexample
+        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
+        monkeypatch.setattr(audit, "_BLOCK", 8)
+        calls = []
+
+        def sample(cfg, law, dim, index, words):
+            calls.append(index)
+            return sample.real(cfg, law, dim, index, words)
+
+        sample.real = audit._sample
+        monkeypatch.setattr(audit, "_sample", sample)
+        cfg = AuditConfig(dims=(3, 8), samples=30, seed=2**32, domain=domain)
+        resamples = 0
+        for law in LAW_IDS:
+            for dim in cfg.dims:
+                calls.clear()
+                got = audit_law(law, cfg, dim)
+                cex = got.counterexample
+                assert calls == ([] if cex is None else [cex["sample_index"]]), (law, dim)
+                assert got == ref_audit_law(law, cfg, dim), (law, dim)
+                resamples += got.resamples
+        assert resamples > 0
+
+    @pytest.mark.parametrize("dim", [0, 1, -3, audit.MAX_DIM + 1, 5000])
+    def test_audit_law_checks_its_dimension_as_the_config_does(self, dim):
+        with pytest.raises(ValueError) as config:
+            AuditConfig(dims=(dim,))
+        with pytest.raises(ValueError) as cell:
+            audit_law("add_commutative", AuditConfig(samples=2), dim)
+        assert str(cell.value) == str(config.value)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperspace import algebra
+from hyperspace import algebra, expr
 from hyperspace.core import (
     CartesianHC,
     Orientation,
@@ -157,3 +157,37 @@ class TestS3Chart:
         assert Space3(1, 2, 3) != CartesianHC((1, 2, 3))
         assert repr(Space3(1, 2, 3)) == "s3[1,2,3]"
         assert repr(Space3Polar(1, 2, 3)) == "s3p[1; 2, 3]"
+
+
+class TestChartRequests:
+    # a requested chart is an Orientation, or None for the value's own chart
+    s = CartesianHC((1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("bad", ["cw", "ccw", "s3", 1])
+    def test_a_chart_that_is_not_an_orientation_is_rejected(self, bad):
+        tree = expr.parse("c[1,2,3] * c[1,0,1]")
+        calls = [
+            lambda: to_polar(self.s, bad),
+            lambda: arguments(self.s, bad),
+            lambda: algebra.mul(self.s, self.s, bad),
+            lambda: algebra.nth_roots(self.s, 2, bad),
+            lambda: expr.evaluate(tree, bad),
+            lambda: canonical_ranges(bad, 3),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=f"bad orientation: {bad!r}"):
+                call()
+
+    def test_none_means_the_values_chart_else_ccw(self):
+        assert to_polar(self.s, None) == to_polar(self.s, ACW)
+        assert arguments(self.s, None) == arguments(self.s, ACW)
+        assert algebra.mul(self.s, self.s, None) == algebra.mul(self.s, self.s, ACW)
+        assert to_polar(Space3(1, 2, 3), None) == to_polar3(Space3(1, 2, 3))
+
+
+class TestS3PolarValues:
+    def test_a_plain_polar_value_in_the_s3_chart_is_rejected(self):
+        # it would equal neither the Space3Polar of the same numbers nor its
+        # own JSON round trip
+        with pytest.raises(TypeError, match="Space3Polar"):
+            PolarHC(2.0, (0.5, 1.0), S3)
