@@ -13,13 +13,17 @@ to the JSON list in BENCH_<pr>.json at the root of this repository; a run
 that fails is recorded with its exit code and the tail of its stderr.  After
 the runs it prints, for every workload, end-to-end metric (BENCHMARK.json's
 ``end_to_end``) and side in BENCH_<pr>.json, the median and the spread
-between the quartiles over that side's recorded runs.
+between the quartiles over that side's recorded runs; then, for every
+workload and end-to-end metric, at how many seeds run by both the ``parent``
+and the ``change`` side the change read better, and whether every change
+run beat every parent run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import statistics
 import subprocess
 import sys
@@ -72,6 +76,11 @@ def end_to_end_metrics() -> list[str]:
     return [m["name"] for m in benchmark()["end_to_end"]]
 
 
+def better() -> dict[str, str]:
+    """Each end-to-end metric's better direction, "lower" or "higher"."""
+    return {m["name"]: m["better"] for m in benchmark()["end_to_end"]}
+
+
 def summary(records: list[dict], metrics: list[str]) -> list[str]:
     """One line per workload, metric and side: the median, the spread between
     the quartiles, and the quartiles over the side's successful runs.
@@ -89,6 +98,34 @@ def summary(records: list[dict], metrics: list[str]) -> list[str]:
         q1, median, q3 = statistics.quantiles(vs, n=4, method="inclusive") if len(vs) > 1 else vs * 3
         lines.append(f"{workload} {metrics[m]} {label}: median {median:.5g}, "
                      f"IQR {q3 - q1:.5g} [{q1:.5g}, {q3:.5g}], {len(vs)} runs")
+    return lines
+
+
+def pair_counts(records: list[dict], better: dict[str, str]) -> list[str]:
+    """One line per workload and metric of ``better`` (its better direction,
+    "lower" or "higher") that both the ``parent`` and the ``change`` side
+    recorded: at how many of the seeds where both sides ran successfully the
+    change read better (ties count for neither), and whether every change
+    run beat every parent run.  A seed run twice on one side counts its last
+    run.  Workloads come in name order, metrics in the order of ``better``."""
+    runs: dict[tuple, dict] = {}  # (workload, metric, label) -> {seed: value}
+    for record in records:
+        for metric, got in record.get("result", {}).get("metrics", {}).items():
+            if metric in better:
+                key = (record["workload"], metric, record["label"])
+                runs.setdefault(key, {})[record["seed"]] = got["value"]
+    lines = []
+    for workload in sorted({key[0] for key in runs}):
+        for metric, direction in better.items():
+            parent, change = (runs.get((workload, metric, side)) for side in ("parent", "change"))
+            if not parent or not change:
+                continue
+            beats = operator.lt if direction == "lower" else operator.gt
+            seeds = parent.keys() & change.keys()
+            wins = sum(beats(change[seed], parent[seed]) for seed in seeds)
+            every = all(beats(c, p) for c in change.values() for p in parent.values())
+            lines.append(f"{workload} {metric}: change better in {wins} of {len(seeds)} pairs; "
+                         f"every change run beat every parent run: {'yes' if every else 'no'}")
     return lines
 
 
@@ -113,7 +150,8 @@ def run(args) -> int:
                 append(path, record)
                 ok = "result" in record
                 print(f"{label} {workload} seed {seed}: {'recorded' if ok else 'FAILED'}", flush=True)
-    print("\n".join(summary(load(path), end_to_end_metrics())))
+    records = load(path)
+    print("\n".join(summary(records, end_to_end_metrics()) + pair_counts(records, better())))
     return 0
 
 

@@ -22,19 +22,20 @@ Determinism contract: each sample's stream is exactly numpy's
 ``SeedSequence((seed, law code, dim, sample index))`` seeding a PCG64, the
 law code being the law's index in ``_LAWS``, so per-sample results are
 independent of evaluation order and stable under parallel execution.  The
-audit has one source of random numbers: ``_stream_words`` computes the
-streams' words a block of samples at a time (``_seed_words``, then PCG64's
-seeding and output on (high, low) pairs of uint64 words), and every draw
-reads them as numpy's ``Generator.random`` and ``integers`` would, through
-one sample's ``_Stream``.  Operands that are nearly singular (tiny modulus,
-or a canonical angle within 1e-8 of a range boundary) are redrawn from the
-same stream and counted, separating law violations from float pathology
-near the chart seams.  ``audit_law`` judges every sample, redrawn or not,
-with its block as float64 columns (``_columns.Columns``), bit for bit what
-the library's functions (``_VALUES``) compute, in numpy calls whose count
-does not grow with the dimension; the literal coefficient formulas and the
-N = 2 ``complex`` oracle run per sample.  The library's functions only
-replay a cell's first failing sample, for its counterexample.
+audit has one source of random numbers: ``audit_law`` seeds a block of
+samples once (``_seed_words``), ``_stream_words`` computes their words
+(PCG64's seeding and output on (high, low) pairs of uint64 words), and every
+draw reads them as numpy's ``Generator.random`` and ``integers`` would,
+through one sample's ``_Stream``, which computes more from its seed words.
+Operands that are nearly singular (tiny modulus, or a canonical angle within
+1e-8 of a range boundary) are redrawn from the same stream and counted,
+separating law violations from float pathology near the chart seams.
+``audit_law`` judges every sample, redrawn or not, with its block as float64
+columns (``_columns.Columns``), bit for bit what the library's functions
+(``_VALUES``) compute, in numpy calls whose count does not grow with the
+dimension; the literal coefficient formulas and the N = 2 ``complex`` oracle
+run per sample.  The library's functions only replay a cell's first failing
+sample, for its counterexample.
 
 Bounds: at most 2**32 samples per cell (the sample index is one 32-bit seed
 word) and dimensions up to ``MAX_DIM``, so one sample's first attempt fits
@@ -254,14 +255,14 @@ def _pcg_jumps(k: int) -> tuple[tuple, tuple]:
     return (hi[0::2], lo[0::2]), (hi[1::2], lo[1::2])
 
 
-def _stream_words(seed: int, law: str, dim: int, i0: int, m: int, k: int):
-    """The first k outputs of the streams of samples i0 ... i0+m-1 of one
-    cell, an (m, k) uint64 array: row i is what numpy's
-    ``PCG64(SeedSequence((seed, law code, dim, i0 + i))).random_raw(k)``
-    gives.  PCG64 seeds from state 0 with the odd increment inc = 2 * seq
-    + 1 (step, add the initial state, step); each output steps, then takes
-    the XSL-RR of the state."""
-    s0, s1, q0, q1 = (w[:, None] for w in _seed_words(seed, _LAW_CODES[law], dim, i0, m).T)
+def _stream_words(seeds, k: int):
+    """The first k outputs of the streams of (m, 4) ``_seed_words`` rows, an
+    (m, k) uint64 array: row i is what ``random_raw(k)`` gives of numpy's
+    PCG64 seeded by the SeedSequence whose state is row i.  PCG64 seeds
+    from state 0 with the odd increment inc = 2 * seq + 1 (step, add the
+    initial state, step); each output steps, then takes the XSL-RR of the
+    state."""
+    s0, s1, q0, q1 = (w[:, None] for w in seeds.T)
     inc = (q0 << 1 | q1 >> 63, q1 << 1 | 1)
     a, c = _pcg_jumps(k)
     hi, lo = _add(_mul(a, _add((s0, s1), inc)), _mul(c, inc))
@@ -277,19 +278,18 @@ def _doubles(words):
 class _Stream:
     """One sample's stream, read as numpy's ``Generator`` reads it: doubles a
     word each, integers from 32-bit halves.  It starts from the words its
-    block computed, at word ``pos``, and asks :func:`_stream_words` for more
-    only when a redraw or a rejection runs past them."""
+    block computed, at word ``pos``, and computes more from its seed words."""
 
-    __slots__ = ("key", "words", "pos", "half")
+    __slots__ = ("seeds", "words", "pos", "half")
 
-    def __init__(self, key: tuple, words=(), pos: int = 0):
-        self.key, self.words, self.pos = key, words, pos  # key: (seed, law, dim, index)
+    def __init__(self, seeds, words=(), pos: int = 0):
+        self.seeds, self.words, self.pos = seeds, words, pos
         self.half = None  # the high half of a word whose low half was drawn
 
     def _take(self, k: int):
         end = self.pos + k
         if end > len(self.words):
-            self.words = _stream_words(*self.key, 1, max(end, 2 * len(self.words)))[0]
+            self.words = _stream_words(self.seeds[None], max(end, 2 * len(self.words)))[0]
         out, self.pos = self.words[self.pos : end], end
         return out
 
@@ -560,7 +560,6 @@ _LAWS = {
 }
 
 LAW_IDS: tuple[str, ...] = tuple(_LAWS)
-_LAW_CODES = {law: i for i, law in enumerate(LAW_IDS)}
 NORMATIVE_LAWS = frozenset(law for law in LAW_IDS if _LAWS[law].normative)
 HYPOTHESIS_LAWS = frozenset(LAW_IDS) - NORMATIVE_LAWS
 
@@ -579,31 +578,31 @@ def _words(spec: _Law, dim: int, domain: Domain) -> tuple[int, int]:
     return n, n + (len(spec.ints) + 1) // 2
 
 
-def _sample(cfg: AuditConfig, law: str, dim: int, index: int, words):
+def _sample(cfg: AuditConfig, law: str, dim: int, seeds, words):
     """The counterexample replay: one sample through the library's functions,
-    from its block's stream words: (operands, redraws, deviation, failing claim or None)."""
+    from its seed and stream words: (operands, redraws, deviation, failing claim or None)."""
     spec = _LAWS[law]
-    rng = _Stream((cfg.seed, law, dim, index), words)
+    rng = _Stream(seeds, words)
     operands, redraws = _draw_operands(rng, spec, dim, cfg.domain)
     ints = [rng.integers(*r) for r in spec.ints]
     return (operands, redraws, *_judge(spec.claims(_VALUES, ints, *operands), cfg.tolerance))
 
 
-def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, i0: int, raw):
-    """Judge samples i0 ... i0+len(raw)-1 of one cell as columns, from their
-    stream words: the n doubles each draws, then its integers.  A row that
-    ``_draw`` finds near singular is first redrawn from its own stream, as
-    ``_draw_operands`` draws it.  Returns (deviation, failed, redraws)."""
+def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, seeds, raw):
+    """Judge a block of one cell's samples as columns, from their seed words
+    and stream words: the n doubles each draws, then its integers.  A row
+    that ``_draw`` finds near singular is first redrawn from its own stream,
+    as ``_draw_operands`` draws it.  Returns (deviation, failed, redraws)."""
     import numpy as np
 
     from . import _columns as K  # loaded here: importing the audit loads no numpy
 
-    spec, m, key = _LAWS[law], len(raw), (cfg.seed, law, dim)
+    spec, m = _LAWS[law], len(raw)
     u, w = _doubles(raw[:, :n]), n // spec.operands
     operands, near = zip(*(_draw(K, u[:, j : j + w], spec.chart, cfg.domain) for j in range(0, n, w)))
     redrawn, redraws = {}, 0
     for i in np.flatnonzero(np.any(near, axis=0)).tolist():
-        redrawn[i] = _Stream((*key, i0 + i), raw[i])
+        redrawn[i] = _Stream(seeds[i], raw[i])
         drawn, count = _draw_operands(redrawn[i], spec, dim, cfg.domain)
         redraws += count
         for s, x in zip(operands, drawn):
@@ -612,7 +611,7 @@ def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, i0: int, raw):
         operands = [K.rows(s.c, spec.chart) for s in operands]
     ints = np.zeros((1, m), int)  # a row per integer; the last groups samples
     if spec.ints:
-        streams = (redrawn.get(i) or _Stream((*key, i0 + i), row, n) for i, row in enumerate(raw))
+        streams = (redrawn.get(i) or _Stream(seeds[i], row, n) for i, row in enumerate(raw))
         ints = np.array([[s.integers(*r) for r in spec.ints] for s in streams]).T
     dev, failed = np.zeros(m), np.zeros(m, bool)
     for group in sorted(set(ints[-1].tolist())):
@@ -633,14 +632,15 @@ def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
     passes, max_dev, resamples, first_cex = 0, 0.0, 0, None
     for i0 in range(0, cfg.samples, rows):
         m = min(rows, cfg.samples - i0)
-        raw = _stream_words(cfg.seed, law, d, i0, m, k)
-        dev, failed, redraws = _column_block(law, cfg, d, n, i0, raw)
+        seeds = _seed_words(cfg.seed, LAW_IDS.index(law), d, i0, m)
+        raw = _stream_words(seeds, k)
+        dev, failed, redraws = _column_block(law, cfg, d, n, seeds, raw)
         resamples += redraws
         passes += m - int(failed.sum())
         max_dev = max(max_dev, float(dev.max()))
         if first_cex is None and failed.any():
             index = i0 + int(failed.argmax())
-            drawn, _, replayed, claim = _sample(cfg, law, d, index, raw[index - i0])
+            drawn, _, replayed, claim = _sample(cfg, law, d, seeds[index - i0], raw[index - i0])
             if claim is None or replayed != dev[index - i0]:
                 raise RuntimeError(f"{law} sample {index}: column and scalar verdicts differ")
             lhs, rhs, tags = claim

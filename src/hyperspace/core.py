@@ -48,6 +48,13 @@ class Orientation(Enum):
     CLOCKWISE = "cw"
     S3 = "s3"
 
+    @classmethod
+    def check(cls, o) -> Orientation:
+        """``o``, which must be an ``Orientation``: the one check of a chart's type."""
+        if not isinstance(o, cls):
+            raise TypeError(f"bad orientation: {o!r}")
+        return o
+
 
 _CCW, _CW, _S3 = Orientation
 
@@ -122,8 +129,7 @@ class PolarHC:
             raise ValueError("need at least one angle (dim >= 2)")
         if not all(map(math.isfinite, angles)):
             raise ValueError(f"angles must be finite, got {angles}")
-        if not isinstance(self.orientation, Orientation):
-            raise TypeError(f"bad orientation: {self.orientation!r}")
+        Orientation.check(self.orientation)
         if self.orientation is _S3 and len(angles) != 2:
             raise _not_3d(len(angles) + 1)
         if self.orientation is _S3 and not isinstance(self, Space3Polar):
@@ -255,8 +261,8 @@ def resolve_orientation(
     default (None).  A request that is not an ``Orientation`` raises
     ``TypeError``.
     """
-    if requested is not None and not isinstance(requested, Orientation):
-        raise TypeError(f"bad orientation: {requested!r}")
+    if requested is not None:
+        Orientation.check(requested)
     o = x.orientation
     if y is not None and x.dim != y.dim:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} != {y.dim}")
@@ -288,8 +294,7 @@ def canonical_ranges(
     orientation: Orientation, dim: int
 ) -> tuple[tuple[float, float, bool], ...]:
     """(low, high, high excluded) of every angle of a canonical chain."""
-    if not isinstance(orientation, Orientation):
-        raise TypeError(f"bad orientation: {orientation!r}")
+    Orientation.check(orientation)
     if orientation is _S3:
         if dim != 3:
             raise _not_3d(dim)

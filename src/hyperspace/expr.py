@@ -425,7 +425,7 @@ def evaluate(node: Expr, orientation: Orientation = Orientation.ANTICLOCKWISE) -
     The orientation is the chart of N-dimensional values; 3D values keep
     the s3 chart.
     """
-    o = orientation
+    o = orientation if orientation is None else Orientation.check(orientation)
     if isinstance(node, Literal):
         chart = Orientation.S3 if node.head in _S3_HEADS else o
         if node.head in _POLAR_HEADS:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -257,9 +258,14 @@ def ref_rng(seed, law, dim, index):
     return np.random.default_rng(np.random.SeedSequence((seed, LAW_IDS.index(law), dim, index)))
 
 
+def seed_row(seed, law, dim, index):
+    """A sample's seed words, as its block computes them."""
+    return audit._seed_words(seed, LAW_IDS.index(law), dim, index, 1)[0]
+
+
 def stream(seed, law, dim, index):
     """A sample's stream as the audit reads it, computing its own words."""
-    return audit._Stream((seed, law, dim, index))
+    return audit._Stream(seed_row(seed, law, dim, index))
 
 
 def pcg64_whose_next_word_is(word):
@@ -368,10 +374,11 @@ class TestStreams:
         ranges = [(-4, 9), (1, 7), (0, 9)]
         for law in LAW_IDS:
             for dim in (2, 3, 8):
-                raw = audit._stream_words(seed, law, dim, 3, 7, 11)
+                seeds = audit._seed_words(seed, LAW_IDS.index(law), dim, 3, 7)
+                raw = audit._stream_words(seeds, 11)
                 for i in range(7):
                     assert raw[i].tolist() == ref_rng(seed, law, dim, 3 + i).bit_generator.random_raw(11).tolist()
-                    ref, got = ref_rng(seed, law, dim, 3 + i), audit._Stream((seed, law, dim, 3 + i), raw[i])
+                    ref, got = ref_rng(seed, law, dim, 3 + i), audit._Stream(seeds[i], raw[i])
                     assert got.random(9).tolist() == ref.random(9).tolist()
                     assert [got.integers(*r) for r in ranges] == [int(ref.integers(*r)) for r in ranges]
 
@@ -379,9 +386,12 @@ class TestStreams:
         # samples on both sides of the audit's block boundary, drawn as one
         # block and as two
         seed, law, i0 = 2**64 - 1, "roots_correct", audit._BLOCK - 2
-        whole = audit._stream_words(seed, law, 3, i0, 5, 3).tolist()
-        assert whole == audit._stream_words(seed, law, 3, i0, 2, 3).tolist() + \
-            audit._stream_words(seed, law, 3, audit._BLOCK, 3, 3).tolist()
+
+        def words(i0, m):
+            return audit._stream_words(audit._seed_words(seed, LAW_IDS.index(law), 3, i0, m), 3).tolist()
+
+        whole = words(i0, 5)
+        assert whole == words(i0, 2) + words(audit._BLOCK, 3)
         assert whole == [ref_rng(seed, law, 3, i).bit_generator.random_raw(3).tolist() for i in range(i0, i0 + 5)]
 
     # Lemire's method rejects a 32-bit draw x when the low half of x * 13 is
@@ -414,8 +424,8 @@ class TestStreams:
     @pytest.mark.parametrize("law", LAW_IDS)
     def test_redraws_match_the_reference(self, law, domain, monkeypatch):
         # a wide angle margin rejects many attempts, so redraws interleave
-        # with the later operands' doubles, and the audit's blocks mix rows
-        # evaluated as columns with redrawn rows evaluated on the scalar path
+        # with the later operands' doubles, and the audit's blocks judge their
+        # redrawn rows with the rest
         monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
         monkeypatch.setattr(audit, "_BLOCK", 8)
         cfg = AuditConfig(dims=(3,), samples=30, seed=2**32, domain=domain)
@@ -518,11 +528,12 @@ def evaluated_block(law, dim, domain, rows):
 
     spec = audit._LAWS[law]
     n, k = audit._words(spec, dim, domain)
-    raw = audit._stream_words(5, law, dim, 0, rows, k)
+    seeds = audit._seed_words(5, LAW_IDS.index(law), dim, 0, rows)
+    raw = audit._stream_words(seeds, k)
     u, w = audit._doubles(raw[:, :n]), n // spec.operands
     blocks = [audit._draw(_columns, u[:, j : j + w], spec.chart, domain)[0] for j in range(0, n, w)]
     values = [[core.make_cartesian(spec.chart, b.c[i].tolist()) for b in blocks] for i in range(rows)]
-    streams = [audit._Stream((5, law, dim, i), raw[i], n) for i in range(rows)]
+    streams = [audit._Stream(seeds[i], raw[i], n) for i in range(rows)]
     ints = [[s.integers(*r) for r in spec.ints] for s in streams]
     return blocks, values, ints
 
@@ -586,9 +597,9 @@ class TestBlockSize:
         # blocks shrink with the dimension, down to one sample
         blocks = []
 
-        def stream_words(seed, law, dim, i0, m, k):
-            blocks.append((dim, m, k))
-            return stream_words.real(seed, law, dim, i0, m, k)
+        def stream_words(seeds, k):
+            blocks.append((dim, len(seeds), k))  # dim: the cell being audited below
+            return stream_words.real(seeds, k)
 
         stream_words.real = audit._stream_words
         monkeypatch.setattr(audit, "_stream_words", stream_words)
@@ -600,14 +611,15 @@ class TestBlockSize:
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_every_cell_runs_on_the_column_path(self, domain, monkeypatch):
-        # at any dimension only redrawn rows and the counterexample replay
-        # run on the scalar path; the two Cartesian agreement laws' literal
-        # formulas take seconds a sample at MAX_DIM, so they stop at N = 600
+        # at any dimension every sample, redrawn or not, is judged with its
+        # block, and the library's functions only replay the counterexample;
+        # the two Cartesian agreement laws' literal formulas take seconds a
+        # sample at MAX_DIM, so they stop at N = 600
         calls = []
 
-        def sample(cfg, law, dim, index, words):
-            out = sample.real(cfg, law, dim, index, words)
-            calls.append((index, out[1]))
+        def sample(cfg, law, dim, seeds, words):
+            out = sample.real(cfg, law, dim, seeds, words)
+            calls.append((seeds.tolist(), out[1]))
             return out
 
         sample.real = audit._sample
@@ -620,9 +632,10 @@ class TestBlockSize:
                     continue
                 calls.clear()
                 result = audit_law(law, cfg, dim)
-                plain = [index for index, redraws in calls if redraws == 0]
+                plain = [seeds for seeds, redraws in calls if redraws == 0]
                 cex = result.counterexample
-                assert plain in ([], [] if cex is None else [cex["sample_index"]]), (law, dim)
+                replayed = [] if cex is None else [seed_row(cfg.seed, law, dim, cex["sample_index"]).tolist()]
+                assert plain in ([], replayed), (law, dim)
 
     @pytest.mark.parametrize("words", [300, 1000])
     def test_small_blocks_and_scalar_cells_are_the_scalar_cells(self, words, monkeypatch):
@@ -645,9 +658,9 @@ class TestOneJudge:
         monkeypatch.setattr(audit, "_BLOCK", 8)
         calls = []
 
-        def sample(cfg, law, dim, index, words):
-            calls.append(index)
-            return sample.real(cfg, law, dim, index, words)
+        def sample(cfg, law, dim, seeds, words):
+            calls.append(seeds.tolist())
+            return sample.real(cfg, law, dim, seeds, words)
 
         sample.real = audit._sample
         monkeypatch.setattr(audit, "_sample", sample)
@@ -658,10 +671,40 @@ class TestOneJudge:
                 calls.clear()
                 got = audit_law(law, cfg, dim)
                 cex = got.counterexample
-                assert calls == ([] if cex is None else [cex["sample_index"]]), (law, dim)
+                replayed = [] if cex is None else [seed_row(cfg.seed, law, dim, cex["sample_index"]).tolist()]
+                assert calls == replayed, (law, dim)
                 assert got == ref_audit_law(law, cfg, dim), (law, dim)
                 resamples += got.resamples
         assert resamples > 0
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_each_block_is_seeded_once_by_audit_law(self, domain, monkeypatch):
+        # redraws and rejections run past their block's words; their streams
+        # compute more words from the seed words the block computed, so the
+        # seed words are computed once a block, for its own samples
+        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
+        monkeypatch.setattr(audit, "_BLOCK", 8)
+        seedings, extended = [], []
+
+        def seed_words(seed, code, dim, i0, m):
+            seedings.append((sys._getframe(1).f_code.co_name, seed, code, dim, i0, m))
+            return seed_words.real(seed, code, dim, i0, m)
+
+        def stream_words(*args):
+            extended.append(sys._getframe(1).f_code.co_name == "_take")
+            return stream_words.real(*args)
+
+        seed_words.real, stream_words.real = audit._seed_words, audit._stream_words
+        monkeypatch.setattr(audit, "_seed_words", seed_words)
+        monkeypatch.setattr(audit, "_stream_words", stream_words)
+        cfg = AuditConfig(dims=(3, 8), samples=30, seed=2**32, domain=domain)
+        blocks = [(i0, min(8, cfg.samples - i0)) for i0 in range(0, cfg.samples, 8)]
+        for code, law in enumerate(LAW_IDS):
+            for dim in cfg.dims:
+                seedings.clear()
+                audit_law(law, cfg, dim)
+                assert seedings == [("audit_law", cfg.seed, code, dim, i0, m) for i0, m in blocks], (law, dim)
+        assert any(extended)
 
     @pytest.mark.parametrize("dim", [0, 1, -3, audit.MAX_DIM + 1, 5000])
     def test_audit_law_checks_its_dimension_as_the_config_does(self, dim):

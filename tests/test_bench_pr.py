@@ -41,6 +41,30 @@ def test_summary_gives_each_sides_median_and_quartile_spread():
     ]
 
 
+def test_pair_counts_count_the_seeds_where_the_change_read_better():
+    runs = [  # seed, parent's and change's ops_per_s and peak_rss_mb; None: a failed run
+        (1, (10.0, 30.0), (12.0, 29.0)),
+        (2, (11.0, 30.0), (11.0, 29.0)),  # a tie in ops_per_s counts for neither side
+        (3, (12.0, 30.0), None),  # no pair
+        (4, (9.0, 30.0), (13.0, 29.0)),
+    ]
+    records = []
+    for seed, parent, change in runs:
+        for label, got in (("parent", parent), ("change", change)):
+            if got is None:
+                records.append({"label": label, "workload": "audit", "seed": seed, "exit_code": 1})
+            else:
+                records.append({**record(label, "audit", ops_per_s=got[0], peak_rss_mb=got[1]), "seed": seed})
+    records.append({**record("other", "audit", ops_per_s=99.0), "seed": 1})  # neither side
+    better = {"ops_per_s": "higher", "latency_p50_ms": "lower", "peak_rss_mb": "lower"}
+    assert bench_pr.pair_counts(records, better) == [
+        # change runs 12, 11, 13 against parent runs 10, 11, 12, 9
+        "audit ops_per_s: change better in 2 of 3 pairs; every change run beat every parent run: no",
+        "audit peak_rss_mb: change better in 3 of 3 pairs; every change run beat every parent run: yes",
+    ]
+    assert bench_pr.better()["ops_per_s"] == "higher" and bench_pr.better()["peak_rss_mb"] == "lower"
+
+
 def test_summary_covers_the_benchmarks_end_to_end_metrics():
     assert bench_pr.end_to_end_metrics() == [
         "setup_s", "ops_per_s", "latency_p50_ms", "latency_p90_ms", "peak_rss_mb", "passed_ratio"]

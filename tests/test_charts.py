@@ -165,13 +165,16 @@ class TestChartRequests:
 
     @pytest.mark.parametrize("bad", ["cw", "ccw", "s3", 1])
     def test_a_chart_that_is_not_an_orientation_is_rejected(self, bad):
-        tree = expr.parse("c[1,2,3] * c[1,0,1]")
+        # evaluate checks its chart where it starts, also for trees whose
+        # nodes pick no chart
+        trees = map(expr.parse, ["c[1,2,3] * c[1,0,1]", "c[1,2]+c[3,4]", "abs(c[1,2])", "-c[1,2]",
+                                 "conj(c[1,2])", "lift(c[3,4],12)"])
         calls = [
             lambda: to_polar(self.s, bad),
             lambda: arguments(self.s, bad),
             lambda: algebra.mul(self.s, self.s, bad),
             lambda: algebra.nth_roots(self.s, 2, bad),
-            lambda: expr.evaluate(tree, bad),
+            *(lambda tree=tree: expr.evaluate(tree, bad) for tree in trees),
             lambda: canonical_ranges(bad, 3),
         ]
         for call in calls:
