@@ -10,13 +10,14 @@ benchmark.  For each seed and workload the sides run in turn, and the side
 that goes first alternates from one seed to the next.  After every run
 its environment line and result line are appended, under the side's label,
 to the JSON list in BENCH_<pr>.json at the root of this repository; a run
-that fails is recorded with its exit code and the tail of its stderr.  After
-the runs it prints, for every workload, end-to-end metric (BENCHMARK.json's
-``end_to_end``) and side in BENCH_<pr>.json, the median and the spread
-between the quartiles over that side's recorded runs; then, for every
-workload and end-to-end metric, at how many seeds run by both the ``parent``
-and the ``change`` side the change read better, and whether every change
-run beat every parent run.
+that fails, or whose last two lines are not JSON objects, is recorded with
+its exit code and the tails of its stderr and stdout, and the runs go on.
+After the runs it prints, for every workload, end-to-end metric
+(BENCHMARK.json's ``end_to_end``) and side in BENCH_<pr>.json, the median
+and the spread between the quartiles over that side's recorded runs; then,
+for every workload and end-to-end metric, at how many seeds run by both the
+``parent`` and the ``change`` side the change read better, and whether every
+change run beat every parent run.
 """
 
 from __future__ import annotations
@@ -67,9 +68,16 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
             "--seed", str(seed), "--seconds", str(run_seconds()), "--trace", str(trace)]
     proc = subprocess.run(argv, capture_output=True, text=True, cwd=checkout)
     lines = proc.stdout.strip().splitlines()
+    failed = {"exit_code": proc.returncode, "stderr": proc.stderr[-2000:], "stdout": proc.stdout[-2000:]}
     if proc.returncode != 0 or len(lines) < 2:
-        return {"exit_code": proc.returncode, "stderr": proc.stderr[-2000:]}
-    return {**json.loads(lines[-2]), "result": json.loads(lines[-1])}
+        return failed
+    try:
+        env, result = map(json.loads, lines[-2:])
+    except ValueError:  # a line that is not JSON
+        return failed
+    if not isinstance(env, dict) or not isinstance(result, dict):
+        return failed
+    return {**env, "result": result}
 
 
 def end_to_end_metrics() -> list[str]:

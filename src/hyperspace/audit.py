@@ -25,17 +25,17 @@ independent of evaluation order and stable under parallel execution.  The
 audit has one source of random numbers: ``audit_law`` seeds a block of
 samples once (``_seed_words``), ``_stream_words`` computes their words
 (PCG64's seeding and output on (high, low) pairs of uint64 words), and every
-draw reads them as numpy's ``Generator.random`` and ``integers`` would,
-through one sample's ``_Stream``, which computes more from its seed words.
-Operands that are nearly singular (tiny modulus, or a canonical angle within
-1e-8 of a range boundary) are redrawn from the same stream and counted,
-separating law violations from float pathology near the chart seams.
-``audit_law`` judges every sample, redrawn or not, with its block as float64
-columns (``_columns.Columns``), bit for bit what the library's functions
-(``_VALUES``) compute, in numpy calls whose count does not grow with the
-dimension; the literal coefficient formulas and the N = 2 ``complex`` oracle
-run per sample.  The library's functions only replay a cell's first failing
-sample, for its counterexample.
+draw reads them as numpy's ``Generator.random`` and ``integers`` would.  A
+sample's operands are the first attempts of its stream that are not nearly
+singular (tiny modulus, or a canonical angle within 1e-8 of a range
+boundary); the others are redrawn and counted, separating law violations
+from float pathology near the chart seams.  ``_draw_block`` draws every
+attempt of a block once, and ``audit_law`` judges every sample with its
+block as float64 columns (``_columns.Columns``), bit for bit what the
+library's functions (``_VALUES``) compute, in numpy calls whose count does
+not grow with the dimension; the literal coefficient formulas and the N = 2
+``complex`` oracle run per sample.  The library's functions only replay a
+cell's first failing sample, on the operands and integers its block drew.
 
 Bounds: at most 2**32 samples per cell (the sample index is one 32-bit seed
 word) and dimensions up to ``MAX_DIM``, so one sample's first attempt fits
@@ -52,7 +52,6 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from itertools import islice
 from types import SimpleNamespace
 from typing import Callable
 
@@ -98,9 +97,10 @@ class Domain(Enum):
 
 def _dims(dims) -> tuple[int, ...]:
     """Audited dimensions as ints; the one rule for ``AuditConfig`` and ``audit_law``."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 2 for d in dims):
+    dims = tuple(dims)
+    if not dims or any(not hasattr(d, "__index__") or d < 2 for d in dims):
         raise ValueError(f"dims must be a nonempty list of ints >= 2, got {dims}")
+    dims = tuple(map(operator.index, dims))  # ints, never truncated
     if any(d > MAX_DIM for d in dims):
         raise ValueError(f"dims must be at most {MAX_DIM}, got {dims}")
     if len(set(dims)) < len(dims):
@@ -118,15 +118,17 @@ class AuditConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", _dims(self.dims))
+        for name in ("samples", "seed"):  # ints, as _dims takes them
+            if not hasattr(value := getattr(self, name), "__index__"):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.samples > 2**32:  # the sample index is one 32-bit seed word
             raise ValueError(f"samples must be at most 2**32, got {self.samples}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         object.__setattr__(self, "domain", Domain(self.domain))
-        object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,8 +279,8 @@ def _doubles(words):
 
 class _Stream:
     """One sample's stream, read as numpy's ``Generator`` reads it: doubles a
-    word each, integers from 32-bit halves.  It starts from the words its
-    block computed, at word ``pos``, and computes more from its seed words."""
+    word each, integers from 32-bit halves.  It starts at word ``pos`` of its
+    block's words, past the first attempts, and computes more from its seeds."""
 
     __slots__ = ("seeds", "words", "pos", "half")
 
@@ -345,35 +347,6 @@ def _draw(K, u, chart: Orientation, domain: Domain):
     lo, hi = _bounds(chart, c.shape[1])
     edge = (s.t - lo < _ANGLE_MARGIN) | (hi - s.t < _ANGLE_MARGIN)
     return s, (s.r < _SINGULAR_MODULUS) | edge.any(axis=1)
-
-
-def _draw_operands(
-    rng: _Stream, law: _Law, dim: int, domain: Domain
-) -> tuple[list[CartesianHC], int]:
-    """The law's operands: one ``_draw`` of all first attempts, from one
-    ``rng.random`` call of w doubles per operand, then one of one row per
-    redraw.  A near-singular attempt is redrawn from the next w doubles, so
-    the stream ends where drawing attempt by attempt would leave it."""
-    from . import _columns as K
-
-    w = (law.dim or dim) + (domain is Domain.UNRESTRICTED)  # mag + d coefficients, or mag + d-1 angles
-
-    def attempts():
-        s, near = _draw(K, rng.random(law.operands * w).reshape(-1, w), law.chart, domain)
-        while True:
-            yield from zip(s.c.tolist(), near.tolist())
-            s, near = _draw(K, rng.random(w)[None], law.chart, domain)
-
-    tries, out, redraws = attempts(), [], 0
-    for _ in range(law.operands):
-        for c, near in islice(tries, _MAX_REDRAWS):
-            if not near:
-                break
-            redraws += 1
-        else:
-            raise RuntimeError("exhausted redraws for a non-singular operand")
-        out.append(_cartesian(law.chart, tuple(c)))
-    return out, redraws
 
 
 # ---------------------------------------------------------------------------
@@ -578,48 +551,71 @@ def _words(spec: _Law, dim: int, domain: Domain) -> tuple[int, int]:
     return n, n + (len(spec.ints) + 1) // 2
 
 
-def _sample(cfg: AuditConfig, law: str, dim: int, seeds, words):
-    """The counterexample replay: one sample through the library's functions,
-    from its seed and stream words: (operands, redraws, deviation, failing claim or None)."""
+def _draw_block(K, spec: _Law, domain: Domain, seeds, raw, n: int):
+    """A block's operands, one ``K.Rows`` each, the streams its redraws read
+    (by row) and each row's redraws.  A sample's operands are the first
+    attempts of its stream, n / operands doubles each, that ``_draw`` does
+    not find near singular; at most ``_MAX_REDRAWS`` attempts in a row may
+    be.  Round r draws attempt r of every sample still short of operands in
+    one ``_draw``: rounds below the operand count read the block's words,
+    later ones each sample's ``_Stream``, which starts at word n."""
+    import numpy as np
+
+    m, w = len(raw), n // spec.operands
+    got, run, redraws = np.zeros((3, m), int)  # by row: operands, near attempts in a row, redraws
+    todo, streams, r = np.arange(m), {}, 0
+    while len(todo):
+        if r < spec.operands:
+            u = _doubles(raw[:, r * w : (r + 1) * w])
+        else:  # the samples the first rounds left short, one stream each
+            streams = streams or {i: _Stream(seeds[i], raw[i], n) for i in todo.tolist()}
+            u = np.array([streams[i].random(w) for i in todo.tolist()])
+        s, near = _draw(K, u, spec.chart, domain)
+        if r == 0:
+            parts = [np.empty((spec.operands, *a.shape)) for a in s[:3]]
+        ok = todo[~near]
+        for whole, part in zip(parts, s):  # an attempt is the next operand its row lacks
+            whole[got[ok], ok] = part[~near]
+        got[ok] += 1
+        run[todo] = (run[todo] + 1) * near
+        redraws[todo] += near
+        if run.max() >= _MAX_REDRAWS:
+            raise RuntimeError("exhausted redraws for a non-singular operand")
+        todo, r = todo[got[todo] < spec.operands], r + 1
+    return [K.Rows(c, mod, t, spec.chart) for c, mod, t in zip(*parts)], streams, redraws
+
+
+def _sample(cfg: AuditConfig, law: str, operands, ints, j: int):
+    """The counterexample replay: row j of a block's operands and integers,
+    exactly as the block drew them, through the library's functions:
+    (operands, deviation, failing claim or None)."""
     spec = _LAWS[law]
-    rng = _Stream(seeds, words)
-    operands, redraws = _draw_operands(rng, spec, dim, cfg.domain)
-    ints = [rng.integers(*r) for r in spec.ints]
-    return (operands, redraws, *_judge(spec.claims(_VALUES, ints, *operands), cfg.tolerance))
+    drawn = [_cartesian(spec.chart, tuple(s.c[j].tolist())) for s in operands]
+    ints = ints[: len(spec.ints), j].tolist()
+    return (drawn, *_judge(spec.claims(_VALUES, ints, *drawn), cfg.tolerance))
 
 
-def _column_block(law: str, cfg: AuditConfig, dim: int, n: int, seeds, raw):
-    """Judge a block of one cell's samples as columns, from their seed words
-    and stream words: the n doubles each draws, then its integers.  A row
-    that ``_draw`` finds near singular is first redrawn from its own stream,
-    as ``_draw_operands`` draws it.  Returns (deviation, failed, redraws)."""
+def _column_block(law: str, cfg: AuditConfig, n: int, seeds, raw):
+    """Judge a block of one cell's samples as columns, on the operands
+    ``_draw_block`` draws and the integers each stream draws next.  Returns
+    (deviation, failed, redraws, (operands, integers))."""
     import numpy as np
 
     from . import _columns as K  # loaded here: importing the audit loads no numpy
 
     spec, m = _LAWS[law], len(raw)
-    u, w = _doubles(raw[:, :n]), n // spec.operands
-    operands, near = zip(*(_draw(K, u[:, j : j + w], spec.chart, cfg.domain) for j in range(0, n, w)))
-    redrawn, redraws = {}, 0
-    for i in np.flatnonzero(np.any(near, axis=0)).tolist():
-        redrawn[i] = _Stream(seeds[i], raw[i])
-        drawn, count = _draw_operands(redrawn[i], spec, dim, cfg.domain)
-        redraws += count
-        for s, x in zip(operands, drawn):
-            s.c[i] = x.coeffs
-    if redrawn:
-        operands = [K.rows(s.c, spec.chart) for s in operands]
+    operands, streams, redraws = _draw_block(K, spec, cfg.domain, seeds, raw, n)
     ints = np.zeros((1, m), int)  # a row per integer; the last groups samples
     if spec.ints:
-        streams = (redrawn.get(i) or _Stream(seeds[i], row, n) for i, row in enumerate(raw))
-        ints = np.array([[s.integers(*r) for r in spec.ints] for s in streams]).T
+        rows = (streams.get(i) or _Stream(seeds[i], row, n) for i, row in enumerate(raw))
+        ints = np.array([[s.integers(*r) for r in spec.ints] for s in rows]).T
     dev, failed = np.zeros(m), np.zeros(m, bool)
     for group in sorted(set(ints[-1].tolist())):
         sel = np.flatnonzero(ints[-1] == group)
         block_ints = (*ints[:-1, sel], group)[: len(spec.ints)]
         claims = spec.claims(K.Columns(), block_ints, *(s.take(sel) for s in operands))
         dev[sel], failed[sel] = K.judge(claims, cfg.tolerance, _Distinct)
-    return dev, failed, redraws
+    return dev, failed, int(redraws.sum()), (operands, ints)
 
 
 def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
@@ -634,22 +630,22 @@ def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
         m = min(rows, cfg.samples - i0)
         seeds = _seed_words(cfg.seed, LAW_IDS.index(law), d, i0, m)
         raw = _stream_words(seeds, k)
-        dev, failed, redraws = _column_block(law, cfg, d, n, seeds, raw)
+        dev, failed, redraws, block = _column_block(law, cfg, n, seeds, raw)
         resamples += redraws
         passes += m - int(failed.sum())
         max_dev = max(max_dev, float(dev.max()))
         if first_cex is None and failed.any():
-            index = i0 + int(failed.argmax())
-            drawn, _, replayed, claim = _sample(cfg, law, d, seeds[index - i0], raw[index - i0])
-            if claim is None or replayed != dev[index - i0]:
-                raise RuntimeError(f"{law} sample {index}: column and scalar verdicts differ")
+            j = int(failed.argmax())
+            drawn, replayed, claim = _sample(cfg, law, *block, j)
+            if claim is None or replayed != dev[j]:
+                raise RuntimeError(f"{law} sample {i0 + j}: column and scalar verdicts differ")
             lhs, rhs, tags = claim
             first_cex = {
                 "operands": [to_dict(s) for s in drawn],
                 "lhs": to_dict(lhs),
                 "rhs": to_dict(rhs),
                 **tags,
-                "sample_index": index,
+                "sample_index": i0 + j,
             }
     return LawResult(law, d, cfg.samples, passes, max_dev, first_cex, resamples)
 

@@ -54,6 +54,12 @@ class TestConfig:
             AuditConfig(seed=2**64)
         with pytest.raises(ValueError, match="repeat"):
             AuditConfig(dims=(3, 2, 3))
+        # ints by operator.index: nothing is truncated or parsed
+        for bad in ({"samples": 2.5}, {"dims": (2.9, 3)}, {"seed": 1.5}, {"dims": ("3",)}):
+            with pytest.raises(ValueError):
+                AuditConfig(**bad)
+        cfg = AuditConfig(dims=(np.int64(3), np.uint8(2)), samples=np.int32(5), seed=np.uint64(2**63))
+        assert (cfg.dims, cfg.samples, cfg.seed) == ((3, 2), 5, 2**63)
 
     def test_bounds(self):
         with pytest.raises(ValueError, match="samples must be at most 2\\*\\*32"):
@@ -348,11 +354,34 @@ def ref_audit_law(law, cfg, dim):
     return audit.LawResult(law, dim, cfg.samples, passes, max_dev, first_cex, resamples)
 
 
-def drawn(draw_operands, rng, law, dim, domain):
-    """One sample's operands and redraws, then what a law would draw next."""
-    operands, redraws = draw_operands(rng, audit._LAWS[law], dim, domain)
+def drawn(operands, redraws, rng):
+    """One sample's operands and redraws, then what a law would draw next
+    from its stream."""
     after = [int(rng.integers(-4, 9)), int(rng.integers(1, 7)), int(rng.integers(0, 9))]
     return [to_dict(s) for s in operands], redraws, after, rng.random(2).tolist()
+
+
+def ref_drawn(seed, law, dim, domain, index):
+    """drawn() of a sample drawn value by value from numpy's generator."""
+    rng = ref_rng(seed, law, dim, index)
+    return drawn(*ref_draw_operands(rng, audit._LAWS[law], dim, domain), rng)
+
+
+def drawn_block(seed, law, dim, domain, i0, m):
+    """drawn() of samples i0 ... i0+m-1, drawn as the audit draws them, as
+    one block."""
+    from hyperspace import _columns
+
+    spec = audit._LAWS[law]
+    n, k = audit._words(spec, dim, domain)
+    seeds = audit._seed_words(seed, LAW_IDS.index(law), dim, i0, m)
+    raw = audit._stream_words(seeds, k)
+    operands, streams, redraws = audit._draw_block(_columns, spec, domain, seeds, raw, n)
+    return [
+        drawn([audit._cartesian(spec.chart, tuple(s.c[i].tolist())) for s in operands], int(redraws[i]),
+              streams.get(i) or audit._Stream(seeds[i], raw[i], n))
+        for i in range(m)
+    ]
 
 
 class TestStreams:
@@ -415,24 +444,27 @@ class TestStreams:
     def test_one_call_draws_match_per_value_draws(self, domain, monkeypatch):
         for law in LAW_IDS:
             for dim in (2, 3, 8):
+                got = drawn_block(42, law, dim, domain, 0, 6)
                 for index in range(6):
-                    rng, ref = stream(42, law, dim, index), ref_rng(42, law, dim, index)
-                    got = drawn(audit._draw_operands, rng, law, dim, domain)
-                    assert got == drawn(ref_draw_operands, ref, law, dim, domain)
+                    assert got[index] == ref_drawn(42, law, dim, domain, index)
 
     @pytest.mark.parametrize("domain", list(Domain))
     @pytest.mark.parametrize("law", LAW_IDS)
     def test_redraws_match_the_reference(self, law, domain, monkeypatch):
         # a wide angle margin rejects many attempts, so redraws interleave
-        # with the later operands' doubles, and the audit's blocks judge their
+        # with the later operands' doubles, and the rows of a block of 8
+        # redraw in different rounds; the audit's blocks judge their
         # redrawn rows with the rest
         monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
         monkeypatch.setattr(audit, "_BLOCK", 8)
         cfg = AuditConfig(dims=(3,), samples=30, seed=2**32, domain=domain)
-        for index in range(cfg.samples):
-            rng, ref = stream(cfg.seed, law, 3, index), ref_rng(cfg.seed, law, 3, index)
-            got = drawn(audit._draw_operands, rng, law, 3, domain)
-            assert got == drawn(ref_draw_operands, ref, law, 3, domain)
+        mixed = False  # a block whose rows redraw different numbers of times
+        for i0 in range(0, cfg.samples, 8):
+            got = drawn_block(cfg.seed, law, 3, domain, i0, min(8, cfg.samples - i0))
+            for index, row in enumerate(got, i0):
+                assert row == ref_drawn(cfg.seed, law, 3, domain, index), index
+            mixed |= len({redraws for _, redraws, _, _ in got}) > 1
+        assert mixed
         got = audit_law(law, cfg, 3)
         assert got == ref_audit_law(law, cfg, 3)
         assert got.resamples > 0
@@ -617,9 +649,9 @@ class TestBlockSize:
         # sample at MAX_DIM, so they stop at N = 600
         calls = []
 
-        def sample(cfg, law, dim, seeds, words):
-            out = sample.real(cfg, law, dim, seeds, words)
-            calls.append((seeds.tolist(), out[1]))
+        def sample(*args):
+            out = sample.real(*args)
+            calls.append([to_dict(s) for s in out[0]])
             return out
 
         sample.real = audit._sample
@@ -632,10 +664,9 @@ class TestBlockSize:
                     continue
                 calls.clear()
                 result = audit_law(law, cfg, dim)
-                plain = [seeds for seeds, redraws in calls if redraws == 0]
                 cex = result.counterexample
-                replayed = [] if cex is None else [seed_row(cfg.seed, law, dim, cex["sample_index"]).tolist()]
-                assert plain in ([], replayed), (law, dim)
+                replayed = [] if cex is None else [cex["operands"]]
+                assert calls in ([], replayed), (law, dim)
 
     @pytest.mark.parametrize("words", [300, 1000])
     def test_small_blocks_and_scalar_cells_are_the_scalar_cells(self, words, monkeypatch):
@@ -658,9 +689,10 @@ class TestOneJudge:
         monkeypatch.setattr(audit, "_BLOCK", 8)
         calls = []
 
-        def sample(cfg, law, dim, seeds, words):
-            calls.append(seeds.tolist())
-            return sample.real(cfg, law, dim, seeds, words)
+        def sample(*args):
+            out = sample.real(*args)
+            calls.append([to_dict(s) for s in out[0]])
+            return out
 
         sample.real = audit._sample
         monkeypatch.setattr(audit, "_sample", sample)
@@ -671,7 +703,7 @@ class TestOneJudge:
                 calls.clear()
                 got = audit_law(law, cfg, dim)
                 cex = got.counterexample
-                replayed = [] if cex is None else [seed_row(cfg.seed, law, dim, cex["sample_index"]).tolist()]
+                replayed = [] if cex is None else [cex["operands"]]
                 assert calls == replayed, (law, dim)
                 assert got == ref_audit_law(law, cfg, dim), (law, dim)
                 resamples += got.resamples
@@ -706,7 +738,52 @@ class TestOneJudge:
                 assert seedings == [("audit_law", cfg.seed, code, dim, i0, m) for i0, m in blocks], (law, dim)
         assert any(extended)
 
-    @pytest.mark.parametrize("dim", [0, 1, -3, audit.MAX_DIM + 1, 5000])
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_every_attempt_is_drawn_once(self, domain, monkeypatch):
+        # a block draws every attempt of its samples once, redraws included,
+        # and the counterexample replay draws nothing: the rows drawn are the
+        # operands and the redraws, and every stream starts past its sample's
+        # first attempts, which the block drew from its words
+        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
+        monkeypatch.setattr(audit, "_BLOCK", 8)
+        rows, starts = [], []
+
+        def draw(K, u, *args):
+            rows.append(len(u))
+            return draw.real(K, u, *args)
+
+        def init(self, seeds, words=(), pos=0):
+            starts.append(pos)
+            init.real(self, seeds, words, pos)
+
+        draw.real, init.real = audit._draw, audit._Stream.__init__
+        monkeypatch.setattr(audit, "_draw", draw)
+        monkeypatch.setattr(audit._Stream, "__init__", init)
+        cfg = AuditConfig(dims=(3, 8), samples=30, seed=2**32, domain=domain)
+        for law in LAW_IDS:
+            for dim in cfg.dims:
+                rows.clear()
+                got = audit_law(law, cfg, dim)
+                assert sum(rows) == audit._LAWS[law].operands * cfg.samples + got.resamples, (law, dim)
+        assert starts and 0 not in starts
+
+    def test_redraws_are_bounded(self, monkeypatch):
+        # at most _MAX_REDRAWS attempts in a row may be near singular; here a
+        # sample's operand takes four attempts, and nothing is away from the
+        # seams of a margin of 10
+        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
+        cfg = AuditConfig(dims=(8,), samples=30, seed=2**32, domain=Domain.POSITIVE_RESTRICTED)
+        monkeypatch.setattr(audit, "_MAX_REDRAWS", 4)
+        assert audit_law("mul_associative", cfg, 8).resamples == 52
+        monkeypatch.setattr(audit, "_MAX_REDRAWS", 3)
+        with pytest.raises(RuntimeError, match="exhausted redraws for a non-singular operand"):
+            audit_law("mul_associative", cfg, 8)
+        monkeypatch.undo()
+        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 10.0)
+        with pytest.raises(RuntimeError, match="exhausted redraws for a non-singular operand"):
+            audit_law("mul_associative", cfg, 8)
+
+    @pytest.mark.parametrize("dim", [0, 1, -3, audit.MAX_DIM + 1, 5000, 3.7, 2.5, "3"])
     def test_audit_law_checks_its_dimension_as_the_config_does(self, dim):
         with pytest.raises(ValueError) as config:
             AuditConfig(dims=(dim,))

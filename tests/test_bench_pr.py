@@ -90,3 +90,24 @@ def test_each_run_lasts_the_benchmarks_run_seconds(monkeypatch, tmp_path):
     argv = calls[0]
     assert argv[argv.index("--workload") + 1] == "expr_batch"
     assert argv[argv.index("--seconds") + 1] == "40.0"
+
+
+def test_a_run_whose_lines_are_not_json_is_recorded_as_failed(monkeypatch, tmp_path):
+    # the first run exits 0 but its last line is not JSON; it is recorded as
+    # failed, and the next run is still made and recorded
+    outputs = iter(['{"env": 1}\nnot json\n', '{"env": 1}\n[1]\n', '{"env": 2}\n{"metrics": {}}\n'])
+
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, next(outputs), "a warning\n")
+
+    monkeypatch.setattr(bench_pr.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pr, "bench_path", lambda pr: tmp_path / f"BENCH_{pr}.json")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").touch()
+    argv = ["--pr", "0", "--workload", "audit", "--seed", "1", "2", "3", "--side", f"change={tmp_path}"]
+    assert bench_pr.main(argv) == 0
+    first, second, third = bench_pr.load(tmp_path / "BENCH_0.json")
+    assert first["exit_code"] == 0 and first["stderr"] == "a warning\n"
+    assert first["stdout"] == '{"env": 1}\nnot json\n' and "result" not in first
+    assert second["exit_code"] == 0 and "result" not in second
+    assert third["seed"] == 3 and third["env"] == 2 and third["result"] == {"metrics": {}}
