@@ -121,8 +121,8 @@ def _evaluate(args, command: str | None = None) -> tuple[expr_mod.Value, Orienta
     a number: the expression's static type is checked before it is evaluated."""
     if not 0 <= args.digits <= MAX_DIGITS:
         raise argparse.ArgumentError(None, f"--digits must be 0 to {MAX_DIGITS}, got {args.digits}")
-    tree = expr_mod.parse(args.expr)
-    if command and expr_mod.check(tree)[0] not in ("ndim", "s3"):
+    tree, kind = expr_mod._parse_typed(args.expr)
+    if command and kind[0] not in ("ndim", "s3"):
         raise ExprTypeError(0, f"{command} expects a number-valued expression")
     orientation = Orientation(args.orientation)
     return expr_mod._cart(expr_mod.evaluate(tree, orientation)), orientation

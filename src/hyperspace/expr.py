@@ -14,10 +14,12 @@ accept ``pi`` arithmetic.  The two dimension families (N-dimensional vs 3D
 space numbers) cannot be mixed, and N-dimensional operands must share one
 dimension; both are rejected during the parse-time type check.
 
-One routine, ``_Parser.chain``, parses every left-associative operator
-chain, in numbers (tree nodes) and numeric slots, which ``_fold`` folds to a
-finite real or rejects at the operator: a division by zero (``0^-1`` too), a
-complex power, an overflow.
+``tokenize`` splits the text once, into parallel lists of kinds, texts and
+offsets.  ``_Parser.climb`` parses every binary operator chain, in numbers
+(tree nodes) and numeric slots, by precedence climbing over one binding-power
+table; ``_fold`` folds a slot's chain to a finite real or rejects it at the
+operator: a division by zero (``0^-1`` too), a complex power, an overflow.
+A slot that is only a number or its negation is read without climbing.
 
 Multiplicative results are carried in polar form so that chained products
 compose at the angle level; additive operations and display project to
@@ -30,7 +32,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import accumulate
 from typing import NoReturn
 
 from . import algebra, duality
@@ -80,32 +82,30 @@ class ExprTypeError(ValueError):
 # ---------------------------------------------------------------------------
 # tokens
 
-# (kind, text, offset); kind is NUM, NAME, EOF or the symbol character itself
-_Tok = tuple[str, str, int]
-
-# whitespace is skipped in front of every token; the catch-all ``bad`` group
-# turns a character no token starts with into a ParseError
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<NUM>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
-      | (?P<NAME>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<sym>[\[\](),;+\-*/^])
-      | (?P<EOF>\Z)
-      | (?P<bad>.)
-    )""",
-    re.VERBOSE | re.DOTALL,
+# One split over the token pattern: the odd parts are the tokens, the even
+# parts the gaps between them, where only whitespace may stand.
+_SPLIT = re.compile(
+    r"([\[\](),;+\-*/^]|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z0-9_]*)"
 )
+# A token's kind by its first character: NAME, the symbol itself, or NUM for
+# the rest (a digit, or a '.', which starts no other token).
+_KINDS = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "NAME")
+_KINDS.update(zip("[](),;+-*/^", "[](),;+-*/^"))
 
 
-def tokenize(text: str) -> list[_Tok]:
-    out: list[_Tok] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        tok, offset = m.group(kind), m.start(kind)
-        if kind == "bad":
-            raise ParseError(offset, ("a token",), repr(tok))
-        out.append((tok if kind == "sym" else kind, tok, offset))
-    return out
+def tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Token kinds (NUM, NAME, EOF or the symbol character itself), texts and
+    offsets: three lists ending at EOF."""
+    parts = _SPLIT.split(text)
+    offsets = list(accumulate(map(len, parts)))[0::2]  # each gap's end
+    if "".join(parts[0::2]).strip():
+        for gap, end in zip(parts[0::2], offsets):
+            if bad := gap.lstrip():
+                raise ParseError(end - len(bad), ("a token",), repr(bad[0]))
+    texts = parts[1::2]
+    kinds = [_KINDS.get(tok[0], "NUM") for tok in texts] + ["EOF"]
+    texts.append("")
+    return kinds, texts, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +158,6 @@ _POLAR_HEADS = ("p", "s3p")
 _S3_HEADS = ("s3", "s3p")
 
 
-def _power(op: str, base: Expr, n: int, offset: int) -> Expr:
-    return Power(base, n, offset)
-
-
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
                "^": operator.pow}
 _OUT_OF_RANGE = "numeric literal out of range at offset {}"
@@ -182,100 +178,99 @@ def _fold(op: str, x: float, y: float, offset: int) -> float:
     return value
 
 
+# Binding powers of the binary operators, in numbers and numeric slots alike.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
+_TIGHTEST = max(_BINDING.values())
+_SLOT_ENDS = frozenset(",;]")
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
-        self.pos = 0
-        self.depth = 0
-        # The left-associative chains.  A partial adds no Python frame, so a
-        # nesting level costs no more stack than with a hand-written loop.
-        self.parse_term = partial(self.chain, "*/", self.parse_factor, Binary)
-        self.parse_expr = partial(self.chain, "+-", self.parse_term, Binary)
-        self.parse_scalar_term = partial(self.chain, "*/", self.parse_scalar_factor, _fold)
-        self.parse_scalar = partial(self.chain, "+-", self.parse_scalar_term, _fold)
-
-    def kind(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def advance(self) -> _Tok:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        self.kinds, self.texts, self.offsets = tokenize(text)
+        self.pos = self.depth = 0
 
     def fail(self, *expected: str) -> NoReturn:
-        kind, text, offset = self.tokens[self.pos]
-        raise ParseError(offset, expected, "end of input" if kind == "EOF" else repr(text))
+        pos = self.pos
+        found = "end of input" if self.kinds[pos] == "EOF" else repr(self.texts[pos])
+        raise ParseError(self.offsets[pos], expected, found)
 
-    def expect(self, kind: str) -> _Tok:
-        if self.kind() != kind:
+    def expect(self, kind: str) -> None:
+        if self.kinds[self.pos] != kind:
             self.fail(f"'{kind}'")
-        return self.advance()
+        self.pos += 1
 
-    def descend(self, tok: _Tok) -> None:
-        """One nesting level deeper, at ``tok``; see MAX_DEPTH."""
+    def descend(self) -> int:
+        """Take the current token one nesting level deeper; return its index."""
+        pos = self.pos
+        self.pos += 1
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(tok[2], (f"at most {MAX_DEPTH} nesting levels",), repr(tok[1]))
+            raise ParseError(self.offsets[pos], (f"at most {MAX_DEPTH} nesting levels",),
+                             repr(self.texts[pos]))
+        return pos
 
-    def deeper(self, tok: _Tok, parse):
-        """``parse()`` one nesting level below ``tok``."""
-        self.descend(tok)
-        node = parse()
-        self.depth -= 1
-        return node
-
-    def group(self, parse):
-        """``'(' parse() ')'``, one nesting level below the parenthesis."""
-        tok = self.advance()
-        value = self.deeper(tok, parse)
-        self.expect(")")
+    def climb(self, operand, combine, min_bp: int = 1):
+        """``operand (op operand)*`` over the operators binding at least
+        ``min_bp``, folded left by ``combine(op, left, right, offset)``.  Each
+        further operator of one binding power nests one level deeper."""
+        kinds, base, level = self.kinds, self.depth, 0
+        value = operand()
+        while (bp := _BINDING.get(kinds[self.pos], 0)) >= min_bp:
+            if bp != level:  # the operators of a tighter chain are done
+                level, self.depth = bp, base
+            op = self.descend()
+            right = operand() if bp == _TIGHTEST else self.climb(operand, combine, bp + 1)
+            value = combine(kinds[op], value, right, self.offsets[op])
+        self.depth = base
         return value
 
-    def chain(self, ops: str, operand, combine, rhs=None):
-        """``operand (op rhs)*`` folded left by ``combine(op, left, right,
-        offset)``, where ``op`` is one of the characters of ``ops`` and
-        ``rhs`` defaults to ``operand``.  Every further operator nests one
-        level deeper."""
-        depth = self.depth
-        value = operand()
-        while self.kind() in ops:
-            op = self.advance()
-            self.descend(op)
-            value = combine(op[0], value, (rhs or operand)(), op[2])
-        self.depth = depth
+    def group(self, operand, combine):
+        """``'(' climb ')'``, one nesting level below the parenthesis."""
+        self.descend()
+        value = self.climb(operand, combine)
+        self.depth -= 1
+        self.expect(")")
         return value
 
     # ----- number expressions -----
 
     def parse_factor(self) -> Expr:
-        if self.kind() not in ("-", "+"):
-            return self.chain("^", self.parse_atom, _power, self.parse_signed_int)
-        tok = self.advance()
-        node = self.deeper(tok, self.parse_factor)
-        return Unary("neg", node, tok[2]) if tok[0] == "-" else node
-
-    def parse_atom(self) -> Expr:
-        kind, text, _ = self.tokens[self.pos]
+        """Signs, then an atom and its ``^n`` powers."""
+        pos, base = self.pos, self.depth
+        kind = self.kinds[pos]
+        if kind == "-" or kind == "+":
+            self.descend()
+            node = self.parse_factor()
+            self.depth = base
+            return Unary("neg", node, self.offsets[pos]) if kind == "-" else node
         if kind == "(":
-            return self.group(self.parse_expr)
-        if kind == "NAME":
-            if text in _LITERAL_HEADS:
-                return self.parse_literal()
-            if text in _FUNCTIONS:
-                return self.parse_call()
+            node = self.group(self.parse_factor, Binary)
+        elif kind != "NAME":
+            self.fail("a literal", "a function", "'('")
+        elif self.texts[pos] in _LITERAL_HEADS:
+            node = self.parse_literal()
+        elif self.texts[pos] in _FUNCTIONS:
+            node = self.parse_call()
+        else:
             self.fail(*(f"'{n}'" for n in _LITERAL_HEADS + _FUNCTIONS))
-        self.fail("a literal", "a function", "'('")
+        while self.kinds[self.pos] == "^":
+            op = self.descend()
+            node = Power(node, self.parse_signed_int(), self.offsets[op])
+        self.depth = base
+        return node
 
     def parse_literal(self) -> Expr:
-        _, head, offset = self.advance()
+        head, offset = self.texts[self.pos], self.offsets[self.pos]
+        self.pos += 1
         self.expect("[")
-        numbers = [self.parse_scalar()]
+        slot, kinds = self.parse_slot, self.kinds
+        numbers = [slot()]
         if head in _POLAR_HEADS:
             self.expect(";")
-            numbers.append(self.parse_scalar())
-        while self.kind() == ",":
-            self.advance()
-            numbers.append(self.parse_scalar())
+            numbers.append(slot())
+        while kinds[self.pos] == ",":
+            self.pos += 1
+            numbers.append(slot())
         self.expect("]")
         if head == "c" and len(numbers) < 2:
             raise ExprTypeError(offset, "c[...] needs at least 2 coefficients")
@@ -287,67 +282,84 @@ class _Parser:
         return Literal(head, tuple(numbers), offset)
 
     def parse_call(self) -> Expr:
-        name = self.advance()
-        fn = name[1]
-        self.expect("(")
-        child = self.deeper(name, self.parse_expr)
-        arg: float | int | None = None
+        pos = self.pos
+        if self.kinds[pos + 1] != "(":
+            self.pos += 1
+            self.fail("'('")
+        self.descend()  # the name's level holds the argument
+        self.pos += 1
+        child = self.climb(self.parse_factor, Binary)
+        self.depth -= 1
+        fn, arg = self.texts[pos], None
         if fn == "arg" or fn == "roots":
             self.expect(",")
             arg = self.parse_signed_int()
         elif fn == "lift":
             self.expect(",")
-            arg = self.parse_scalar()
+            arg = self.parse_slot()
         self.expect(")")
-        return Call(fn, child, arg, name[2])
+        return Call(fn, child, arg, self.offsets[pos])
 
     def parse_signed_int(self) -> int:
-        sign = 1
-        if self.kind() == "-":
-            self.advance()
-            sign = -1
-        kind, text, _ = self.tokens[self.pos]
-        if kind != "NUM" or not float(text).is_integer():
+        sign = -1 if self.kinds[self.pos] == "-" else 1
+        self.pos += sign < 0
+        pos = self.pos
+        if self.kinds[pos] != "NUM" or not float(self.texts[pos]).is_integer():
             self.fail("an integer")
-        self.advance()
-        return sign * int(float(text))
+        self.pos += 1
+        return sign * int(float(self.texts[pos]))
 
     # ----- scalar (pi-arithmetic) expressions -----
 
+    def parse_slot(self) -> float:
+        """A numeric slot; a bare number or its negation is read without climbing."""
+        kinds, pos = self.kinds, self.pos
+        start = pos + (kinds[pos] == "-")
+        if kinds[start] == "NUM" and kinds[start + 1] in _SLOT_ENDS:
+            self.pos = start + 1
+            value = float(self.texts[start])
+            if value == math.inf:  # the only way a digit string fails
+                raise OverflowError(_OUT_OF_RANGE.format(self.offsets[start]))
+            return -value if start > pos else value
+        return self.climb(self.parse_scalar_factor, _fold)
+
     def parse_scalar_factor(self) -> float:
-        negate = False
-        while self.kind() in ("-", "+"):
-            negate ^= self.advance()[0] == "-"
-        value = self.parse_scalar_atom()
-        if self.kind() == "^":
-            op = self.advance()
-            value = _fold("^", value, self.deeper(op, self.parse_scalar_factor), op[2])
+        kinds, negate = self.kinds, False
+        while kinds[self.pos] == "-" or kinds[self.pos] == "+":
+            negate ^= kinds[self.pos] == "-"
+            self.pos += 1
+        pos = self.pos
+        if kinds[pos] == "NUM":
+            self.pos += 1
+            value = float(self.texts[pos])
+            if value == math.inf:  # the only way a digit string fails
+                raise OverflowError(_OUT_OF_RANGE.format(self.offsets[pos]))
+        elif kinds[pos] == "NAME" and self.texts[pos] == "pi":
+            self.pos += 1
+            value = math.pi
+        elif kinds[pos] == "(":
+            value = self.group(self.parse_scalar_factor, _fold)
+        else:
+            self.fail("a number", "'pi'", "'('")
+        if kinds[self.pos] == "^":
+            op = self.descend()
+            value = _fold("^", value, self.parse_scalar_factor(), self.offsets[op])
+            self.depth -= 1
         return -value if negate else value
 
-    def parse_scalar_atom(self) -> float:
-        kind, text, offset = self.tokens[self.pos]
-        if kind == "NUM":
-            self.advance()
-            value = float(text)
-            if value == math.inf:  # the only way a digit string fails
-                raise OverflowError(_OUT_OF_RANGE.format(offset))
-            return value
-        if kind == "NAME" and text == "pi":
-            self.advance()
-            return math.pi
-        if kind == "(":
-            return self.group(self.parse_scalar)
-        self.fail("a number", "'pi'", "'('")
+
+def _parse_typed(text: str) -> tuple[Expr, tuple]:
+    """An expression's tree and its static type (see ``check``)."""
+    parser = _Parser(text)
+    node = parser.climb(parser.parse_factor, Binary)
+    if parser.kinds[parser.pos] != "EOF":
+        parser.fail("end of input")
+    return node, check(node)
 
 
 def parse(text: str) -> Expr:
     """Parse and type-check an expression."""
-    parser = _Parser(text)
-    node = parser.parse_expr()
-    if parser.kind() != "EOF":
-        parser.fail("end of input")
-    check(node)
-    return node
+    return _parse_typed(text)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +374,10 @@ def check(node: Expr) -> tuple:
             raise ExprTypeError(node.offset, f"'{node.op}' needs number operands")
         if lt[0] != rt[0]:
             raise ExprTypeError(
-                node.offset,
-                "cannot mix N-dimensional and 3D space numbers in one expression",
+                node.offset, "cannot mix N-dimensional and 3D space numbers in one expression"
             )
         if lt != rt:
-            raise ExprTypeError(
-                node.offset, f"dimension mismatch: {lt[1]} vs {rt[1]}"
-            )
+            raise ExprTypeError(node.offset, f"dimension mismatch: {lt[1]} vs {rt[1]}")
         return lt
     t = check(node.child)  # Unary, Power and Call take one operand
     if t[0] not in ("ndim", "s3"):
@@ -386,9 +395,7 @@ def check(node: Expr) -> tuple:
     if node.fn == "arg":
         top = t[1] - 1
         if not 1 <= node.arg <= top:
-            raise ExprTypeError(
-                node.offset, f"argument index must lie in 1..{top}, got {node.arg}"
-            )
+            raise ExprTypeError(node.offset, f"argument index must lie in 1..{top}, got {node.arg}")
         return ("scalar",)
     if node.fn == "roots":
         check_root_order(node.arg, node.offset)
@@ -465,10 +472,8 @@ def evaluate(node: Expr, orientation: Orientation = Orientation.ANTICLOCKWISE) -
 # printing
 
 def _fmt(x: float, digits: int, snap_scale: float | None = None) -> str:
-    if snap_scale is not None and abs(x) < 1e-12 * max(snap_scale, 1e-300):
-        x = 0.0
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
+    if x == 0.0 or snap_scale is not None and abs(x) < 1e-12 * snap_scale:
+        x = 0.0  # snapped, or -0.0 normalized
     return format(x, f".{digits}g")
 
 
@@ -478,8 +483,9 @@ _HEADS = {CartesianHC: "c", PolarHC: "p", Space3: "s3", Space3Polar: "s3p"}
 def format_value(value: Value, digits: int = 12) -> str:
     """Render a value in the literal grammar (parse-compatible).
 
-    Components smaller than 1e-12 of the value's scale print as 0, so
-    products that land on an axis read exactly.
+    A coefficient below 1e-12 of the largest one, and an angle below 1e-12,
+    prints as 0, so products that land on an axis read exactly; a value whose
+    coefficients are all subnormal prints them, and only zero prints as 0.
     """
     if isinstance(value, float):
         return _fmt(value, digits)
@@ -507,12 +513,13 @@ def value_to_dict(value: Value) -> dict:
 # ---------------------------------------------------------------------------
 # unparsing (printer/parser round trip)
 
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POWER, _LEVEL_ATOM = 0, 1, 2, 3, 4
+# how tightly a node binds: a binary operator by its binding power, then these
+_LEVEL_UNARY, _LEVEL_POWER, _LEVEL_ATOM = _TIGHTEST + 1, _TIGHTEST + 2, _TIGHTEST + 3
 
 
 def _level(node: Expr) -> int:
     if isinstance(node, Binary):
-        return _LEVEL_ADD if node.op in ("+", "-") else _LEVEL_MUL
+        return _BINDING[node.op]
     if isinstance(node, Unary):
         return _LEVEL_UNARY
     if isinstance(node, Power):
@@ -536,17 +543,10 @@ def unparse(node: Expr) -> str:
     if isinstance(node, Unary):
         return "-" + wrap(node.child, _LEVEL_UNARY)
     if isinstance(node, Binary):
-        minimum = _level(node)
-        left = wrap(node.left, minimum)
-        right = wrap(node.right, minimum + 1)
-        return f"{left} {node.op} {right}"
+        return f"{wrap(node.left, _level(node))} {node.op} {wrap(node.right, _level(node) + 1)}"
     if isinstance(node, Power):
         return wrap(node.child, _LEVEL_ATOM) + f"^{node.n}"
     if isinstance(node, Call):
         inner = unparse(node.child)
-        if node.fn in ("abs", "conj"):
-            return f"{node.fn}({inner})"
-        if node.fn in ("arg", "roots"):
-            return f"{node.fn}({inner}, {node.arg})"
-        return f"lift({inner}, {node.arg!r})"
+        return f"{node.fn}({inner})" if node.arg is None else f"{node.fn}({inner}, {node.arg!r})"
     raise TypeError(f"cannot unparse {node!r}")

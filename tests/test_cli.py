@@ -55,6 +55,14 @@ class TestEval:
         out = run_cli("eval", "--digits", "4", "p[1; 1]")
         assert out.stdout == "c[0.5403,0.8415]\n"
 
+    def test_subnormal_coefficients_print_as_themselves(self):
+        assert run_in_process("eval", "--digits", "6", "c[1e-313,1e-313]") == (
+            0, "c[1e-313,1e-313]\n", "")
+        tiny = format(5e-324, ".12g")
+        assert run_in_process("eval", "c[5e-324,5e-324,5e-324]")[1] == f"c[{tiny},{tiny},{tiny}]\n"
+        out = run_in_process("eval", "--format", "json", "c[5e-324,5e-324,5e-324]")[1]
+        assert json.loads(out)["coeffs"] == [5e-324] * 3
+
     def test_s3_eval(self):
         out = run_cli("eval", "s3p[1; pi/2, pi/2] * s3p[1; pi/2, pi/2]")
         assert out.returncode == 0
@@ -67,6 +75,19 @@ class TestErrors:
         assert out.returncode == 1
         assert out.stdout == ""
         assert "offset 4" in out.stderr
+
+    def test_a_character_no_token_starts_with_is_named_at_its_offset(self):
+        code, out, err = run_in_process("eval", "c[1,2] $")
+        assert (code, out) == (1, "")
+        assert err == "hsc: syntax error at offset 7: expected a token, found '$'\n"
+
+    def test_the_type_check_walks_the_tree_once(self, monkeypatch):
+        from hyperspace import expr
+
+        check, nodes = expr.check, []
+        monkeypatch.setattr(expr, "check", lambda node: nodes.append(node) or check(node))
+        assert run_in_process("convert", "--to", "polar", "c[1,0] * c[0,1]")[0] == 0
+        assert len(nodes) == 3
 
     def test_type_error_exit_1(self):
         out = run_cli("eval", "c[1,2] + s3[1,2,3]")

@@ -26,7 +26,7 @@ from hyperspace.core import (
     to_polar,
 )
 
-from util import angle_close, close, vec_close
+from util import angle_close, close, vec_close, wide_floats
 
 ACW = Orientation.ANTICLOCKWISE
 CW = Orientation.CLOCKWISE
@@ -39,8 +39,11 @@ def c(*coeffs) -> CartesianHC:
 
 coeff = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 dims = st.integers(2, 8)
+# every part of the double range, with a finite modulus
 cartesians = dims.flatmap(
-    lambda n: st.lists(coeff, min_size=n, max_size=n).map(lambda v: CartesianHC(tuple(v)))
+    lambda n: st.lists(coeff | wide_floats, min_size=n, max_size=n)
+    .filter(lambda v: math.isfinite(math.hypot(*v)))
+    .map(lambda v: CartesianHC(tuple(v)))
 )
 
 
@@ -257,6 +260,17 @@ class TestJson:
         p = PolarHC(1.4142135623730951, (0.7853981633974483, -0.1), CW)
         q = from_dict(json.loads(json.dumps(to_dict(p))))
         assert q == p and q.orientation is CW
+
+    @given(dims.flatmap(lambda n: st.tuples(*[wide_floats] * n)))
+    def test_bit_exact_over_the_double_range(self, xs):
+        s = CartesianHC(xs)
+        back = from_dict(json.loads(json.dumps(to_dict(s))))
+        assert list(map(float.hex, back.coeffs)) == list(map(float.hex, xs))
+        p = PolarHC(abs(xs[0]), xs[1:], CW)
+        back = from_dict(json.loads(json.dumps(to_dict(p))))
+        assert list(map(float.hex, (back.modulus, *back.angles))) == list(
+            map(float.hex, (abs(xs[0]), *xs[1:]))
+        )
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hyperspace.algebra import RootSet
@@ -22,7 +23,7 @@ from hyperspace.expr import (
 )
 from hyperspace.space3 import Space3
 
-from util import close, vec_close
+from util import close, expr_trees, vec_close, wide_floats
 
 ACW = Orientation.ANTICLOCKWISE
 CW = Orientation.CLOCKWISE
@@ -224,6 +225,30 @@ class TestFormatting:
     def test_negative_zero_normalized(self):
         assert format_value(CartesianHC((-0.0, 1.0))) == "c[0,1]"
 
+    def test_subnormal_coefficients_print(self):
+        assert format_value(CartesianHC((1e-313, 1e-313)), 6) == "c[1e-313,1e-313]"
+        tiny = format(5e-324, ".12g")
+        assert format_value(CartesianHC((5e-324,) * 3)) == f"c[{tiny},{tiny},{tiny}]"
+        assert format_value(CartesianHC((0.0, -0.0))) == "c[0,0]"
+
+    def test_snapping_is_relative_at_every_scale(self):
+        assert format_value(CartesianHC((1e-300, 1e-313))) == "c[1e-300,0]"
+        assert format_value(CartesianHC((1e-300, 1e-311)), 3) == "c[1e-300,1e-311]"
+        assert format_value(CartesianHC((1e300, 1e287))) == "c[1e+300,0]"
+
+    @given(st.integers(2, 6).flatmap(lambda n: st.tuples(*[wide_floats] * n)))
+    def test_seventeen_digits_parse_back(self, coeffs):
+        scale = max(map(abs, coeffs))
+        assume(all(c == 0 or abs(c) >= 1e-12 * scale for c in coeffs))  # none snaps
+        text = format_value(CartesianHC(coeffs), 17)
+        assert parse(text) == Literal("c", coeffs)
+
+    @given(wide_floats.map(abs),
+           st.lists(wide_floats.filter(lambda a: a == 0 or abs(a) >= 1e-12), min_size=1, max_size=5))
+    def test_seventeen_digit_polar_parses_back(self, modulus, angles):
+        text = format_value(PolarHC(modulus, tuple(angles)), 17)
+        assert parse(text) == Literal("p", (modulus, *angles))
+
     def test_json_kinds(self):
         assert value_to_dict(5.0) == {"kind": "scalar", "value": 5.0}
         assert value_to_dict(CartesianHC((1, 2)))["kind"] == "cartesian"
@@ -252,27 +277,11 @@ class TestPrinterParserRoundTrip:
         tree = parse(text)
         assert parse(unparse(tree)) == tree
 
-    literal_floats = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
-
-    @given(
-        st.recursive(
-            st.builds(
-                lambda a, b: Literal("c", (a, b)), literal_floats, literal_floats
-            ),
-            lambda children: st.one_of(
-                st.builds(lambda l, r: Binary("+", l, r), children, children),
-                st.builds(lambda l, r: Binary("*", l, r), children, children),
-                st.builds(lambda l, r: Binary("/", l, r), children, children),
-                st.builds(lambda l, r: Binary("-", l, r), children, children),
-                st.builds(lambda x: Unary("neg", x), children),
-                st.builds(Power, children, st.integers(-5, 5)),
-                st.builds(lambda x: Call("conj", x, None), children),
-            ),
-            max_leaves=12,
-        )
-    )
+    @given(expr_trees)
     def test_reparse_random_trees(self, tree):
-        assert parse(unparse(tree)) == tree
+        text = unparse(tree)
+        assert parse(text) == tree
+        assert unparse(parse(text)) == text  # each number bit for bit, -0.0 too
 
 
 class TestLimits:
@@ -298,6 +307,28 @@ class TestLimits:
         with pytest.raises(ParseError) as err:
             parse("c[" + "*".join(["2"] * (MAX_DEPTH + 2)) + ",0]")
         assert err.value.offset == len("c[") + (MAX_DEPTH + 1) * len("2*") - 1
+
+    @pytest.mark.parametrize("nest", [
+        lambda n: "(" * n + "c[1,0]" + ")" * n,
+        lambda n: "conj(" * n + "c[1,0]" + ")" * n,
+        lambda n: "-" * n + "c[1,0]",
+        lambda n: "p[" + "(" * n + "1" + ")" * n + "; 0]",
+        lambda n: "c[" + "1^" * n + "1,0]",
+    ], ids=["parentheses", "calls", "signs", "scalar", "scalar_powers"])
+    def test_a_nesting_level_costs_at_most_four_frames(self, nest):
+        from hyperspace.expr import MAX_DEPTH
+
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 4 * (MAX_DEPTH + 1) + 20)
+        try:
+            parse(nest(MAX_DEPTH))
+            with pytest.raises(ParseError, match="nesting levels"):
+                parse(nest(MAX_DEPTH + 1))
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_root_order_bound(self):
         from hyperspace.expr import MAX_ROOT_ORDER
