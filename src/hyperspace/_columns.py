@@ -2,14 +2,18 @@
 of :mod:`hyperspace.core` over blocks of numbers, one number per row, and the
 column evaluator of the audit's laws.
 
-Every result is the scalar engine's to the bit.  ``+ - * /``, ``abs`` and
-``max`` run in numpy in the scalar engine's operation order, which IEEE
-rounding makes exact; every transcendental is the scalar engine's own
-``math`` function mapped over a column, since numpy's may round otherwise.
-Each kernel makes a fixed number of numpy calls per block, whatever the
-dimension.  Only numpy APIs of numpy 1.24 and later are used.  The audit's
-draws and ``audit.audit_law`` import this module when they run, so importing
-the audit loads no numpy.
+Every result is the scalar engine's to the bit.  ``+ - * /``, ``abs``,
+``max`` and ``sqrt`` run in numpy in the scalar engine's operation order,
+which IEEE rounding makes exact; every other transcendental is the scalar
+engine's own ``math`` function mapped over a column, since numpy's may round
+otherwise.  Each kernel makes a fixed number of numpy calls per block,
+whatever the dimension, but the literal coefficient formulas: ``ColumnPair``
+runs their bodies (:mod:`hyperspace.coeff_formulas`) with a float64 column an
+axis, and their loops over the axes make O(N^2) numpy calls a block, so a
+block of fewer than ``FORMULA_ROWS`` rows runs them row by row instead.  Only
+numpy APIs of numpy 1.24 and later are used.  The audit's draws and
+``audit.audit_law`` import this module when they run, so importing the audit
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -20,9 +24,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TWO_PI, Orientation, Tolerance, _cartesian
+from .coeff_formulas import CoeffBreakdown
+from .core import TWO_PI, Orientation, Tolerance, _cartesian, _literal
 
 _CCW, _S3 = Orientation.ANTICLOCKWISE, Orientation.S3
+# fewest rows a block runs the literal formulas on columns; below, their
+# O(N^2) numpy calls cost more than the rows' floats
+FORMULA_ROWS = 16
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
@@ -170,9 +178,12 @@ class Columns:
         return Rows(None, np.ones(len(p.r)), np.zeros(p.t.shape), p.o)
 
     def formulas(self, routes, a: Rows, b: Rows) -> list[np.ndarray]:
-        """Every ``(label, route)`` formula on each row's values, built once."""
-        pairs = list(zip(*([_cartesian(s.o, tuple(c)) for c in s.c.tolist()] for s in (a, b))))
-        return [np.array([f(x, y).assembled.coeffs for x, y in pairs]) for _, f in routes]
+        """Every ``(label, body, chart)`` formula's assembled values on a block:
+        on columns, or row by row on a block of fewer than ``FORMULA_ROWS`` rows."""
+        if len(a.r) < FORMULA_ROWS:
+            pairs = list(zip(*([_cartesian(s.o, tuple(c)) for c in s.c.tolist()] for s in (a, b))))
+            return [np.array([_literal(f, x, y, o).assembled.coeffs for x, y in pairs]) for _, f, o in routes]
+        return [assembled(f(ColumnPair(a, b, o), list(a.c.T), list(b.c.T))) for _, f, o in routes]
 
     def to_complex(self, s: Rows) -> list[complex]:
         return [complex(*c) for c in s.c.tolist()]
@@ -187,6 +198,39 @@ class Columns:
 
     def fmt(self, text: str, *args) -> None:
         """A row-dependent tag is formatted for a replayed sample only."""
+
+
+class ColumnPair:
+    """The column evaluator of the literal coefficient formulas: the
+    ``core._ScalarPair`` of every row of two blocks, each axis a column, their
+    chains the blocks' ``Rows.t``."""
+
+    sqrt = np.sqrt  # correctly rounded, as math.sqrt is
+
+    def __init__(self, a: Rows, b: Rows, o: Orientation) -> None:
+        self.a, self.b, self.o = a, b, o
+
+    def hypot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return mapped(math.hypot, x, y)
+
+    def chains(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        return list(self.a.t.T), list(self.b.t.T)
+
+    def inverse_square(self) -> np.ndarray:
+        if (self.b.r == 0.0).any():
+            raise ZeroDivisionError("division by a zero-modulus number")
+        return 1.0 / (self.b.r * self.b.r)
+
+    def trig(self, ts: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        t = np.array(ts)
+        return list(mapped(math.cos, t)), list(mapped(math.sin, t))
+
+
+def assembled(bd) -> np.ndarray:
+    """The ``assembled`` coordinates of a breakdown whose fields are columns."""
+    if isinstance(bd, CoeffBreakdown):
+        return np.stack([bd.a0, *bd.coeffs], axis=1)
+    return np.stack([bd.a, bd.b, np.where(mapped(math.cos, bd.theta) >= 0.0, bd.c, -bd.c)], axis=1)
 
 
 def coords(x) -> np.ndarray:

@@ -33,8 +33,9 @@ from float pathology near the chart seams.  ``_draw_block`` draws every
 attempt of a block once, and ``audit_law`` judges every sample with its
 block as float64 columns (``_columns.Columns``), bit for bit what the
 library's functions (``_VALUES``) compute, in numpy calls whose count does
-not grow with the dimension; the literal coefficient formulas and the N = 2
-``complex`` oracle run per sample.  The library's functions only replay a
+not grow with the dimension, the literal coefficient formulas' O(N^2) calls
+apart (a block of few rows runs those row by row); the N = 2 ``complex``
+oracle runs per sample.  The library's functions only replay a
 cell's first failing sample, on the operands and integers its block drew.
 
 Bounds: at most 2**32 samples per cell (the sample index is one 32-bit seed
@@ -63,6 +64,7 @@ from .core import (
     Orientation,
     Tolerance,
     _cartesian,
+    _literal,
     canonical_ranges,
     closeness,
     conjugate,
@@ -390,7 +392,7 @@ _VALUES = SimpleNamespace(
     conj3_polar=space3.conj3_polar,
     real=lambda x, like: make_cartesian(like.orientation, (x,) + (0.0,) * (like.dim - 1)),
     unit=lambda p: make_polar(p.orientation, 1.0, (0.0,) * (p.dim - 1)),
-    formulas=lambda routes, a, b: [route(a, b).assembled for _, route in routes],
+    formulas=lambda routes, a, b: [_literal(f, a, b, o).assembled for _, f, o in routes],
     to_complex=lambda s: complex(*s.coeffs),
     each=lambda f, *args: f(*args),
     classic=lambda z: CartesianHC((z.real, z.imag)),
@@ -476,22 +478,23 @@ def _law_demoivre(ops, ints, s):
 
 
 def _agreement(normative, routes, ops, ints, s1, s2):
-    """Two operands through the normative operation and, row by row, every formula route."""
+    """Two operands through the normative operation and every formula route."""
     nm = getattr(ops, normative)(s1, s2)
     sides = ops.formulas(routes, s1, s2)
-    return [(side, nm, {"route": label}) for (label, _), side in zip(routes, sides)]
+    return [(side, nm, {"route": label}) for (label, *_), side in zip(routes, sides)]
 
 
+# (label, formula body, chart); the public formula functions run the same bodies
 _CARTESIAN_MUL_ROUTES = [
-    ("general", lambda a, b: coeff_formulas.mul_coeffs_general(a, b, _ACW)),
-    ("coordinate", lambda a, b: coeff_formulas.mul_coeffs_coordinate(a, b, _ACW)),
+    ("general", coeff_formulas._mul_general, _ACW),
+    ("coordinate", coeff_formulas._mul_coordinate, _ACW),
 ]
 _CARTESIAN_DIV_ROUTES = [
-    ("general", lambda a, b: coeff_formulas.div_coeffs_general(a, b, _ACW)),
-    ("coordinate", lambda a, b: coeff_formulas.div_coeffs_coordinate(a, b, _ACW)),
+    ("general", coeff_formulas._div_general, _ACW),
+    ("coordinate", coeff_formulas._div_coordinate, _ACW),
 ]
-_SPACE3_MUL_ROUTES = [("coefficients", space3.mul3_coeffs)]
-_SPACE3_DIV_ROUTES = [("coefficients", space3.div3_coeffs)]
+_SPACE3_MUL_ROUTES = [("coefficients", space3._mul3_coeffs, _S3)]
+_SPACE3_DIV_ROUTES = [("coefficients", space3._div3_coeffs, _S3)]
 
 
 def _law_space3_conj_modulus(ops, ints, s):

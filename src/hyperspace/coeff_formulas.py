@@ -15,20 +15,19 @@ whose correction terms reference the component-argument sums, and the
 would index a coefficient past the top axis do not occur (they only arise
 for k <= N-2 anticlockwise, k >= 2 clockwise, matching the expansion), and
 empty sums/products take their neutral values.
+
+Each formula is one body ``f(ev, c1, c2)`` over per-axis sequences; the
+evaluator ``ev`` supplies ``sqrt``, the operands' component arguments, their
+cosines and sines, and 1/|s2|^2.  The functions below run it on floats
+(``core._ScalarPair``), the audit on a block's columns
+(``_columns.ColumnPair``), bit for bit alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .core import (
-    CartesianHC,
-    Orientation,
-    arguments,
-    modulus,
-    resolve_orientation,
-)
+from .core import CartesianHC, Orientation, _literal
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,33 +67,13 @@ def _suffix_sq(c: tuple[float, ...]) -> list[float]:
     return ss
 
 
-def _theta_sums(
-    s1: CartesianHC, s2: CartesianHC, o: Orientation
-) -> tuple[float, ...]:
-    t1 = arguments(s1, o)
-    t2 = arguments(s2, o)
-    return tuple(a + b for a, b in zip(t1, t2))
-
-
-def _subs_acw(
-    coeffs: tuple[float, ...], thetas: tuple[float, ...]
-) -> tuple[tuple[float, tuple[float, ...]], ...]:
-    return tuple((coeffs[k], thetas[:k]) for k in range(len(coeffs)))
-
-
-def _subs_cw(
-    coeffs: tuple[float, ...], thetas: tuple[float, ...]
-) -> tuple[tuple[float, tuple[float, ...]], ...]:
-    return tuple((coeffs[k], thetas[k + 1 :]) for k in range(len(coeffs)))
-
-
 def _bracket_acw(cos_sum: list[float], k: int, n: int) -> float:
     # 1 + sum_{i=1}^{n-k-2} prod_{j=k+1}^{k+i} cos(tsum_j)
     total = 1.0
     running = 1.0
     for i in range(1, n - k - 1):
-        running *= cos_sum[k + i]
-        total += running
+        running = running * cos_sum[k + i]
+        total = total + running
     return total
 
 
@@ -104,163 +83,136 @@ def _bracket_cw(cos_sum: list[float], k: int, n: int) -> float:
     for i in range(k + 2, n):
         prod = 1.0
         for j in range(i - k - 1, i + 1):
-            prod *= cos_sum[j]
-        total += prod
+            prod = prod * cos_sum[j]
+        total = total + prod
     return total
 
 
-def mul_coeffs_general(
-    s1: CartesianHC, s2: CartesianHC, orientation: Orientation
-) -> CoeffBreakdown:
-    """General product expansion with sine correction terms."""
-    resolve_orientation(None, s1, s2)  # the operand-pair rule
-    c1, c2 = s1.coeffs, s2.coeffs
+def _breakdown(ev, a0, coeffs, thetas) -> CoeffBreakdown:
+    """The breakdown, each sub-number's phase chain the arguments below its
+    axis (anticlockwise) or above it (clockwise)."""
+    coeffs, thetas = tuple(coeffs), tuple(thetas)
+    ccw = ev.o is Orientation.ANTICLOCKWISE
+    subs = tuple((x, thetas[:k] if ccw else thetas[k + 1 :]) for k, x in enumerate(coeffs))
+    return CoeffBreakdown(a0, coeffs, thetas, subs)
+
+
+def _mul_general(ev, c1, c2) -> CoeffBreakdown:
     n = len(c1)
-    tsum = _theta_sums(s1, s2, orientation)
-    cos_sum = [0.0] + [math.cos(t) for t in tsum]  # 1-indexed
-    sin_sum = [0.0] + [math.sin(t) for t in tsum]
-    if orientation is Orientation.ANTICLOCKWISE:
+    tsum = [a + b for a, b in zip(*ev.chains())]
+    cos_sum, sin_sum = ([0.0] + x for x in ev.trig(tsum))  # 1-indexed
+    if ev.o is Orientation.ANTICLOCKWISE:
         ps1, ps2 = _prefix_sq(c1), _prefix_sq(c2)
         a0 = c1[0] * c2[0] - c1[1] * c2[1]
         running = 1.0
         for k in range(2, n):
-            running *= cos_sum[k - 1]
-            a0 -= c1[k] * c2[k] * running
+            running = running * cos_sum[k - 1]
+            a0 = a0 - c1[k] * c2[k] * running
         coeffs = []
         for k in range(1, n):
-            base = c1[k] * math.sqrt(ps2[k - 1]) + c2[k] * math.sqrt(ps1[k - 1])
+            base = c1[k] * ev.sqrt(ps2[k - 1]) + c2[k] * ev.sqrt(ps1[k - 1])
             if k + 1 <= n - 1:
-                base -= (
-                    c1[k + 1]
-                    * c2[k + 1]
-                    * sin_sum[k]
-                    * _bracket_acw(cos_sum, k, n)
-                )
+                base = base - c1[k + 1] * c2[k + 1] * sin_sum[k] * _bracket_acw(cos_sum, k, n)
             coeffs.append(base)
-        return CoeffBreakdown(
-            a0, tuple(coeffs), tsum, _subs_acw(tuple(coeffs), tsum)
-        )
+        return _breakdown(ev, a0, coeffs, tsum)
     ss1, ss2 = _suffix_sq(c1), _suffix_sq(c2)
     a0 = c1[0] * c2[0] - c1[n - 1] * c2[n - 1]
     running = 1.0
     for k in range(n - 2, 0, -1):
-        running *= cos_sum[k + 1]
-        a0 -= c1[k] * c2[k] * running
+        running = running * cos_sum[k + 1]
+        a0 = a0 - c1[k] * c2[k] * running
     coeffs = []
     for k in range(1, n):
-        base = c1[k] * math.sqrt(ss2[k + 1]) + c2[k] * math.sqrt(ss1[k + 1])
+        base = c1[k] * ev.sqrt(ss2[k + 1]) + c2[k] * ev.sqrt(ss1[k + 1])
         if k >= 2:
-            base -= c1[k - 1] * c2[k - 1] * sin_sum[k] * _bracket_cw(cos_sum, k, n)
+            base = base - c1[k - 1] * c2[k - 1] * sin_sum[k] * _bracket_cw(cos_sum, k, n)
         coeffs.append(base)
-    return CoeffBreakdown(a0, tuple(coeffs), tsum, _subs_cw(tuple(coeffs), tsum))
+    return _breakdown(ev, a0, coeffs, tsum)
 
 
-def mul_coeffs_coordinate(
-    s1: CartesianHC, s2: CartesianHC, orientation: Orientation
-) -> CoeffBreakdown:
-    """Coordinate-case product: a_0 = a_10*a_20 - sum(a_1k*a_2k), imaginary
-    coefficients paired with the opposite operand's sub-modulus roots."""
-    resolve_orientation(None, s1, s2)  # the operand-pair rule
-    c1, c2 = s1.coeffs, s2.coeffs
+def _mul_coordinate(ev, c1, c2) -> CoeffBreakdown:
     n = len(c1)
-    tsum = _theta_sums(s1, s2, orientation)
+    tsum = [a + b for a, b in zip(*ev.chains())]
     a0 = c1[0] * c2[0] - sum(c1[k] * c2[k] for k in range(1, n))
-    if orientation is Orientation.ANTICLOCKWISE:
+    if ev.o is Orientation.ANTICLOCKWISE:
         ps1, ps2 = _prefix_sq(c1), _prefix_sq(c2)
-        coeffs = tuple(
-            c1[k] * math.sqrt(ps2[k - 1]) + c2[k] * math.sqrt(ps1[k - 1])
-            for k in range(1, n)
-        )
-        return CoeffBreakdown(a0, coeffs, tsum, _subs_acw(coeffs, tsum))
+        coeffs = [c1[k] * ev.sqrt(ps2[k - 1]) + c2[k] * ev.sqrt(ps1[k - 1]) for k in range(1, n)]
+        return _breakdown(ev, a0, coeffs, tsum)
     ss1, ss2 = _suffix_sq(c1), _suffix_sq(c2)
-    coeffs = tuple(
-        c1[k] * math.sqrt(ss2[k + 1]) + c2[k] * math.sqrt(ss1[k + 1])
-        for k in range(1, n)
-    )
-    return CoeffBreakdown(a0, coeffs, tsum, _subs_cw(coeffs, tsum))
+    coeffs = [c1[k] * ev.sqrt(ss2[k + 1]) + c2[k] * ev.sqrt(ss1[k + 1]) for k in range(1, n)]
+    return _breakdown(ev, a0, coeffs, tsum)
 
 
-def div_coeffs_general(
-    s1: CartesianHC, s2: CartesianHC, orientation: Orientation
-) -> CoeffBreakdown:
-    """General quotient expansion.  Note the combined argument is the *sum*
-    theta_1k + theta_2k here, unlike the coordinate case below; both are
-    evaluated exactly as written and the audit reports which one tracks the
-    normative quotient."""
-    resolve_orientation(None, s1, s2)  # the operand-pair rule
-    m2 = modulus(s2)
-    if m2 == 0.0:
-        raise ZeroDivisionError("division by a zero-modulus number")
-    inv = 1.0 / (m2 * m2)
-    c1, c2 = s1.coeffs, s2.coeffs
+def _div_general(ev, c1, c2) -> CoeffBreakdown:
+    inv = ev.inverse_square()
     n = len(c1)
-    tsum = _theta_sums(s1, s2, orientation)
-    cos_sum = [0.0] + [math.cos(t) for t in tsum]
-    sin_sum = [0.0] + [math.sin(t) for t in tsum]
-    if orientation is Orientation.ANTICLOCKWISE:
+    tsum = [a + b for a, b in zip(*ev.chains())]
+    cos_sum, sin_sum = ([0.0] + x for x in ev.trig(tsum))
+    if ev.o is Orientation.ANTICLOCKWISE:
         ps1, ps2 = _prefix_sq(c1), _prefix_sq(c2)
         acc = c1[0] * c2[0] + c1[1] * c2[1]
         running = 1.0
         for k in range(2, n):
-            running *= cos_sum[k - 1]
-            acc += c1[k] * c2[k] * running
+            running = running * cos_sum[k - 1]
+            acc = acc + c1[k] * c2[k] * running
         a0 = inv * acc
         coeffs = []
         for k in range(1, n):
-            base = c1[k] * math.sqrt(ps2[k - 1]) - c2[k] * math.sqrt(ps1[k - 1])
+            base = c1[k] * ev.sqrt(ps2[k - 1]) - c2[k] * ev.sqrt(ps1[k - 1])
             if k + 1 <= n - 1:
-                base += (
-                    c1[k + 1]
-                    * c2[k + 1]
-                    * sin_sum[k]
-                    * _bracket_acw(cos_sum, k, n)
-                )
+                base = base + c1[k + 1] * c2[k + 1] * sin_sum[k] * _bracket_acw(cos_sum, k, n)
             coeffs.append(inv * base)
-        return CoeffBreakdown(
-            a0, tuple(coeffs), tsum, _subs_acw(tuple(coeffs), tsum)
-        )
+        return _breakdown(ev, a0, coeffs, tsum)
     ss1, ss2 = _suffix_sq(c1), _suffix_sq(c2)
     acc = c1[0] * c2[0] + c1[n - 1] * c2[n - 1]
     running = 1.0
     for k in range(n - 2, 0, -1):
-        running *= cos_sum[k + 1]
-        acc += c1[k] * c2[k] * running
+        running = running * cos_sum[k + 1]
+        acc = acc + c1[k] * c2[k] * running
     a0 = inv * acc
     coeffs = []
     for k in range(1, n):
-        base = c1[k] * math.sqrt(ss2[k + 1]) - c2[k] * math.sqrt(ss1[k + 1])
+        base = c1[k] * ev.sqrt(ss2[k + 1]) - c2[k] * ev.sqrt(ss1[k + 1])
         if k >= 2:
-            base += c1[k - 1] * c2[k - 1] * sin_sum[k] * _bracket_cw(cos_sum, k, n)
+            base = base + c1[k - 1] * c2[k - 1] * sin_sum[k] * _bracket_cw(cos_sum, k, n)
         coeffs.append(inv * base)
-    return CoeffBreakdown(a0, tuple(coeffs), tsum, _subs_cw(tuple(coeffs), tsum))
+    return _breakdown(ev, a0, coeffs, tsum)
 
 
-def div_coeffs_coordinate(
-    s1: CartesianHC, s2: CartesianHC, orientation: Orientation
-) -> CoeffBreakdown:
+def _div_coordinate(ev, c1, c2) -> CoeffBreakdown:
+    inv = ev.inverse_square()
+    n = len(c1)
+    tdiff = [a - b for a, b in zip(*ev.chains())]
+    a0 = inv * (c1[0] * c2[0] + sum(c1[k] * c2[k] for k in range(1, n)))
+    if ev.o is Orientation.ANTICLOCKWISE:
+        ps1, ps2 = _prefix_sq(c1), _prefix_sq(c2)
+        coeffs = [inv * (c1[k] * ev.sqrt(ps2[k - 1]) - c2[k] * ev.sqrt(ps1[k - 1])) for k in range(1, n)]
+        return _breakdown(ev, a0, coeffs, tdiff)
+    ss1, ss2 = _suffix_sq(c1), _suffix_sq(c2)
+    coeffs = [inv * (c1[k] * ev.sqrt(ss2[k + 1]) - c2[k] * ev.sqrt(ss1[k + 1])) for k in range(1, n)]
+    return _breakdown(ev, a0, coeffs, tdiff)
+
+
+def mul_coeffs_general(s1: CartesianHC, s2: CartesianHC, orientation: Orientation) -> CoeffBreakdown:
+    """General product expansion with sine correction terms."""
+    return _literal(_mul_general, s1, s2, orientation)
+
+
+def mul_coeffs_coordinate(s1: CartesianHC, s2: CartesianHC, orientation: Orientation) -> CoeffBreakdown:
+    """Coordinate-case product: a_0 = a_10*a_20 - sum(a_1k*a_2k), imaginary
+    coefficients paired with the opposite operand's sub-modulus roots."""
+    return _literal(_mul_coordinate, s1, s2, orientation)
+
+
+def div_coeffs_general(s1: CartesianHC, s2: CartesianHC, orientation: Orientation) -> CoeffBreakdown:
+    """General quotient expansion.  Note the combined argument is the *sum*
+    theta_1k + theta_2k here, unlike the coordinate case below; both are
+    evaluated exactly as written and the audit reports which one tracks the
+    normative quotient."""
+    return _literal(_div_general, s1, s2, orientation)
+
+
+def div_coeffs_coordinate(s1: CartesianHC, s2: CartesianHC, orientation: Orientation) -> CoeffBreakdown:
     """Coordinate-case quotient; here the combined argument is the
     difference theta_1k - theta_2k."""
-    resolve_orientation(None, s1, s2)  # the operand-pair rule
-    m2 = modulus(s2)
-    if m2 == 0.0:
-        raise ZeroDivisionError("division by a zero-modulus number")
-    inv = 1.0 / (m2 * m2)
-    c1, c2 = s1.coeffs, s2.coeffs
-    n = len(c1)
-    t1 = arguments(s1, orientation)
-    t2 = arguments(s2, orientation)
-    tdiff = tuple(a - b for a, b in zip(t1, t2))
-    a0 = inv * (c1[0] * c2[0] + sum(c1[k] * c2[k] for k in range(1, n)))
-    if orientation is Orientation.ANTICLOCKWISE:
-        ps1, ps2 = _prefix_sq(c1), _prefix_sq(c2)
-        coeffs = tuple(
-            inv * (c1[k] * math.sqrt(ps2[k - 1]) - c2[k] * math.sqrt(ps1[k - 1]))
-            for k in range(1, n)
-        )
-        return CoeffBreakdown(a0, coeffs, tdiff, _subs_acw(coeffs, tdiff))
-    ss1, ss2 = _suffix_sq(c1), _suffix_sq(c2)
-    coeffs = tuple(
-        inv * (c1[k] * math.sqrt(ss2[k + 1]) - c2[k] * math.sqrt(ss1[k + 1]))
-        for k in range(1, n)
-    )
-    return CoeffBreakdown(a0, coeffs, tdiff, _subs_cw(coeffs, tdiff))
+    return _literal(_div_coordinate, s1, s2, orientation)

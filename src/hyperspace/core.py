@@ -442,6 +442,36 @@ def approx_eq(
     return closeness(s1, s2, tol)[0]
 
 
+class _ScalarPair:
+    """The scalar evaluator of the literal coefficient formulas' bodies
+    (``coeff_formulas``, ``space3``): two numbers, an axis a float, their
+    component arguments under ``o``, and ``math``."""
+
+    sqrt, hypot = math.sqrt, math.hypot
+
+    def __init__(self, s1: CartesianHC, s2: CartesianHC, o: Orientation) -> None:
+        resolve_orientation(None, s1, s2)  # the operand-pair rule
+        self.s1, self.s2, self.o = s1, s2, o
+
+    def chains(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        return arguments(self.s1, self.o), arguments(self.s2, self.o)
+
+    def inverse_square(self) -> float:
+        """1 / |s2|^2; a zero-modulus divisor raises."""
+        m2 = modulus(self.s2)
+        if m2 == 0.0:
+            raise ZeroDivisionError("division by a zero-modulus number")
+        return 1.0 / (m2 * m2)
+
+    def trig(self, ts) -> tuple[list[float], list[float]]:
+        return [math.cos(t) for t in ts], [math.sin(t) for t in ts]
+
+
+def _literal(body, s1: CartesianHC, s2: CartesianHC, o: Orientation):
+    """A literal formula's body on two numbers, by the scalar evaluator."""
+    return body(_ScalarPair(s1, s2, o), s1.coeffs, s2.coeffs)
+
+
 def to_dict(number: CartesianHC | PolarHC) -> dict:
     """JSON-ready encoding; round-trips bit-exactly for finite doubles.
 

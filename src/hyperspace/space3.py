@@ -103,6 +103,37 @@ class Space3Breakdown:
         return Space3(self.a, self.b, z)
 
 
+def _mul3_coeffs(ev, c1, c2) -> Space3Breakdown:
+    (a1, b1, z1), (a2, b2, z2) = c1, c2
+    (t1, _), (t2, _) = ev.chains()
+    (cos1, cos2), (sin1, sin2) = ev.trig([t1, t2])
+    d1r, d1i, d2r, d2i = z1 * cos1, z1 * sin1, z2 * cos2, z2 * sin2  # slave_decompose
+    r1 = ev.hypot(a1, b1)
+    r2 = ev.hypot(a2, b2)
+    a = a1 * a2 - b1 * b2 - d1r * d2r + d1i * d2i
+    b = b1 * a2 + b2 * a1 - d1r * d2i - d1i * d2r
+    c = z1 * r2 + z2 * r1
+    c_r = d1r * a2 + d2r * a1 - d1i * b2 - d2i * b1
+    c_i = d1i * a2 + d2i * a1 + d1r * b2 + d2r * b1
+    return Space3Breakdown(a, b, c, t1 + t2, c_r, c_i)
+
+
+def _div3_coeffs(ev, c1, c2) -> Space3Breakdown:
+    inv = ev.inverse_square()
+    (a1, b1, z1), (a2, b2, z2) = c1, c2
+    (t1, _), (t2, _) = ev.chains()
+    (cos1, cos2), (sin1, sin2) = ev.trig([t1, t2])
+    d1r, d1i, d2r, d2i = z1 * cos1, z1 * sin1, z2 * cos2, z2 * sin2  # slave_decompose
+    r1 = ev.hypot(a1, b1)
+    r2 = ev.hypot(a2, b2)
+    a = inv * (a1 * a2 + b1 * b2 + d1r * d2r + d1i * d2i)
+    b = inv * (b1 * a2 - b2 * a1 + d1r * d2i - d1i * d2r)
+    c = inv * (z1 * r2 - z2 * r1)
+    c_r = (d1r * a2 - d2r * a1) + (d1i * b2 - d2i * b1)
+    c_i = (d1i * a2 + d2i * a1) - (d1r * b2 + d2r * b1)
+    return Space3Breakdown(a, b, c, t1 - t2, c_r, c_i)
+
+
 def mul3_coeffs(s1: Space3, s2: Space3) -> Space3Breakdown:
     """Expanded product coefficients, evaluated literally (audit route).
 
@@ -112,16 +143,7 @@ def mul3_coeffs(s1: Space3, s2: Space3) -> Space3Breakdown:
     theta = theta1 + theta2
     c_r, c_i by the componentwise slave product.
     """
-    d1, d2 = slave_decompose(s1), slave_decompose(s2)
-    t1, t2 = to_polar3(s1).theta, to_polar3(s2).theta
-    r1 = math.hypot(s1.a, s1.b)
-    r2 = math.hypot(s2.a, s2.b)
-    a = s1.a * s2.a - s1.b * s2.b - d1.c_r * d2.c_r + d1.c_i * d2.c_i
-    b = s1.b * s2.a + s2.b * s1.a - d1.c_r * d2.c_i - d1.c_i * d2.c_r
-    c = s1.c * r2 + s2.c * r1
-    c_r = d1.c_r * s2.a + d2.c_r * s1.a - d1.c_i * s2.b - d2.c_i * s1.b
-    c_i = d1.c_i * s2.a + d2.c_i * s1.a + d1.c_r * s2.b + d2.c_r * s1.b
-    return Space3Breakdown(a, b, c, t1 + t2, c_r, c_i)
+    return core._literal(_mul3_coeffs, s1, s2, core.Orientation.S3)
 
 
 def div3_coeffs(s1: Space3, s2: Space3) -> Space3Breakdown:
@@ -134,17 +156,4 @@ def div3_coeffs(s1: Space3, s2: Space3) -> Space3Breakdown:
     The b numerator follows the expansion (b1*a2 - b2*a1), which is the
     version consistent with the classic quotient on the c = 0 subplane.
     """
-    m2 = modulus3(s2)
-    if m2 == 0.0:
-        raise ZeroDivisionError("division by a zero-modulus number")
-    inv = 1.0 / (m2 * m2)
-    d1, d2 = slave_decompose(s1), slave_decompose(s2)
-    t1, t2 = to_polar3(s1).theta, to_polar3(s2).theta
-    r1 = math.hypot(s1.a, s1.b)
-    r2 = math.hypot(s2.a, s2.b)
-    a = inv * (s1.a * s2.a + s1.b * s2.b + d1.c_r * d2.c_r + d1.c_i * d2.c_i)
-    b = inv * (s1.b * s2.a - s2.b * s1.a + d1.c_r * d2.c_i - d1.c_i * d2.c_r)
-    c = inv * (s1.c * r2 - s2.c * r1)
-    c_r = (d1.c_r * s2.a - d2.c_r * s1.a) + (d1.c_i * s2.b - d2.c_i * s1.b)
-    c_i = (d1.c_i * s2.a + d2.c_i * s1.a) - (d1.c_r * s2.b + d2.c_r * s1.b)
-    return Space3Breakdown(a, b, c, t1 - t2, c_r, c_i)
+    return core._literal(_div3_coeffs, s1, s2, core.Orientation.S3)

@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hyperspace import algebra, audit
+from hyperspace import algebra, audit, core
 from hyperspace.audit import (
     HYPOTHESIS_LAWS,
     LAW_IDS,
@@ -257,7 +259,7 @@ class TestStructure:
 # SeedSequence per sample and one uniform call per value, as below.
 
 STREAM_SEEDS = [0, 42, 2**32 - 1, 2**32, 2**64 - 1]
-ACW, S3 = Orientation.ANTICLOCKWISE, Orientation.S3
+ACW, CW, S3 = Orientation.ANTICLOCKWISE, Orientation.CLOCKWISE, Orientation.S3
 
 
 def ref_rng(seed, law, dim, index):
@@ -550,6 +552,111 @@ class TestColumns:
             want = [core.closeness(CartesianHC(x), CartesianHC(y), tol) for x, y in zip(a.tolist(), b.tolist())]
             assert ok.tolist() == [w[0] for w in want] and 0 < sum(ok) < len(ok)
             assert bits(gap) == bits([w[1] for w in want])
+
+
+# The literal coefficient formulas: one body each, run on columns by
+# _columns.ColumnPair and on each row by the public functions.
+
+def formula_operands(rng, n, m, kind):
+    """Two (m, n) coefficient blocks: uniform coefficients, positive-domain
+    chains (every angle in (-pi/4, pi/4)), or uniform ones whose leading
+    coefficient is negative, where sqrt(a_0^2) = |a_0| drops its sign."""
+    mag = 10.0 ** rng.uniform(-2, 2, (2, m, 1))
+    if kind == "positive":
+        th = rng.uniform(-math.pi / 4, math.pi / 4, (2, m, n - 1))
+        return [np.array([from_polar(PolarHC(r, tuple(t), ACW)).coeffs for r, t in zip(g[:, 0], h)])
+                for g, h in zip(mag, th)]
+    c = rng.uniform(-1, 1, (2, m, n)) * mag
+    if kind == "negative":
+        c[:, :, 0] = -np.abs(c[:, :, 0])
+    return list(c)
+
+
+def formula_block(c, chart):
+    """A ``Rows`` block of coefficients c in chart, as the audit builds it
+    (the column kernels have no cw chart: its chains are the scalar ones)."""
+    from hyperspace import _columns, core
+
+    if chart is not CW:
+        return _columns.rows(c, chart)
+    r = np.array([math.hypot(*row) for row in c.tolist()])
+    t = np.array([core._chain(tuple(row), m, CW) for row, m in zip(c.tolist(), r.tolist())])
+    return _columns.Rows(c, r, t, CW)
+
+
+def breakdown_fields(bd):
+    """A breakdown's numbers, in field order."""
+    if hasattr(bd, "a0"):
+        return [bd.a0, *bd.coeffs, *bd.thetas]
+    return [bd.a, bd.b, bd.c, bd.theta, bd.c_r, bd.c_i]
+
+
+def formulas_of(chart):
+    """(body, public scalar function) of every formula of a chart."""
+    from hyperspace import coeff_formulas as cf, space3
+
+    if chart is S3:
+        return [(space3._mul3_coeffs, space3.mul3_coeffs), (space3._div3_coeffs, space3.div3_coeffs)]
+    return [(body, lambda x, y, f=f: f(x, y, chart)) for body, f in (
+        (cf._mul_general, cf.mul_coeffs_general), (cf._mul_coordinate, cf.mul_coeffs_coordinate),
+        (cf._div_general, cf.div_coeffs_general), (cf._div_coordinate, cf.div_coeffs_coordinate))]
+
+
+class TestColumnFormulas:
+    @given(n=st.integers(2, 64), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["uniform", "positive", "negative"]),
+           chart=st.sampled_from([ACW, CW, S3]))
+    def test_each_row_is_the_scalar_formula(self, n, m, seed, kind, chart):
+        # every field of every breakdown, and the assembled coordinates, to
+        # the bit, signed zeros included
+        from hyperspace import _columns
+
+        n = 3 if chart is S3 else n
+        c1, c2 = formula_operands(np.random.default_rng(seed), n, m, kind)
+        a, b = formula_block(c1, chart), formula_block(c2, chart)
+        for body, scalar in formulas_of(chart):
+            got = body(_columns.ColumnPair(a, b, chart), list(a.c.T), list(b.c.T))
+            coords = _columns.assembled(got)
+            for j, (x, y) in enumerate(zip(c1.tolist(), c2.tolist())):
+                want = scalar(*(core.make_cartesian(chart, v) for v in (x, y)))
+                assert bits([f[j] for f in breakdown_fields(got)]) == bits(breakdown_fields(want)), body
+                assert bits(coords[j]) == bits(want.assembled.coeffs), body
+
+    def test_the_sign_of_the_leading_coefficient_is_lost(self):
+        # the control: negative leading coefficients do move the formulas
+        # away from the normative product
+        from hyperspace import _columns, coeff_formulas as cf
+
+        c1, c2 = formula_operands(np.random.default_rng(1), 4, 50, "negative")
+        a, b = formula_block(c1, ACW), formula_block(c2, ACW)
+        got = _columns.assembled(cf._mul_coordinate(_columns.ColumnPair(a, b, ACW), list(a.c.T), list(b.c.T)))
+        ok, _ = _columns.closeness(got, _columns.Columns().mul(a, b), Tolerance())
+        assert not ok.any()
+
+    @pytest.mark.parametrize("m", [1, 15, 16, 40])
+    def test_small_blocks_run_row_by_row_to_the_same_bits(self, m, monkeypatch):
+        from hyperspace import _columns
+
+        for chart, routes in ((ACW, audit._CARTESIAN_MUL_ROUTES + audit._CARTESIAN_DIV_ROUTES),
+                              (S3, audit._SPACE3_MUL_ROUTES + audit._SPACE3_DIV_ROUTES)):
+            c1, c2 = formula_operands(np.random.default_rng(m), 3 if chart is S3 else 6, m, "uniform")
+            a, b = formula_block(c1, chart), formula_block(c2, chart)
+            got = {}
+            for rows in (0, 10**9):  # every block on columns, then row by row
+                monkeypatch.setattr(_columns, "FORMULA_ROWS", rows)
+                got[rows] = [bits(x) for x in _columns.Columns().formulas(routes, a, b)]
+            assert got[0] == got[10**9]
+
+    def test_a_zero_divisor_in_any_row_raises(self):
+        from hyperspace import _columns, coeff_formulas as cf, space3
+
+        for chart, body in ((ACW, cf._div_general), (ACW, cf._div_coordinate), (S3, space3._div3_coeffs)):
+            c = np.ones((3, 3))
+            d = c.copy()
+            d[1] = 0.0
+            a, b = formula_block(c, chart), formula_block(d, chart)
+            with pytest.raises(ZeroDivisionError):
+                body(_columns.ColumnPair(a, b, chart), list(a.c.T), list(b.c.T))
 
 
 def evaluated_block(law, dim, domain, rows):
