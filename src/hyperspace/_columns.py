@@ -19,18 +19,16 @@ loads no numpy.
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import starmap
 from typing import NamedTuple
 
 import numpy as np
 
-from .coeff_formulas import CoeffBreakdown
 from .core import TWO_PI, Orientation, Tolerance, _cartesian, _literal
 
 _CCW, _S3 = Orientation.ANTICLOCKWISE, Orientation.S3
-# fewest rows a block runs the literal formulas on columns; below, their
-# O(N^2) numpy calls cost more than the rows' floats
-FORMULA_ROWS = 16
+FORMULA_ROWS = 16  # fewest rows to run the literal formulas on columns; below, O(N^2) numpy calls cost more
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
@@ -201,17 +199,13 @@ class Columns:
 
 
 class ColumnPair:
-    """The column evaluator of the literal coefficient formulas: the
-    ``core._ScalarPair`` of every row of two blocks, each axis a column, their
-    chains the blocks' ``Rows.t``."""
+    """The column evaluator of the literal coefficient formulas: ``core._ScalarPair``
+    of every row of two blocks, each axis a column, their chains the blocks' ``Rows.t``."""
 
-    sqrt = np.sqrt  # correctly rounded, as math.sqrt is
+    sqrt, hypot = np.sqrt, partial(mapped, math.hypot)  # np.sqrt rounds correctly, as math.sqrt does
 
     def __init__(self, a: Rows, b: Rows, o: Orientation) -> None:
         self.a, self.b, self.o = a, b, o
-
-    def hypot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return mapped(math.hypot, x, y)
 
     def chains(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         return list(self.a.t.T), list(self.b.t.T)
@@ -228,9 +222,7 @@ class ColumnPair:
 
 def assembled(bd) -> np.ndarray:
     """The ``assembled`` coordinates of a breakdown whose fields are columns."""
-    if isinstance(bd, CoeffBreakdown):
-        return np.stack([bd.a0, *bd.coeffs], axis=1)
-    return np.stack([bd.a, bd.b, np.where(mapped(math.cos, bd.theta) >= 0.0, bd.c, -bd.c)], axis=1)
+    return np.stack(bd.coordinates(partial(mapped, math.cos), np.where), axis=1)
 
 
 def coords(x) -> np.ndarray:

@@ -26,6 +26,8 @@ cosines and sines, and 1/|s2|^2.  The functions below run it on floats
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from .core import CartesianHC, Orientation, _literal
 
@@ -47,6 +49,9 @@ class CoeffBreakdown:
         """Coordinate-form value: rotation factors attached to the imaginary
         units are absorbed, leaving the bare coefficients."""
         return CartesianHC((self.a0,) + self.coeffs)
+
+    def coordinates(self, cos, where) -> tuple:  # Space3Breakdown's signature
+        return (self.a0, *self.coeffs)
 
 
 def _prefix_sq(c: tuple[float, ...]) -> list[float]:
@@ -133,7 +138,8 @@ def _mul_general(ev, c1, c2) -> CoeffBreakdown:
 def _mul_coordinate(ev, c1, c2) -> CoeffBreakdown:
     n = len(c1)
     tsum = [a + b for a, b in zip(*ev.chains())]
-    a0 = c1[0] * c2[0] - sum(c1[k] * c2[k] for k in range(1, n))
+    # reduce(add), not sum(): from Python 3.12 on, sum() of floats compensates and of arrays does not
+    a0 = c1[0] * c2[0] - reduce(add, (c1[k] * c2[k] for k in range(1, n)), 0)
     if ev.o is Orientation.ANTICLOCKWISE:
         ps1, ps2 = _prefix_sq(c1), _prefix_sq(c2)
         coeffs = [c1[k] * ev.sqrt(ps2[k - 1]) + c2[k] * ev.sqrt(ps1[k - 1]) for k in range(1, n)]
@@ -183,7 +189,7 @@ def _div_coordinate(ev, c1, c2) -> CoeffBreakdown:
     inv = ev.inverse_square()
     n = len(c1)
     tdiff = [a - b for a, b in zip(*ev.chains())]
-    a0 = inv * (c1[0] * c2[0] + sum(c1[k] * c2[k] for k in range(1, n)))
+    a0 = inv * (c1[0] * c2[0] + reduce(add, (c1[k] * c2[k] for k in range(1, n)), 0))
     if ev.o is Orientation.ANTICLOCKWISE:
         ps1, ps2 = _prefix_sq(c1), _prefix_sq(c2)
         coeffs = [inv * (c1[k] * ev.sqrt(ps2[k - 1]) - c2[k] * ev.sqrt(ps1[k - 1])) for k in range(1, n)]

@@ -99,8 +99,11 @@ class Space3Breakdown:
 
     @property
     def assembled(self) -> Space3:
-        z = self.c if math.cos(self.theta) >= 0.0 else -self.c
-        return Space3(self.a, self.b, z)
+        return Space3(*self.coordinates(math.cos, lambda p, x, y: x if p else y))
+
+    def coordinates(self, cos, where) -> tuple:
+        """``assembled``'s coordinates of floats, or of columns by ``mapped`` cos and ``np.where``."""
+        return self.a, self.b, where(cos(self.theta) >= 0.0, self.c, -self.c)
 
 
 def _mul3_coeffs(ev, c1, c2) -> Space3Breakdown:

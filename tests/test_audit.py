@@ -633,6 +633,21 @@ class TestColumnFormulas:
         ok, _ = _columns.closeness(got, _columns.Columns().mul(a, b), Tolerance())
         assert not ok.any()
 
+    @pytest.mark.parametrize("chart", [ACW, CW])
+    def test_the_coordinate_sums_add_left_to_right(self, chart):
+        # 1e16 + 1 rounds back to 1e16, so the products below add to 0 left
+        # to right and to 1 compensated, as sum() of floats adds from Python
+        # 3.12 on: both evaluators add left to right, on every Python
+        from hyperspace import _columns, coeff_formulas as cf
+
+        c1, c2 = np.array([[1.0, 1e16, 1.0, -1e16]]), np.ones((1, 4))
+        a, b = formula_block(c1, chart), formula_block(c2, chart)
+        x, y = (core.make_cartesian(chart, tuple(c[0])) for c in (c1, c2))
+        for body, scalar, a0 in ((cf._mul_coordinate, cf.mul_coeffs_coordinate, 1.0),
+                                 (cf._div_coordinate, cf.div_coeffs_coordinate, 0.25)):
+            assert scalar(x, y, chart).a0 == a0
+            assert body(_columns.ColumnPair(a, b, chart), list(a.c.T), list(b.c.T)).a0.tolist() == [a0]
+
     @pytest.mark.parametrize("m", [1, 15, 16, 40])
     def test_small_blocks_run_row_by_row_to_the_same_bits(self, m, monkeypatch):
         from hyperspace import _columns
