@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hyperspace.algebra import nth_roots
 from hyperspace.core import (
     CartesianHC,
     DimensionMismatchError,
@@ -366,3 +369,27 @@ class TestFrozen:
         s = from_polar(PolarHC(2.0, (0.5, 0.25), CW))
         assert type(s) is CartesianHC and s == CartesianHC(s.coeffs)
         assert type(conjugate(Space3(1.0, 2.0, 3.0))) is Space3
+
+
+_COPIES = {
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestCopies:
+    VALUES = TestFrozen.VALUES + [
+        Tolerance(),
+        Tolerance(abs_eps=1e-6, rel_eps=1e-3),
+        nth_roots(CartesianHC((-1.0, 0.0)), 2),
+        nth_roots(Space3(1.0, 2.0, 3.0), 3),
+    ]
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    @pytest.mark.parametrize("how", sorted(_COPIES))
+    def test_a_copy_is_an_equal_value_of_the_same_type(self, value, how):
+        twin = _COPIES[how](value)
+        assert type(twin) is type(value)
+        assert twin == value and hash(twin) == hash(value)
+        assert repr(twin) == repr(value)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 
 import pytest
@@ -282,6 +284,31 @@ class TestPrinterParserRoundTrip:
         text = unparse(tree)
         assert parse(text) == tree
         assert unparse(parse(text)) == text  # each number bit for bit, -0.0 too
+
+
+def _nodes(tree):
+    """The tree and every node below it."""
+    children = [getattr(tree, name) for name in ("child", "left", "right") if hasattr(tree, name)]
+    return [tree] + [node for child in children for node in _nodes(child)]
+
+
+class TestCopies:
+    # every node type, each at a nonzero offset
+    TREE = parse("c[0,1,0] - -c[1,2,0]^2 * lift(c[3,4], 12)")
+
+    def test_the_tree_holds_every_node_type(self):
+        nodes = _nodes(self.TREE)
+        assert {type(n) for n in nodes} == {Literal, Unary, Binary, Power, Call}
+        assert all(n.offset > 0 for n in nodes if n is not self.TREE.left)
+
+    @pytest.mark.parametrize("node", _nodes(TREE), ids=repr)
+    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    def test_a_copy_keeps_every_field_and_offset(self, node, how):
+        twin = {"pickle": lambda v: pickle.loads(pickle.dumps(v)), "copy": copy.copy,
+                "deepcopy": copy.deepcopy}[how](node)
+        assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
+        assert twin.offset == node.offset
+        assert repr(twin) == repr(node)  # the repr shows every offset below too
 
 
 class TestLimits:
