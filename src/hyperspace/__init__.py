@@ -17,6 +17,8 @@ from .core import (
     DimensionMismatchError,
     Orientation,
     PolarHC,
+    Space3,
+    Space3Polar,
     Tolerance,
     approx_eq,
     arguments,
@@ -41,20 +43,31 @@ from .algebra import (
     sub,
 )
 from .duality import lift
-from .rotation import RotationChain, build_by_rotations, rotate_in_plane
-from .space3 import (
-    Space3,
-    Space3Polar,
-    SlaveDecomposition,
-    conj3,
-    div3,
-    from_polar3,
-    j_pow,
-    mul3,
-    pow_roots3,
-    slave_decompose,
-    to_polar3,
-)
+
+# The rotation oracle and the 3D module load on first use (PEP 562): no
+# number command needs them.
+_LAZY = {
+    **dict.fromkeys(("RotationChain", "build_by_rotations", "rotate_in_plane"), "rotation"),
+    **dict.fromkeys(
+        ("SlaveDecomposition", "conj3", "div3", "from_polar3", "j_pow", "mul3", "pow_roots3",
+         "slave_decompose", "to_polar3"),
+        "space3",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "__version__",

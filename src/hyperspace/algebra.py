@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .core import (
     CartesianHC,
     Orientation,
     PolarHC,
+    _Frozen,
     _cartesian,
+    _init,
     _polar,
     from_polar,
     resolve_orientation,
@@ -40,8 +41,7 @@ from .core import (
 HCNumber = CartesianHC | PolarHC
 
 
-@dataclass(frozen=True, slots=True)
-class RootSet:
+class RootSet(_Frozen):
     """All n-th roots of a radicand, indexed m = 0 ... n-1.
 
     Each element, raised to the n-th power along its construction chain
@@ -51,11 +51,12 @@ class RootSet:
     radicand the elements are pairwise distinct.
     """
 
-    roots: tuple[CartesianHC, ...]
+    __slots__ = _fields = ("roots",)
 
-    def __post_init__(self) -> None:
-        if not self.roots:
+    def __init__(self, roots: tuple[CartesianHC, ...]) -> None:
+        if not roots:
             raise ValueError("a root set holds at least one root")
+        _init(self, "roots", roots)
 
     def __len__(self) -> int:
         return len(self.roots)

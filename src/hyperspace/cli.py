@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 
 from . import algebra
@@ -130,6 +129,8 @@ def _evaluate(args, command: str | None = None) -> tuple[expr_mod.Value, Orienta
 
 def _emit(value: expr_mod.Value, args) -> None:
     if args.format == "json":
+        import json  # loaded here: text output, the default, does not use it
+
         print(json.dumps(expr_mod.value_to_dict(value)))
     else:
         print(expr_mod.format_value(value, args.digits))

@@ -30,7 +30,6 @@ scalings) may leave the canonical ranges and are still meaningful inputs to
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 
 TWO_PI = 2.0 * math.pi
@@ -58,40 +57,80 @@ class Orientation(Enum):
 
 _CCW, _CW, _S3 = Orientation
 
+_init = object.__setattr__  # fills a slot of a frozen value under construction
 
-@dataclass(frozen=True, slots=True)
-class Tolerance:
+
+class _Frozen:
+    """Base of the immutable values: slotted, equal only to a value of its own
+    class with equal fields, hashable, picklable.  Assigning or deleting any
+    name raises ``dataclasses.FrozenInstanceError``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()  # every slot, in constructor order
+    _compared = None  # the leading fields equality and hashing read (None: all)
+
+    def __getstate__(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self._fields, state):
+            _init(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__()[: self._compared] == other.__getstate__()[: self._compared]
+
+    def __hash__(self) -> int:
+        return hash(self.__getstate__()[: self._compared])
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Tolerance(_Frozen):
     """Absolute/relative comparison budget for floating-point equality."""
 
-    abs_eps: float = 1e-12
-    rel_eps: float = 1e-9
+    __slots__ = _fields = ("abs_eps", "rel_eps")
 
-    def __post_init__(self) -> None:
-        if not (self.abs_eps > 0 and self.rel_eps > 0):
+    def __init__(self, abs_eps: float = 1e-12, rel_eps: float = 1e-9) -> None:
+        if not (abs_eps > 0 and rel_eps > 0):
             raise ValueError("tolerance components must be strictly positive")
+        _init(self, "abs_eps", abs_eps)
+        _init(self, "rel_eps", rel_eps)
 
 
 DEFAULT_TOLERANCE = Tolerance()
 
 
-@dataclass(frozen=True, slots=True)
-class CartesianHC:
+class CartesianHC(_Frozen):
     """Coordinate form: finite real coefficients (a_0, ..., a_{N-1}), N >= 2.
 
     ``orientation`` is the chart the value is bound to.  Plain coordinates
     are bound to none and convert under whichever chart is asked for.
     """
 
-    coeffs: tuple[float, ...]
+    __slots__ = _fields = ("coeffs",)
     orientation = None
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(map(float, self.coeffs))
+    def __init__(self, coeffs: tuple[float, ...]) -> None:
+        coeffs = tuple(map(float, coeffs))
         if len(coeffs) < 2:
             raise ValueError(f"need at least 2 coefficients, got {len(coeffs)}")
         if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"coefficients must be finite, got {coeffs}")
-        object.__setattr__(self, "coeffs", coeffs)
+        _init(self, "coeffs", coeffs)
 
     @property
     def dim(self) -> int:
@@ -105,8 +144,7 @@ class CartesianHC:
         return f"c[{body}]"
 
 
-@dataclass(frozen=True, slots=True)
-class PolarHC:
+class PolarHC(_Frozen):
     """Polar form: modulus >= 0 plus the angle chain (theta_1 ... theta_{N-1}).
 
     Canonical instances (as produced by :func:`to_polar`) keep every angle in
@@ -116,26 +154,26 @@ class PolarHC:
     same point.
     """
 
-    modulus: float
-    angles: tuple[float, ...]
-    orientation: Orientation = Orientation.ANTICLOCKWISE
+    __slots__ = _fields = ("modulus", "angles", "orientation")
 
-    def __post_init__(self) -> None:
-        modulus = float(self.modulus)
-        angles = tuple(map(float, self.angles))
+    def __init__(self, modulus: float, angles: tuple[float, ...],
+                 orientation: Orientation = Orientation.ANTICLOCKWISE) -> None:
+        modulus = float(modulus)
+        angles = tuple(map(float, angles))
         if not (math.isfinite(modulus) and modulus >= 0.0):
             raise ValueError(f"modulus must be finite and >= 0, got {modulus}")
         if len(angles) < 1:
             raise ValueError("need at least one angle (dim >= 2)")
         if not all(map(math.isfinite, angles)):
             raise ValueError(f"angles must be finite, got {angles}")
-        Orientation.check(self.orientation)
-        if self.orientation is _S3 and len(angles) != 2:
+        Orientation.check(orientation)
+        if orientation is _S3 and len(angles) != 2:
             raise _not_3d(len(angles) + 1)
-        if self.orientation is _S3 and not isinstance(self, Space3Polar):
+        if orientation is _S3 and not isinstance(self, Space3Polar):
             raise TypeError("an s3 polar value is built as Space3Polar(modulus, theta, phi)")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "angles", angles)
+        _init(self, "modulus", modulus)
+        _init(self, "angles", angles)
+        _init(self, "orientation", orientation)
 
     @property
     def dim(self) -> int:
@@ -191,21 +229,6 @@ class Space3Polar(PolarHC):
 
     def __repr__(self) -> str:
         return f"s3p[{self.modulus:.17g}; {self.theta:.17g}, {self.phi:.17g}]"
-
-
-def _refuse_set(self, name: str, value) -> None:
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_delete(self, name: str) -> None:
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-# Python 3.10/3.11 give a frozen slots dataclass a __setattr__ whose super()
-# call names the class from before slots were added, so assigning any name
-# that is not a field raised TypeError; refuse every name alike.
-CartesianHC.__setattr__ = PolarHC.__setattr__ = _refuse_set
-CartesianHC.__delattr__ = PolarHC.__delattr__ = _refuse_delete
 
 
 def make_cartesian(orientation: Orientation | None, coeffs) -> CartesianHC:

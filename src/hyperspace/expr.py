@@ -31,9 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import NoReturn
 
 from . import algebra, duality
 from .algebra import RootSet
@@ -43,6 +41,8 @@ from .core import (
     PolarHC,
     Space3,
     Space3Polar,
+    _Frozen,
+    _init,
     arguments,
     conjugate,
     from_polar,
@@ -111,43 +111,58 @@ def tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
 # ---------------------------------------------------------------------------
 # syntax tree
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class _Node(_Frozen):
+    __slots__ = ()
+    _compared = -1  # a node's offset, its last field, is not compared
+
+
+class Literal(_Node):
     """``head[numbers]``; a polar head's numbers start with the modulus."""
 
-    head: str  # 'c', 'p', 's3', 's3p'
-    numbers: tuple[float, ...]
-    offset: int = field(compare=False, default=0)
+    __slots__ = _fields = ("head", "numbers", "offset")
+
+    def __init__(self, head: str, numbers: tuple[float, ...], offset: int = 0) -> None:
+        _init(self, "head", head)  # 'c', 'p', 's3', 's3p'
+        _init(self, "numbers", numbers)
+        _init(self, "offset", offset)
 
 
-@dataclass(frozen=True, slots=True)
-class Unary:
-    op: str  # 'neg'
-    child: "Expr"
-    offset: int = field(compare=False, default=0)
+class Unary(_Node):
+    __slots__ = _fields = ("op", "child", "offset")
+
+    def __init__(self, op: str, child: Expr, offset: int = 0) -> None:
+        _init(self, "op", op)  # 'neg'
+        _init(self, "child", child)
+        _init(self, "offset", offset)
 
 
-@dataclass(frozen=True, slots=True)
-class Binary:
-    op: str  # '+', '-', '*', '/'
-    left: "Expr"
-    right: "Expr"
-    offset: int = field(compare=False, default=0)
+class Binary(_Node):
+    __slots__ = _fields = ("op", "left", "right", "offset")
+
+    def __init__(self, op: str, left: Expr, right: Expr, offset: int = 0) -> None:
+        _init(self, "op", op)  # '+', '-', '*', '/'
+        _init(self, "left", left)
+        _init(self, "right", right)
+        _init(self, "offset", offset)
 
 
-@dataclass(frozen=True, slots=True)
-class Power:
-    child: "Expr"
-    n: int
-    offset: int = field(compare=False, default=0)
+class Power(_Node):
+    __slots__ = _fields = ("child", "n", "offset")
+
+    def __init__(self, child: Expr, n: int, offset: int = 0) -> None:
+        _init(self, "child", child)
+        _init(self, "n", n)
+        _init(self, "offset", offset)
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
-    fn: str  # 'abs', 'arg', 'roots', 'lift', 'conj'
-    child: "Expr"
-    arg: float | int | None
-    offset: int = field(compare=False, default=0)
+class Call(_Node):
+    __slots__ = _fields = ("fn", "child", "arg", "offset")
+
+    def __init__(self, fn: str, child: Expr, arg: float | int | None, offset: int = 0) -> None:
+        _init(self, "fn", fn)  # 'abs', 'arg', 'roots', 'lift', 'conj'
+        _init(self, "child", child)
+        _init(self, "arg", arg)
+        _init(self, "offset", offset)
 
 
 Expr = Literal | Unary | Binary | Power | Call

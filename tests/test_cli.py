@@ -458,20 +458,22 @@ class TestExitContract:
 
 _WATCHED = ("numpy", "hyperspace.audit", "hyperspace.coeff_formulas", "hyperspace._columns")
 
+# what the interpreter loaded before hyperspace (site's .pth hooks, say) does not count
 _MAIN_IN_A_FRESH_INTERPRETER = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from hyperspace import cli
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.main(argv))
-print(json.dumps([codes, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
+print(json.dumps([codes, [m for m in json.loads(sys.argv[2]) if m in set(sys.modules) - before]]))
 """
 
 
 def main_in_a_fresh_interpreter(*argvs, watched=_WATCHED):
     """Exit codes of cli.main over argvs in one new interpreter, and which of
-    the watched modules were loaded after the last of them."""
+    the watched modules were loaded from ``from hyperspace import cli`` on."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c", _MAIN_IN_A_FRESH_INTERPRETER, json.dumps(argvs),
@@ -492,7 +494,60 @@ def number_commands():
     )
 
 
+# modules a number command does without: the dataclass machinery, and the
+# rotation oracle and 3D module, which only the library's API and the audit use
+_COLD = ("dataclasses", "inspect", "typing", "hyperspace.rotation", "hyperspace.space3")
+
+
 class TestImports:
+    def test_number_commands_load_no_dataclasses_rotation_or_space3(self):
+        codes, loaded = main_in_a_fresh_interpreter(
+            ["eval", "c[1,1] * c[1,1]"],
+            ["eval", "--format", "json", "c[1,2] + c[3,4]"],
+            ["convert", "--to", "polar", "--orientation", "cw", "c[1,1,1]"],
+            ["convert", "--to", "cartesian", "s3p[2; pi/2, pi]"],
+            ["roots", "s3[-1,0,0]", "3"],
+            ["roots", "c[-1,0]", "2"],
+            watched=_COLD,
+        )
+        assert codes == [0] * 6
+        assert loaded == []
+
+    def test_the_audit_loads_dataclasses_and_space3(self):
+        # the control: the probe above can see these modules load
+        codes, loaded = main_in_a_fresh_interpreter(
+            ["audit", "--samples", "1", "--law", "add_commutative", "--dim", "2"], watched=_COLD,
+        )
+        assert codes == [0]
+        assert {"dataclasses", "hyperspace.space3"} <= set(loaded)
+
+    def test_the_package_loads_rotation_and_space3_on_first_use(self):
+        probe = (
+            "import json, sys, hyperspace\n"
+            "cold = [m for m in ('hyperspace.rotation', 'hyperspace.space3') if m in sys.modules]\n"
+            "from hyperspace import RotationChain, mul3\n"
+            "import hyperspace.rotation, hyperspace.space3\n"
+            "same = [RotationChain is hyperspace.rotation.RotationChain, mul3 is hyperspace.space3.mul3]\n"
+            "print(json.dumps([cold, same]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert json.loads(out.stdout) == [[], [True, True]]
+
+    def test_every_exported_name_resolves_and_is_listed(self):
+        import hyperspace
+        from hyperspace.core import Space3
+
+        assert hyperspace.Space3 is Space3
+        assert hyperspace.RotationChain.__module__ == "hyperspace.rotation"
+        assert all(getattr(hyperspace, name) is not None for name in hyperspace.__all__)
+        star = {}
+        exec("from hyperspace import *", star)
+        assert set(hyperspace.__all__) <= set(star)
+        assert set(hyperspace.__all__) <= set(dir(hyperspace))
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            hyperspace.nope
+
     def test_number_commands_do_not_load_numpy(self, number_commands):
         codes, loaded = number_commands
         assert codes == [0, 0, 0, 2]

@@ -393,3 +393,5 @@ class TestCopies:
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value)
+        with pytest.raises(FrozenInstanceError):
+            twin.x = 1.0  # a copy is as frozen as its original, for any name

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import assume, given
@@ -309,6 +310,14 @@ class TestCopies:
         assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
         assert twin.offset == node.offset
         assert repr(twin) == repr(node)  # the repr shows every offset below too
+
+    @pytest.mark.parametrize("node", _nodes(TREE), ids=repr)
+    @pytest.mark.parametrize("name", ["offset", "child", "x"])
+    def test_a_node_is_frozen(self, node, name):
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
 
 
 class TestLimits:
