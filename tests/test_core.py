@@ -1,7 +1,5 @@
-import copy
 import json
 import math
-import pickle
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -29,7 +27,7 @@ from hyperspace.core import (
     to_polar,
 )
 
-from util import angle_close, close, vec_close, wide_floats
+from util import COPIES, angle_close, close, vec_close, wide_floats
 
 ACW = Orientation.ANTICLOCKWISE
 CW = Orientation.CLOCKWISE
@@ -371,13 +369,6 @@ class TestFrozen:
         assert type(conjugate(Space3(1.0, 2.0, 3.0))) is Space3
 
 
-_COPIES = {
-    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
-    "copy": copy.copy,
-    "deepcopy": copy.deepcopy,
-}
-
-
 class TestCopies:
     VALUES = TestFrozen.VALUES + [
         Tolerance(),
@@ -387,9 +378,9 @@ class TestCopies:
     ]
 
     @pytest.mark.parametrize("value", VALUES, ids=repr)
-    @pytest.mark.parametrize("how", sorted(_COPIES))
+    @pytest.mark.parametrize("how", sorted(COPIES))
     def test_a_copy_is_an_equal_value_of_the_same_type(self, value, how):
-        twin = _COPIES[how](value)
+        twin = COPIES[how](value)
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value)

@@ -1,6 +1,4 @@
-import copy
 import math
-import pickle
 import sys
 from dataclasses import FrozenInstanceError
 
@@ -26,7 +24,7 @@ from hyperspace.expr import (
 )
 from hyperspace.space3 import Space3
 
-from util import close, expr_trees, vec_close, wide_floats
+from util import COPIES, close, expr_trees, vec_close, wide_floats
 
 ACW = Orientation.ANTICLOCKWISE
 CW = Orientation.CLOCKWISE
@@ -303,10 +301,9 @@ class TestCopies:
         assert all(n.offset > 0 for n in nodes if n is not self.TREE.left)
 
     @pytest.mark.parametrize("node", _nodes(TREE), ids=repr)
-    @pytest.mark.parametrize("how", ["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize("how", sorted(COPIES))
     def test_a_copy_keeps_every_field_and_offset(self, node, how):
-        twin = {"pickle": lambda v: pickle.loads(pickle.dumps(v)), "copy": copy.copy,
-                "deepcopy": copy.deepcopy}[how](node)
+        twin = COPIES[how](node)
         assert type(twin) is type(node) and twin == node and hash(twin) == hash(node)
         assert twin.offset == node.offset
         assert repr(twin) == repr(node)  # the repr shows every offset below too

@@ -1,6 +1,8 @@
 """Shared comparison helpers and hypothesis strategies for the test suite."""
 
+import copy
 import math
+import pickle
 import sys
 
 from hypothesis import strategies as st
@@ -8,6 +10,14 @@ from hypothesis import strategies as st
 from hyperspace.expr import Binary, Call, Literal, Power, Unary
 
 TWO_PI = 2.0 * math.pi
+
+
+# the three ways to copy a value, by name
+COPIES = {
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
 
 
 def close(x: float, y: float, rel: float = 1e-9, abs_eps: float = 1e-12) -> bool:
