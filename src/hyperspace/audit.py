@@ -23,19 +23,20 @@ Determinism contract: each sample's stream is exactly numpy's
 law code being the law's index in ``_LAWS``, so per-sample results are
 independent of evaluation order and stable under parallel execution.  The
 audit has one source of random numbers: ``audit_law`` seeds a block of
-samples once (``_seed_words``), ``_stream_words`` computes their words
-(PCG64's seeding and output on (high, low) pairs of uint64 words), and every
-draw reads them as numpy's ``Generator.random`` and ``integers`` would.  A
-sample's operands are the first attempts of its stream that are not nearly
-singular (tiny modulus, or a canonical angle within 1e-8 of a range
-boundary); the others are redrawn and counted, separating law violations
-from float pathology near the chart seams.  ``_draw_block`` draws every
-attempt of a block once, and ``audit_law`` judges every sample with its
-block as float64 columns (``_columns.Columns``), bit for bit what the
-library's functions (``_VALUES``) compute, in numpy calls whose count does
-not grow with the dimension, the literal coefficient formulas' O(N^2) calls
-apart (a block of few rows runs those row by row); the N = 2 ``complex``
-oracle runs per sample.  The library's functions only replay a
+samples once (``_seed_words``), computes one words array for it
+(``_stream_words``: PCG64 on (high, low) pairs of uint64 words), and every
+draw reads it by position (``_read``, which computes a row's words past it
+from the row's seed words) as numpy's ``Generator`` would.  A sample's
+operands are the first attempts of its stream that are not nearly singular
+(tiny modulus, or a canonical angle within 1e-8 of a range boundary); the
+others are redrawn and counted, separating law violations from float
+pathology near the chart seams.  ``_draw_block`` draws every attempt of a
+block once, then ``_integers`` every integer.  ``audit_law`` judges every
+sample with its block as float64 columns (``_columns.Columns``), bit for bit
+what the library's functions (``_VALUES``) compute, in numpy calls whose
+count does not grow with the dimension, the literal coefficient formulas'
+O(N^2) calls apart (a block of few rows runs those row by row); the N = 2
+``complex`` oracle runs per sample.  The library's functions only replay a
 cell's first failing sample, on the operands and integers its block drew.
 
 Bounds: at most 2**32 samples per cell (the sample index is one 32-bit seed
@@ -279,40 +280,38 @@ def _doubles(words):
     return (words >> 11) * 2.0**-53
 
 
-class _Stream:
-    """One sample's stream, read as numpy's ``Generator`` reads it: doubles a
-    word each, integers from 32-bit halves.  It starts at word ``pos`` of its
-    block's words, past the first attempts, and computes more from its seeds."""
+def _read(seeds, raw, rows, start, count: int):
+    """Words start ... start+count-1 (start an int or one per row) of the
+    streams of a block's rows: its words ``raw``, and words past them computed
+    from the seed words of the rows that read there."""
+    import numpy as np
 
-    __slots__ = ("seeds", "words", "pos", "half")
+    idx = np.add.outer(np.broadcast_to(start, rows.shape), np.arange(count))
+    out = raw[rows[:, None], np.minimum(idx, raw.shape[1] - 1)]
+    if (past := idx[:, -1] >= raw.shape[1]).any():
+        more = _stream_words(seeds[rows[past]], int(idx[past, -1].max()) + 1)
+        out[past] = np.take_along_axis(more, idx[past], axis=1)
+    return out
 
-    def __init__(self, seeds, words=(), pos: int = 0):
-        self.seeds, self.words, self.pos = seeds, words, pos
-        self.half = None  # the high half of a word whose low half was drawn
 
-    def _take(self, k: int):
-        end = self.pos + k
-        if end > len(self.words):
-            self.words = _stream_words(self.seeds[None], max(end, 2 * len(self.words)))[0]
-        out, self.pos = self.words[self.pos : end], end
-        return out
+def _integers(ranges, seeds, raw, start):
+    """A block's integers, a row per range, as ``Generator.integers`` draws
+    them from each row's 32-bit halves, a word's low half first, on from word
+    ``start``: Lemire's method, a rejected half passing to the next (Lemire,
+    "Fast Random Integer Generation in an Interval", ACM TOMACS 2019)."""
+    import numpy as np
 
-    def random(self, k: int):
-        return _doubles(self._take(k))
-
-    def integers(self, lo: int, hi: int) -> int:
-        """Lemire's method on 32-bit draws, a word's low half first, with its
-        rejection step (Lemire, "Fast Random Integer Generation in an
-        Interval", ACM TOMACS 2019)."""
-        while True:
-            if self.half is None:
-                word = int(self._take(1)[0])
-                x, self.half = word & _MASK32, word >> 32
-            else:
-                x, self.half = self.half, None
-            m = x * (hi - lo)
-            if m & _MASK32 >= 2**32 % (hi - lo):
-                return lo + (m >> 32)
+    out, half = np.zeros((len(ranges), len(raw)), np.int64), 2 * start
+    for row, (lo, hi) in zip(out, ranges):
+        todo = np.arange(len(raw))
+        while len(todo):  # the rows whose every half so far was rejected
+            word = _read(seeds, raw, todo, half[todo] >> 1, 1)[:, 0]
+            m = np.where(half[todo] & 1, word >> 32, word & _MASK32) * (hi - lo)
+            ok = m & _MASK32 >= 2**32 % (hi - lo)
+            row[todo[ok]] = lo + (m[ok] >> 32).astype(np.int64)
+            half[todo] += 1
+            todo = todo[~ok]
+    return out
 
 
 def _uniform(lo: float, hi: float, u):
@@ -555,25 +554,18 @@ def _words(spec: _Law, dim: int, domain: Domain) -> tuple[int, int]:
 
 
 def _draw_block(K, spec: _Law, domain: Domain, seeds, raw, n: int):
-    """A block's operands, one ``K.Rows`` each, the streams its redraws read
-    (by row) and each row's redraws.  A sample's operands are the first
-    attempts of its stream, n / operands doubles each, that ``_draw`` does
-    not find near singular; at most ``_MAX_REDRAWS`` attempts in a row may
-    be.  Round r draws attempt r of every sample still short of operands in
-    one ``_draw``: rounds below the operand count read the block's words,
-    later ones each sample's ``_Stream``, which starts at word n."""
+    """A block's operands, one ``K.Rows`` each, and each row's redraws.  A
+    sample's operands are the first attempts of its stream, w = n / operands
+    words each, that ``_draw`` does not find near singular; at most
+    ``_MAX_REDRAWS`` attempts in a row may be.  Round r draws, in one
+    ``_draw``, attempt r of every sample still short: words r*w ... (r+1)*w-1."""
     import numpy as np
 
     m, w = len(raw), n // spec.operands
     got, run, redraws = np.zeros((3, m), int)  # by row: operands, near attempts in a row, redraws
-    todo, streams, r = np.arange(m), {}, 0
+    todo, r = np.arange(m), 0
     while len(todo):
-        if r < spec.operands:
-            u = _doubles(raw[:, r * w : (r + 1) * w])
-        else:  # the samples the first rounds left short, one stream each
-            streams = streams or {i: _Stream(seeds[i], raw[i], n) for i in todo.tolist()}
-            u = np.array([streams[i].random(w) for i in todo.tolist()])
-        s, near = _draw(K, u, spec.chart, domain)
+        s, near = _draw(K, _doubles(_read(seeds, raw, todo, r * w, w)), spec.chart, domain)
         if r == 0:
             parts = [np.empty((spec.operands, *a.shape)) for a in s[:3]]
         ok = todo[~near]
@@ -585,7 +577,7 @@ def _draw_block(K, spec: _Law, domain: Domain, seeds, raw, n: int):
         if run.max() >= _MAX_REDRAWS:
             raise RuntimeError("exhausted redraws for a non-singular operand")
         todo, r = todo[got[todo] < spec.operands], r + 1
-    return [K.Rows(c, mod, t, spec.chart) for c, mod, t in zip(*parts)], streams, redraws
+    return [K.Rows(c, mod, t, spec.chart) for c, mod, t in zip(*parts)], redraws
 
 
 def _sample(cfg: AuditConfig, law: str, operands, ints, j: int):
@@ -600,18 +592,17 @@ def _sample(cfg: AuditConfig, law: str, operands, ints, j: int):
 
 def _column_block(law: str, cfg: AuditConfig, n: int, seeds, raw):
     """Judge a block of one cell's samples as columns, on the operands
-    ``_draw_block`` draws and the integers each stream draws next.  Returns
-    (deviation, failed, redraws, (operands, integers))."""
+    ``_draw_block`` draws and the integers each sample draws after its last
+    attempt.  Returns (deviation, failed, redraws, (operands, integers))."""
     import numpy as np
 
     from . import _columns as K  # loaded here: importing the audit loads no numpy
 
     spec, m = _LAWS[law], len(raw)
-    operands, streams, redraws = _draw_block(K, spec, cfg.domain, seeds, raw, n)
+    operands, redraws = _draw_block(K, spec, cfg.domain, seeds, raw, n)
     ints = np.zeros((1, m), int)  # a row per integer; the last groups samples
-    if spec.ints:
-        rows = (streams.get(i) or _Stream(seeds[i], row, n) for i, row in enumerate(raw))
-        ints = np.array([[s.integers(*r) for r in spec.ints] for s in rows]).T
+    if spec.ints:  # past each sample's last attempt, of n / operands words
+        ints = _integers(spec.ints, seeds, raw, n // spec.operands * (spec.operands + redraws))
     dev, failed = np.zeros(m), np.zeros(m, bool)
     for group in sorted(set(ints[-1].tolist())):
         sel = np.flatnonzero(ints[-1] == group)
@@ -625,8 +616,7 @@ def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
     """Tally one law over cfg.samples seeded draws at one dimension."""
     spec, (d,) = _law(law), _dims((dim,))
     n, k = _words(spec, d, cfg.domain)
-    # A block computes k <= n + 1 words a sample and at most _BLOCK_WORDS
-    # words, whatever the dimension.
+    # a block computes k <= n + 1 words a sample, at most _BLOCK_WORDS at any N
     rows = max(1, min(_BLOCK, _BLOCK_WORDS // (n + 1)))
     passes, max_dev, resamples, first_cex = 0, 0.0, 0, None
     for i0 in range(0, cfg.samples, rows):

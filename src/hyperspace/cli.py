@@ -12,15 +12,17 @@ nested deeper than expr.MAX_DEPTH, a root order outside 1 ..
 expr.MAX_ROOT_ORDER, a scalar or root-set expression given to convert or
 roots, an option out of range or repeated, an audit of more than 2**32
 samples or of a dimension above audit.MAX_DIM, an unknown --law or --domain
-and an unwritable --out file, all found before any work), 2 arithmetic error
-(zero divisor, overflow), 3 audit found failing law samples (the report is
-still written).
+and an unwritable --out file, all found before any work; and a result that
+cannot be written, to stdout or to the --out file, reported in one
+"hsc: cannot write output" line), 2 arithmetic error (zero divisor,
+overflow), 3 audit found failing law samples (the report is still written).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from . import algebra
@@ -131,9 +133,9 @@ def _emit(value: expr_mod.Value, args) -> None:
     if args.format == "json":
         import json  # loaded here: text output, the default, does not use it
 
-        print(json.dumps(expr_mod.value_to_dict(value)))
-    else:
-        print(expr_mod.format_value(value, args.digits))
+        print(json.dumps(expr_mod.value_to_dict(value)), flush=True)
+    else:  # flushed, so that a failed write shows while main can report it
+        print(expr_mod.format_value(value, args.digits), flush=True)
 
 
 def _cmd_eval(args) -> int:
@@ -171,10 +173,8 @@ def _cmd_audit(args) -> int:
         raise argparse.ArgumentError(None, str(exc)) from None
     with out or contextlib.nullcontext(sys.stdout) as fh:
         report = audit.run_audit(cfg, laws)
-        if args.format == "json":
-            fh.write(audit.report_to_json(report) + "\n")
-        else:
-            fh.write(audit.report_to_markdown(report) + "\n")
+        render = audit.report_to_json if args.format == "json" else audit.report_to_markdown
+        print(render(report), file=fh, flush=True)
     return EXIT_AUDIT_FAILURES if audit.has_failures(report) else EXIT_OK
 
 
@@ -197,6 +197,14 @@ def main(argv: list[str] | None = None) -> int:
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         print(f"hsc: arithmetic error: {exc}", file=sys.stderr)
         return EXIT_ARITHMETIC
+    except OSError as exc:
+        print(f"hsc: cannot write output: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # what stdout holds would fail again at exit: send it nowhere
+            with contextlib.suppress(OSError):  # a stream with no descriptor
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

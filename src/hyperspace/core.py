@@ -105,8 +105,8 @@ class Tolerance(_Frozen):
     __slots__ = _fields = ("abs_eps", "rel_eps")
 
     def __init__(self, abs_eps: float = 1e-12, rel_eps: float = 1e-9) -> None:
-        if not (abs_eps > 0 and rel_eps > 0):
-            raise ValueError("tolerance components must be strictly positive")
+        if not (0 < abs_eps < math.inf and 0 < rel_eps < math.inf):
+            raise ValueError("tolerance components must be finite and strictly positive")
         _init(self, "abs_eps", abs_eps)
         _init(self, "rel_eps", rel_eps)
 

@@ -61,7 +61,7 @@ MAX_ROOT_ORDER = 1000
 
 
 class ParseError(ValueError):
-    """Syntax error with the byte offset and the tokens that were expected."""
+    """Syntax error with the character offset and the tokens that were expected."""
 
     def __init__(self, offset: int, expected: tuple[str, ...], found: str):
         self.offset = offset

@@ -105,9 +105,9 @@ class TestDeterminism:
         assert json.dumps(d1) == json.dumps(d2)
 
     def test_per_sample_streams_order_independent(self):
-        a = stream(42, "distributive", 3, 7).random(4)
-        _ = stream(42, "distributive", 3, 99).random(4)
-        b = stream(42, "distributive", 3, 7).random(4)
+        a = first_doubles(42, "distributive", 3, 7, 4)
+        _ = first_doubles(42, "distributive", 3, 99, 4)
+        b = first_doubles(42, "distributive", 3, 7, 4)
         assert list(a) == list(b) == list(ref_rng(42, "distributive", 3, 7).random(4))
 
     def test_prefix_stability(self):
@@ -271,9 +271,9 @@ def seed_row(seed, law, dim, index):
     return audit._seed_words(seed, LAW_IDS.index(law), dim, index, 1)[0]
 
 
-def stream(seed, law, dim, index):
-    """A sample's stream as the audit reads it, computing its own words."""
-    return audit._Stream(seed_row(seed, law, dim, index))
+def first_doubles(seed, law, dim, index, k):
+    """A sample's first k doubles, from words computed for it alone."""
+    return audit._doubles(audit._stream_words(seed_row(seed, law, dim, index)[None], k)[0])
 
 
 def pcg64_whose_next_word_is(word):
@@ -356,32 +356,32 @@ def ref_audit_law(law, cfg, dim):
     return audit.LawResult(law, dim, cfg.samples, passes, max_dev, first_cex, resamples)
 
 
-def drawn(operands, redraws, rng):
-    """One sample's operands and redraws, then what a law would draw next
-    from its stream."""
-    after = [int(rng.integers(-4, 9)), int(rng.integers(1, 7)), int(rng.integers(0, 9))]
-    return [to_dict(s) for s in operands], redraws, after, rng.random(2).tolist()
+AFTER = [(-4, 9), (1, 7), (0, 9)]  # integer ranges a law might draw after its operands
 
 
 def ref_drawn(seed, law, dim, domain, index):
-    """drawn() of a sample drawn value by value from numpy's generator."""
+    """A sample's operands, redraws and the integers drawn after them, value
+    by value from numpy's generator."""
     rng = ref_rng(seed, law, dim, index)
-    return drawn(*ref_draw_operands(rng, audit._LAWS[law], dim, domain), rng)
+    operands, redraws = ref_draw_operands(rng, audit._LAWS[law], dim, domain)
+    return [to_dict(s) for s in operands], redraws, [int(rng.integers(*r)) for r in AFTER]
 
 
 def drawn_block(seed, law, dim, domain, i0, m):
-    """drawn() of samples i0 ... i0+m-1, drawn as the audit draws them, as
-    one block."""
+    """ref_drawn() of samples i0 ... i0+m-1, drawn as the audit draws them,
+    as one block: the integers from the word past each sample's last
+    attempt."""
     from hyperspace import _columns
 
     spec = audit._LAWS[law]
     n, k = audit._words(spec, dim, domain)
     seeds = audit._seed_words(seed, LAW_IDS.index(law), dim, i0, m)
     raw = audit._stream_words(seeds, k)
-    operands, streams, redraws = audit._draw_block(_columns, spec, domain, seeds, raw, n)
+    operands, redraws = audit._draw_block(_columns, spec, domain, seeds, raw, n)
+    ints = audit._integers(AFTER, seeds, raw, n // spec.operands * (spec.operands + redraws))
     return [
-        drawn([audit._cartesian(spec.chart, tuple(s.c[i].tolist())) for s in operands], int(redraws[i]),
-              streams.get(i) or audit._Stream(seeds[i], raw[i], n))
+        ([to_dict(audit._cartesian(spec.chart, tuple(s.c[i].tolist()))) for s in operands],
+         int(redraws[i]), ints[:, i].tolist())
         for i in range(m)
     ]
 
@@ -402,16 +402,19 @@ class TestStreams:
     def test_streams_draw_what_numpy_draws(self, seed):
         # the raw words, the doubles and integers audit_law takes from them,
         # against numpy's generator for each sample
-        ranges = [(-4, 9), (1, 7), (0, 9)]
+        # (integers read past the block's words are computed for their rows)
         for law in LAW_IDS:
             for dim in (2, 3, 8):
                 seeds = audit._seed_words(seed, LAW_IDS.index(law), dim, 3, 7)
                 raw = audit._stream_words(seeds, 11)
+                ints = audit._integers(AFTER, seeds, raw, np.full(7, 9))
+                for cut in (1, 9, 10):
+                    assert audit._integers(AFTER, seeds, raw[:, :cut], np.full(7, 9)).tolist() == ints.tolist()
                 for i in range(7):
                     assert raw[i].tolist() == ref_rng(seed, law, dim, 3 + i).bit_generator.random_raw(11).tolist()
-                    ref, got = ref_rng(seed, law, dim, 3 + i), audit._Stream(seeds[i], raw[i])
-                    assert got.random(9).tolist() == ref.random(9).tolist()
-                    assert [got.integers(*r) for r in ranges] == [int(ref.integers(*r)) for r in ranges]
+                    ref = ref_rng(seed, law, dim, 3 + i)
+                    assert audit._doubles(raw[i, :9]).tolist() == ref.random(9).tolist()
+                    assert ints[:, i].tolist() == [int(ref.integers(*r)) for r in AFTER]
 
     def test_streams_cross_the_real_block_boundary(self):
         # samples on both sides of the audit's block boundary, drawn as one
@@ -435,12 +438,13 @@ class TestStreams:
         copy.state = bits.state
         raw = copy.random_raw(4)
         assert int(raw[0]) == word
-        ref, got = np.random.Generator(bits), audit._Stream(None, raw)
-        want = [int(ref.integers(-4, 9)) for _ in range(2)] + [ref.random()]
-        assert [got.integers(-4, 9) for _ in range(2)] + got.random(1).tolist() == want
+        ref = np.random.Generator(bits)
+        want = [int(ref.integers(-4, 9)) for _ in range(2)]
+        # a block of one row, whose words need no seed words to extend them
+        assert audit._integers([(-4, 9)] * 2, None, raw[None], np.zeros(1, int))[:, 0].tolist() == want
         # one rejected half, so the three halves drawn end in the second
-        # word and the double comes from the third
-        assert want[2] == (int(raw[2]) >> 11) * 2.0**-53
+        # word and numpy's next double comes from the third
+        assert ref.random() == (int(raw[2]) >> 11) * 2.0**-53
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_one_call_draws_match_per_value_draws(self, domain, monkeypatch):
@@ -465,11 +469,42 @@ class TestStreams:
             got = drawn_block(cfg.seed, law, 3, domain, i0, min(8, cfg.samples - i0))
             for index, row in enumerate(got, i0):
                 assert row == ref_drawn(cfg.seed, law, 3, domain, index), index
-            mixed |= len({redraws for _, redraws, _, _ in got}) > 1
+            mixed |= len({redraws for _, redraws, _ in got}) > 1
         assert mixed
         got = audit_law(law, cfg, 3)
         assert got == ref_audit_law(law, cfg, 3)
         assert got.resamples > 0
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    @pytest.mark.parametrize("law", [law for law in LAW_IDS if audit._LAWS[law].ints])
+    def test_redrawn_rows_draw_their_integers_past_the_block(self, law, domain, monkeypatch):
+        # a row with redraws draws its integers after (operands + redraws)
+        # attempts of w words, past the words its block computed; words past
+        # them are computed for the rows that read there, not the block
+        from hyperspace import _columns
+
+        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
+        spec, cfg = audit._LAWS[law], AuditConfig(dims=(3,), samples=30, seed=2**32, domain=domain)
+        n, k = audit._words(spec, 3, domain)
+        seeds = audit._seed_words(cfg.seed, LAW_IDS.index(law), 3, 0, cfg.samples)
+        raw = audit._stream_words(seeds, k)
+        _, redraws = audit._draw_block(_columns, spec, domain, seeds, raw, n)
+        extended = []
+
+        def stream_words(seeds, k):
+            extended.append(len(seeds))
+            return stream_words.real(seeds, k)
+
+        stream_words.real = audit._stream_words
+        monkeypatch.setattr(audit, "_stream_words", stream_words)
+        ints = audit._column_block(law, cfg, n, seeds, raw)[3][1]
+        assert 0 < max(extended) <= np.count_nonzero(redraws) < cfg.samples
+        for i in np.flatnonzero(redraws).tolist():
+            words = (spec.operands + int(redraws[i])) * (n // spec.operands)
+            assert words >= k
+            ref = ref_rng(cfg.seed, law, 3, i)
+            ref.bit_generator.random_raw(words)
+            assert ints[:, i].tolist() == [int(ref.integers(*r)) for r in spec.ints], i
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +722,11 @@ def evaluated_block(law, dim, domain, rows):
     u, w = audit._doubles(raw[:, :n]), n // spec.operands
     blocks = [audit._draw(_columns, u[:, j : j + w], spec.chart, domain)[0] for j in range(0, n, w)]
     values = [[core.make_cartesian(spec.chart, b.c[i].tolist()) for b in blocks] for i in range(rows)]
-    streams = [audit._Stream(seeds[i], raw[i], n) for i in range(rows)]
-    ints = [[s.integers(*r) for r in spec.ints] for s in streams]
+    ints = []
+    for i in range(rows):  # numpy's integers after a sample's first attempts
+        rng = ref_rng(5, law, dim, i)
+        rng.bit_generator.random_raw(n)
+        ints.append([int(rng.integers(*r)) for r in spec.ints])
     return blocks, values, ints
 
 
@@ -833,8 +871,8 @@ class TestOneJudge:
 
     @pytest.mark.parametrize("domain", list(Domain))
     def test_each_block_is_seeded_once_by_audit_law(self, domain, monkeypatch):
-        # redraws and rejections run past their block's words; their streams
-        # compute more words from the seed words the block computed, so the
+        # redraws and rejections run past their block's words; _read
+        # computes more words from the seed words the block computed, so the
         # seed words are computed once a block, for its own samples
         monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
         monkeypatch.setattr(audit, "_BLOCK", 8)
@@ -845,7 +883,7 @@ class TestOneJudge:
             return seed_words.real(seed, code, dim, i0, m)
 
         def stream_words(*args):
-            extended.append(sys._getframe(1).f_code.co_name == "_take")
+            extended.append(sys._getframe(1).f_code.co_name == "_read")
             return stream_words.real(*args)
 
         seed_words.real, stream_words.real = audit._seed_words, audit._stream_words
@@ -864,8 +902,9 @@ class TestOneJudge:
     def test_every_attempt_is_drawn_once(self, domain, monkeypatch):
         # a block draws every attempt of its samples once, redraws included,
         # and the counterexample replay draws nothing: the rows drawn are the
-        # operands and the redraws, and every stream starts past its sample's
-        # first attempts, which the block drew from its words
+        # operands and the redraws, and the rounds of a block read its
+        # words attempt after attempt, so redraw rounds start past the first
+        # attempts
         monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
         monkeypatch.setattr(audit, "_BLOCK", 8)
         rows, starts = [], []
@@ -874,20 +913,30 @@ class TestOneJudge:
             rows.append(len(u))
             return draw.real(K, u, *args)
 
-        def init(self, seeds, words=(), pos=0):
-            starts.append(pos)
-            init.real(self, seeds, words, pos)
+        def read(seeds, raw, todo, start, count):
+            if sys._getframe(1).f_code.co_name == "_draw_block":
+                starts.append((start, count))
+            return read.real(seeds, raw, todo, start, count)
 
-        draw.real, init.real = audit._draw, audit._Stream.__init__
+        draw.real, read.real = audit._draw, audit._read
         monkeypatch.setattr(audit, "_draw", draw)
-        monkeypatch.setattr(audit._Stream, "__init__", init)
+        monkeypatch.setattr(audit, "_read", read)
         cfg = AuditConfig(dims=(3, 8), samples=30, seed=2**32, domain=domain)
+        redrawn = False
         for law in LAW_IDS:
+            spec = audit._LAWS[law]
             for dim in cfg.dims:
                 rows.clear()
+                starts.clear()
                 got = audit_law(law, cfg, dim)
-                assert sum(rows) == audit._LAWS[law].operands * cfg.samples + got.resamples, (law, dim)
-        assert starts and 0 not in starts
+                assert sum(rows) == spec.operands * cfg.samples + got.resamples, (law, dim)
+                # round r of a block reads attempt r, words r*w ... (r+1)*w - 1
+                w = audit._words(spec, dim, domain)[0] // spec.operands
+                assert all(count == w and start % w == 0 for start, count in starts)
+                r = [start // w for start, _ in starts]
+                assert all(b == a + 1 or (b == 0 and a >= spec.operands - 1) for a, b in zip(r, r[1:] + [0]))
+                redrawn |= max(r) >= spec.operands
+        assert redrawn
 
     def test_redraws_are_bounded(self, monkeypatch):
         # at most _MAX_REDRAWS attempts in a row may be near singular; here a

@@ -311,6 +311,8 @@ class TestExitContract:
             ("audit", "--rel-eps", "-1"),
             ("audit", "--law", "bogus"),
             ("audit", "--domain", "bogus"),
+            ("audit", "--abs-eps", "inf"),
+            ("audit", "--rel-eps", "1e400"),
         ],
     )
     def test_option_out_of_range_is_a_usage_error(self, argv):
@@ -441,6 +443,41 @@ class TestExitContract:
         code, out, err = run_in_process(*argv)
         assert (code, out) == (1, "")
         assert err == f"hsc: type error at offset 0: {argv[0]} expects a number-valued expression\n"
+
+    def test_a_result_that_cannot_be_written_exits_1_with_one_line(self, monkeypatch):
+        import contextlib
+        import errno
+        import io
+
+        from hyperspace import cli
+
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def run(*argv, stdout):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+                return cli.main(list(argv)), err.getvalue()
+
+        full = (1, "hsc: cannot write output: [Errno 28] No space left on device\n")
+        audit = ("audit", "--dim", "2", "--samples", "2", "--law", "add_commutative")
+        for argv in (("eval", "c[1,1]"), ("roots", "c[0,1]", "2"), audit):
+            assert run(*argv, stdout=Full()) == full, argv
+        # the report file, opened before the audit, fails when it is written
+        monkeypatch.setattr(cli, "open", lambda *args, **kw: Full(), raising=False)
+        out = io.StringIO()
+        assert run(*audit, "--out", "r.json", stdout=out) == full and out.getvalue() == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_writing_to_a_full_device_exits_1_without_a_traceback(self):
+        audit = ("audit", "--dim", "2", "--samples", "2", "--law", "add_commutative")
+        for argv, to_stdout in (((*audit, "--out", "/dev/full"), False), (audit, True), (("eval", "c[1,1]"), True)):
+            with open("/dev/full", "w") as full:
+                out = subprocess.run([sys.executable, "-m", "hyperspace", *argv], text=True,
+                                     stdout=full if to_stdout else subprocess.PIPE, stderr=subprocess.PIPE)
+            assert out.returncode == 1, argv
+            assert out.stderr == "hsc: cannot write output: [Errno 28] No space left on device\n", argv
 
     def test_report_file_holds_the_report(self, tmp_path):
         argv = ("audit", "--samples", "3", "--dim", "2", "--law", "add_commutative")

@@ -68,6 +68,12 @@ class TestTypes:
             Tolerance(abs_eps=0.0)
         with pytest.raises(ValueError):
             Tolerance(rel_eps=-1e-9)
+        # an infinite or nan budget would pass every equality claim
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                Tolerance(abs_eps=bad)
+            with pytest.raises(ValueError, match="finite and strictly positive"):
+                Tolerance(rel_eps=bad)
 
 
 class TestModulus:
