@@ -47,10 +47,13 @@ in a block of ``_BLOCK_WORDS`` words, which holds few samples at a high N.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import datetime as _dt
 import json
 import math
 import operator
+import os
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -653,12 +656,119 @@ def select_laws(laws: list[str] | None = None) -> tuple[str, ...]:
     return chosen
 
 
+def _shares(cfg: AuditConfig, cells, procs: int) -> list[list[int]]:
+    """The cells' indices split over procs processes, each share in cell
+    order: largest estimated cost first, to the least loaded process.  A
+    cell's cost is estimated from the request alone, its samples times the
+    words of its block's rows, doubled for a law that draws an integer and
+    tripled for one that draws two."""
+    shares, loads = [[] for _ in range(procs)], [0] * procs
+    costs = [cfg.samples * _words(_LAWS[law], dim, cfg.domain)[1] * (1 + len(_LAWS[law].ints))
+             for law, dim in cells]
+    for i in sorted(range(len(cells)), key=lambda i: -costs[i]):
+        p = loads.index(min(loads))
+        shares[p].append(i)
+        loads[p] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _run_share(cfg: AuditConfig, cells, share):
+    """``audit_law`` of a share's cells in cell order, up to the first that
+    raises: ({cell index: LawResult}, (cell index, exception) or None)."""
+    results = {}
+    for i in share:
+        law, dim = cells[i]
+        try:
+            results[i] = audit_law(law, cfg, dim)
+        except Exception as exc:
+            return results, (i, exc)
+    return results, None
+
+
+def _fork(cfg: AuditConfig, cells, share) -> tuple[int, int]:
+    """A forked worker that runs a share and pipes back its pickled outcome:
+    (pid, the pipe's read end).  The worker leaves through ``os._exit``."""
+    import pickle
+
+    r, w = os.pipe()
+    # numpy's BLAS thread makes this process multi-threaded, and from Python
+    # 3.12 on os.fork warns of that: a lock another thread holds stays held in
+    # the child.  A worker runs only the audit's elementwise numpy calls and
+    # never calls BLAS, so the warning is silenced here, for this call only.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r".*multi-threaded.*fork", DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        outcome = _run_share(cfg, cells, share)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception:  # an exception that does not pickle: its type and text
+            i, exc = outcome[1]
+            data = pickle.dumps((outcome[0], (i, RuntimeError(f"{type(exc).__name__}: {exc}"))))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_cells(cfg: AuditConfig, cells) -> list[LawResult]:
+    """``audit_law`` of every (law, dim) cell, split over the usable CPUs.
+
+    One share of the cells per CPU that ``os.sched_getaffinity`` reports, at
+    most one per cell: this process runs the first share and one forked
+    worker runs each other, forked once numpy and the column kernels are
+    loaded, so no worker imports them again.  Where the call is missing
+    (macOS, Windows) or reports one CPU, this process runs every cell and
+    nothing forks.  Cells are independent, so the results are the same in
+    any split; an exception is the one a single process would raise, the
+    earliest failing cell's.  Every worker is reaped before this returns or
+    raises, and killed first if it has not finished."""
+    procs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    shares = _shares(cfg, cells, max(1, min(procs, len(cells))))
+    workers = {}  # pid -> the read end of its pipe
+    try:
+        if len(shares) > 1:
+            import pickle
+
+            from . import _columns  # noqa: F401  loaded before the fork, for every worker
+            for share in shares[1:]:
+                pid, r = _fork(cfg, cells, share)
+                workers[pid] = r
+        results, error = _run_share(cfg, cells, shares[0])
+        errors = [error] if error else []
+        for pid in list(workers):
+            with os.fdopen(workers[pid], "rb") as fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            del workers[pid]
+            if status:
+                raise RuntimeError(f"an audit worker exited with status {os.waitstatus_to_exitcode(status)}")
+            done, error = pickle.loads(data)
+            results.update(done)
+            errors += [error] if error else []
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
+        return [results[i] for i in range(len(cells))]
+    finally:
+        for pid, r in workers.items():  # left only by an exception or Ctrl-C
+            import signal
+
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+
+
 def run_audit(cfg: AuditConfig, laws: list[str] | None = None) -> AuditReport:
     """One LawResult per (law, dim); deterministic for a fixed config."""
     chosen = select_laws(laws)
-    results = tuple(
-        audit_law(law, cfg, dim) for law in chosen for dim in cfg.dims
-    )
+    results = tuple(_run_cells(cfg, [(law, dim) for law in chosen for dim in cfg.dims]))
     stamp = _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
     return AuditReport(cfg, chosen, results, VERSION, stamp)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 
@@ -129,13 +130,23 @@ def _evaluate(args, command: str | None = None) -> tuple[expr_mod.Value, Orienta
     return expr_mod._cart(expr_mod.evaluate(tree, orientation)), orientation
 
 
+def _stdout():
+    """sys.stdout, which the interpreter sets to None when descriptor 1 was
+    closed at start: a result cannot be written there."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    return sys.stdout
+
+
 def _emit(value: expr_mod.Value, args) -> None:
     if args.format == "json":
         import json  # loaded here: text output, the default, does not use it
 
-        print(json.dumps(expr_mod.value_to_dict(value)), flush=True)
-    else:  # flushed, so that a failed write shows while main can report it
-        print(expr_mod.format_value(value, args.digits), flush=True)
+        text = json.dumps(expr_mod.value_to_dict(value))
+    else:
+        text = expr_mod.format_value(value, args.digits)
+    # flushed, so that a failed write shows while main can report it
+    print(text, file=_stdout(), flush=True)
 
 
 def _cmd_eval(args) -> int:
@@ -171,7 +182,7 @@ def _cmd_audit(args) -> int:
         out = open(args.out, "w", encoding="utf-8") if args.out else None
     except (ValueError, OSError) as exc:
         raise argparse.ArgumentError(None, str(exc)) from None
-    with out or contextlib.nullcontext(sys.stdout) as fh:
+    with out or contextlib.nullcontext(_stdout()) as fh:
         report = audit.run_audit(cfg, laws)
         render = audit.report_to_json if args.format == "json" else audit.report_to_markdown
         print(render(report), file=fh, flush=True)
@@ -200,7 +211,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"hsc: cannot write output: {exc}", file=sys.stderr)
         try:
-            sys.stdout.flush()
+            if sys.stdout is not None:  # None: descriptor 1 was closed at start
+                sys.stdout.flush()
         except OSError:  # what stdout holds would fail again at exit: send it nowhere
             with contextlib.suppress(OSError):  # a stream with no descriptor
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -489,7 +489,10 @@ def evaluate(node: Expr, orientation: Orientation = Orientation.ANTICLOCKWISE) -
 def _fmt(x: float, digits: int, snap_scale: float | None = None) -> str:
     if x == 0.0 or snap_scale is not None and abs(x) < 1e-12 * snap_scale:
         x = 0.0  # snapped, or -0.0 normalized
-    return format(x, f".{digits}g")
+    text = format(x, f".{digits}g")
+    if abs(x) > 1e308 and math.isinf(float(text)):  # rounded past the largest float
+        return format(x, ".17g")
+    return text
 
 
 _HEADS = {CartesianHC: "c", PolarHC: "p", Space3: "s3", Space3Polar: "s3p"}
@@ -501,6 +504,8 @@ def format_value(value: Value, digits: int = 12) -> str:
     A coefficient below 1e-12 of the largest one, and an angle below 1e-12,
     prints as 0, so products that land on an axis read exactly; a value whose
     coefficients are all subnormal prints them, and only zero prints as 0.
+    A coefficient or modulus that ``digits`` would round past the largest
+    float prints at 17 digits, which parse back to it.
     """
     if isinstance(value, float):
         return _fmt(value, digits)

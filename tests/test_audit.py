@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -961,3 +963,138 @@ class TestOneJudge:
         with pytest.raises(ValueError) as cell:
             audit_law("add_commutative", AuditConfig(samples=2), dim)
         assert str(cell.value) == str(config.value)
+
+
+# ---------------------------------------------------------------------------
+# run_audit splits its cells over the usable CPUs, one forked worker per CPU
+# past the first; os.sched_getaffinity is what it asks.
+
+def cpus(monkeypatch, n):
+    monkeypatch.setattr(audit.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def without_stamp(report):
+    payload = report_to_dict(report)
+    del payload["generated_at"]
+    return json.dumps(payload)
+
+
+def failing_cells(monkeypatch, failing, exc=ValueError):
+    """audit_law raising ``exc(f"cell {law} {dim}")`` on the cells of ``failing``."""
+    real = audit.audit_law
+
+    def audit_law(law, cfg, dim):
+        if (law, dim) in failing:
+            raise exc(f"cell {law} {dim}")
+        return real(law, cfg, dim)
+
+    monkeypatch.setattr(audit, "audit_law", audit_law)
+
+
+class TestSplit:
+    CELLS = [(law, dim) for law in LAW_IDS for dim in (2, 3, 4, 8)]
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_reports_are_byte_identical_on_any_cpu_count(self, seed, domain, monkeypatch):
+        cfg = AuditConfig(dims=(2, 3, 4, 8), samples=40, seed=seed, domain=domain)
+        one = [audit_law(law, cfg, dim) for law, dim in self.CELLS]  # one process, cell by cell
+        texts = set()
+        for n in (1, 2, 3):
+            cpus(monkeypatch, n)
+            report = run_audit(cfg)
+            assert list(report.results) == one, n
+            texts.add(without_stamp(report))
+            assert no_children_left()
+        assert len(texts) == 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_shares_cover_every_cell_once_largest_first(self, n):
+        cfg = AuditConfig(dims=(2, 3, 4, 8), samples=400)
+        shares = audit._shares(cfg, self.CELLS, n)
+        assert len(shares) == n and all(share == sorted(share) for share in shares)
+        assert sorted(i for share in shares for i in share) == list(range(len(self.CELLS)))
+
+        def cost(i):
+            law, dim = self.CELLS[i]
+            spec = audit._LAWS[law]
+            return cfg.samples * audit._words(spec, dim, cfg.domain)[1] * (1 + len(spec.ints))
+
+        loads = [sum(map(cost, share)) for share in shares]
+        # greedy largest-first: no share exceeds another by more than its smallest cell
+        assert max(loads) - min(loads) <= max(min(map(cost, share)) for share in shares)
+        assert audit._shares(cfg, self.CELLS[:1], 1) == [[0]]
+
+    def test_one_cpu_or_no_affinity_call_forks_nothing(self, monkeypatch):
+        cfg = AuditConfig(dims=(2, 3), samples=5)
+        monkeypatch.setattr(audit.os, "fork", lambda: pytest.fail("forked"))
+        cpus(monkeypatch, 1)
+        one = without_stamp(run_audit(cfg))
+        monkeypatch.delattr(audit.os, "sched_getaffinity")  # macOS, Windows
+        assert without_stamp(run_audit(cfg)) == one
+        cpus(monkeypatch, 4)  # one cell: one process
+        assert len(run_audit(AuditConfig(dims=(2,), samples=5), ["add_commutative"]).results) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_cell_exception_is_the_earliest_failing_cells(self, n, monkeypatch):
+        cfg = AuditConfig(dims=(2, 3, 4, 8), samples=10)
+        shares = audit._shares(cfg, self.CELLS, 3)
+        early, late = min(shares[1]), max(shares[0])  # a worker's cell before the parent's
+        assert early < late
+        failing_cells(monkeypatch, {self.CELLS[early], self.CELLS[late], self.CELLS[max(shares[2])]})
+        cpus(monkeypatch, n)
+        with pytest.raises(ValueError) as exc:
+            run_audit(cfg)
+        assert type(exc.value) is ValueError and str(exc.value) == "cell {} {}".format(*self.CELLS[early])
+        assert no_children_left()
+
+    def test_an_exception_that_does_not_pickle_keeps_its_type_name_and_text(self, monkeypatch):
+        class Local(Exception):  # a class pickle cannot find by name
+            pass
+
+        cfg, laws = AuditConfig(dims=(2, 3), samples=4), ["add_commutative", "demoivre"]
+        cells = [(law, dim) for law in laws for dim in cfg.dims]
+        cell = cells[audit._shares(cfg, cells, 2)[1][0]]  # a worker's
+        failing_cells(monkeypatch, {cell}, Local)
+        cpus(monkeypatch, 1)
+        with pytest.raises(Local, match="^cell {} {}$".format(*cell)):
+            run_audit(cfg, laws)
+        cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="^Local: cell {} {}$".format(*cell)):
+            run_audit(cfg, laws)
+        assert no_children_left()
+
+    def test_a_worker_that_dies_is_an_error(self, monkeypatch):
+        parent, real = os.getpid(), audit.audit_law
+
+        def audit_law(law, cfg, dim):
+            if os.getpid() != parent:
+                os._exit(5)
+            return real(law, cfg, dim)
+
+        monkeypatch.setattr(audit, "audit_law", audit_law)
+        cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="an audit worker exited with status 5"):
+            run_audit(AuditConfig(dims=(2, 3), samples=4), ["add_commutative"])
+        assert no_children_left()
+
+    def test_an_interrupt_kills_and_reaps_every_worker(self, monkeypatch):
+        parent, started = os.getpid(), time.perf_counter()
+
+        def audit_law(law, cfg, dim):
+            if os.getpid() != parent:
+                time.sleep(60)  # a worker still busy when the parent is interrupted
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(audit, "audit_law", audit_law)
+        cpus(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            run_audit(AuditConfig(dims=(2, 3, 4), samples=4), ["add_commutative"])
+        assert no_children_left()
+        assert time.perf_counter() - started < 30

@@ -479,6 +479,15 @@ class TestExitContract:
             assert out.returncode == 1, argv
             assert out.stderr == "hsc: cannot write output: [Errno 28] No space left on device\n", argv
 
+    def test_a_closed_stdout_exits_1_with_one_line(self):
+        # the interpreter sets sys.stdout to None when descriptor 1 is closed at start
+        audit = ("audit", "--dim", "2", "--samples", "2", "--law", "add_commutative")
+        for argv in (("eval", "c[1,1]"), ("roots", "c[0,1]", "2"), audit):
+            out = subprocess.run([sys.executable, "-m", "hyperspace", *argv], text=True,
+                                 stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+            assert out.returncode == 1, argv
+            assert out.stderr == "hsc: cannot write output: [Errno 9] Bad file descriptor: '<stdout>'\n", argv
+
     def test_report_file_holds_the_report(self, tmp_path):
         argv = ("audit", "--samples", "3", "--dim", "2", "--law", "add_commutative")
         code, out, err = run_in_process(*argv)
@@ -614,6 +623,15 @@ class TestImports:
         )
         assert codes == [3]
         assert loaded == ["numpy"]
+
+    def test_the_audit_forks_its_workers_without_multiprocessing(self):
+        # a multi-cell audit, split over the CPUs where there are several
+        codes, loaded = main_in_a_fresh_interpreter(
+            ["audit", "--samples", "2", "--dim", "2", "--dim", "3", "--law", "add_commutative", "--law", "demoivre"],
+            watched=("multiprocessing", "concurrent.futures", "hyperspace._columns"),
+        )
+        assert codes == [0]
+        assert loaded == ["hyperspace._columns"]
 
     def test_importing_the_audit_loads_neither_numpy_nor_its_kernels(self):
         probe = f"import json, sys, hyperspace.audit; print(json.dumps([m for m in {_WATCHED!r} if m in sys.modules]))"

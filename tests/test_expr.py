@@ -250,6 +250,23 @@ class TestFormatting:
         text = format_value(PolarHC(modulus, tuple(angles)), 17)
         assert parse(text) == Literal("p", (modulus, *angles))
 
+    @pytest.mark.parametrize("digits", range(0, 20))
+    def test_the_largest_float_parses_back_at_every_digit_count(self, digits):
+        big = sys.float_info.max
+        for value, head in ((CartesianHC((big, -big)), "c"), (PolarHC(big, (0.5,)), "p"),
+                            (Space3(big, 0.0, -big), "s3")):
+            literal = parse(format_value(value, digits))  # no "numeric literal out of range"
+            assert literal.head == head and all(map(math.isfinite, literal.numbers))
+
+    def test_a_coefficient_rounded_past_the_largest_float_prints_at_17_digits(self):
+        # 15 and 16 digits round 1.7976931348623157e308 up to 1.79769313486232e308
+        big, exact = sys.float_info.max, "1.7976931348623157e+308"
+        assert format_value(CartesianHC((big, 0.0)), 15) == f"c[{exact},0]"
+        assert format_value(PolarHC(big, (0.5,)), 16) == f"p[{exact}; 0.5]"
+        assert format_value(Space3(big, 0.0, -big), 15) == f"s3[{exact},0,-{exact}]"
+        assert format_value(CartesianHC((big, 0.0)), 12) == "c[1.79769313486e+308,0]"  # no rounding up
+        assert format_value(CartesianHC((1e308, 0.0)), 15) == "c[1e+308,0]"
+
     def test_json_kinds(self):
         assert value_to_dict(5.0) == {"kind": "scalar", "value": 5.0}
         assert value_to_dict(CartesianHC((1, 2)))["kind"] == "cartesian"
