@@ -39,6 +39,12 @@ O(N^2) calls apart (a block of few rows runs those row by row); the N = 2
 ``complex`` oracle runs per sample.  The library's functions only replay a
 cell's first failing sample, on the operands and integers its block drew.
 
+``run_audit`` splits its cells over the CPUs ``os.sched_getaffinity``
+reports (``_run_cells``): largest estimated cost first to the least loaded
+process, this one and a worker ``os.fork``ed per further CPU once numpy is
+loaded, each piping its pickled results back.  The results return in cell
+order, so a report's bytes do not depend on the split.
+
 Bounds: at most 2**32 samples per cell (the sample index is one 32-bit seed
 word) and dimensions up to ``MAX_DIM``, so one sample's first attempt fits
 in a block of ``_BLOCK_WORDS`` words, which holds few samples at a high N.
@@ -47,7 +53,6 @@ in a block of ``_BLOCK_WORDS`` words, which holds few samples at a high N.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import datetime as _dt
 import json
 import math
@@ -685,9 +690,10 @@ def _run_share(cfg: AuditConfig, cells, share):
     return results, None
 
 
-def _fork(cfg: AuditConfig, cells, share) -> tuple[int, int]:
+def _fork(cfg: AuditConfig, cells, share):
     """A forked worker that runs a share and pipes back its pickled outcome:
-    (pid, the pipe's read end).  The worker leaves through ``os._exit``."""
+    its pid and the pipe's read end, a binary file.  The worker leaves
+    through ``os._exit``, never returning into the caller's stack."""
     import pickle
 
     r, w = os.pipe()
@@ -700,18 +706,12 @@ def _fork(cfg: AuditConfig, cells, share) -> tuple[int, int]:
         pid = os.fork()
     if pid:
         os.close(w)
-        return pid, r
+        return pid, os.fdopen(r, "rb")
     code = 1
     try:
         os.close(r)
-        outcome = _run_share(cfg, cells, share)
-        try:
-            data = pickle.dumps(outcome)
-        except Exception:  # an exception that does not pickle: its type and text
-            i, exc = outcome[1]
-            data = pickle.dumps((outcome[0], (i, RuntimeError(f"{type(exc).__name__}: {exc}"))))
         with os.fdopen(w, "wb") as fh:
-            fh.write(data)
+            pickle.dump(_run_share(cfg, cells, share), fh)
         code = 0
     finally:
         os._exit(code)
@@ -738,12 +738,12 @@ def _run_cells(cfg: AuditConfig, cells) -> list[LawResult]:
 
             from . import _columns  # noqa: F401  loaded before the fork, for every worker
             for share in shares[1:]:
-                pid, r = _fork(cfg, cells, share)
-                workers[pid] = r
+                pid, fh = _fork(cfg, cells, share)
+                workers[pid] = fh
         results, error = _run_share(cfg, cells, shares[0])
         errors = [error] if error else []
         for pid in list(workers):
-            with os.fdopen(workers[pid], "rb") as fh:
+            with workers[pid] as fh:
                 data = fh.read()
             _, status = os.waitpid(pid, 0)
             del workers[pid]
@@ -756,13 +756,12 @@ def _run_cells(cfg: AuditConfig, cells) -> list[LawResult]:
             raise min(errors, key=lambda e: e[0])[1]
         return [results[i] for i in range(len(cells))]
     finally:
-        for pid, r in workers.items():  # left only by an exception or Ctrl-C
+        for pid, fh in workers.items():  # left only by an exception or Ctrl-C
             import signal
 
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(r)
+            fh.close()
 
 
 def run_audit(cfg: AuditConfig, laws: list[str] | None = None) -> AuditReport:
