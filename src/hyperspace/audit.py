@@ -664,9 +664,9 @@ def select_laws(laws: list[str] | None = None) -> tuple[str, ...]:
 def _shares(cfg: AuditConfig, cells, procs: int) -> list[list[int]]:
     """The cells' indices split over procs processes, each share in cell
     order: largest estimated cost first, to the least loaded process.  A
-    cell's cost is estimated from the request alone, its samples times the
-    words of its block's rows, doubled for a law that draws an integer and
-    tripled for one that draws two."""
+    cell's cost is estimated from the request alone: its samples times the
+    words its block computes a sample, doubled for a law that draws an
+    integer and tripled for one that draws two."""
     shares, loads = [[] for _ in range(procs)], [0] * procs
     costs = [cfg.samples * _words(_LAWS[law], dim, cfg.domain)[1] * (1 + len(_LAWS[law].ints))
              for law, dim in cells]
