@@ -8,9 +8,9 @@ which IEEE rounding makes exact; every other transcendental is the scalar
 engine's own ``math`` function mapped over a column, since numpy's may round
 otherwise.  Each kernel makes a fixed number of numpy calls per block,
 whatever the dimension, but the literal coefficient formulas: ``ColumnPair``
-runs their bodies (:mod:`hyperspace.coeff_formulas`) with a float64 column an
-axis, and their loops over the axes make O(N^2) numpy calls a block, so a
-block of fewer than ``FORMULA_ROWS`` rows runs them row by row instead.  Only
+runs their bodies (:mod:`hyperspace.coeff_formulas`) on every block, an axis
+a row of float64 columns, in O(N) numpy calls a block, a running sum,
+difference or product down the axes being one sequential ``accumulate``.  Only
 numpy APIs of numpy 1.24 and later are used.  The audit's draws and
 ``audit.audit_law`` import this module when they run, so importing the audit
 loads no numpy.
@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import starmap
+from operator import add, mul, sub
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import TWO_PI, Orientation, Tolerance, _cartesian, _literal
+from .core import TWO_PI, Orientation, Tolerance
 
 _CCW, _S3 = Orientation.ANTICLOCKWISE, Orientation.S3
-FORMULA_ROWS = 16  # fewest rows to run the literal formulas on columns; below, O(N^2) numpy calls cost more
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
@@ -176,12 +176,8 @@ class Columns:
         return Rows(None, np.ones(len(p.r)), np.zeros(p.t.shape), p.o)
 
     def formulas(self, routes, a: Rows, b: Rows) -> list[np.ndarray]:
-        """Every ``(label, body, chart)`` formula's assembled values on a block:
-        on columns, or row by row on a block of fewer than ``FORMULA_ROWS`` rows."""
-        if len(a.r) < FORMULA_ROWS:
-            pairs = list(zip(*([_cartesian(s.o, tuple(c)) for c in s.c.tolist()] for s in (a, b))))
-            return [np.array([_literal(f, x, y, o).assembled.coeffs for x, y in pairs]) for _, f, o in routes]
-        return [assembled(f(ColumnPair(a, b, o), list(a.c.T), list(b.c.T))) for _, f, o in routes]
+        """Every ``(label, body, chart)`` formula's assembled values on a block."""
+        return [assembled(f(ColumnPair(a, b, o), a.c.T, b.c.T)) for _, f, o in routes]
 
     def to_complex(self, s: Rows) -> list[complex]:
         return [complex(*c) for c in s.c.tolist()]
@@ -200,24 +196,44 @@ class Columns:
 
 class ColumnPair:
     """The column evaluator of the literal coefficient formulas: ``core._ScalarPair``
-    of every row of two blocks, each axis a column, their chains the blocks' ``Rows.t``."""
+    of every row of two blocks, their chains the blocks' ``Rows.t``.  A sequence
+    over the axes is one array, an axis a row, so a body's slices, ``each`` and
+    ``running`` are a few numpy calls whatever the dimension."""
 
     sqrt, hypot = np.sqrt, partial(mapped, math.hypot)  # np.sqrt rounds correctly, as math.sqrt does
+    _ACCUMULATE = {add: np.add.accumulate, sub: np.subtract.accumulate, mul: np.multiply.accumulate}
 
     def __init__(self, a: Rows, b: Rows, o: Orientation) -> None:
         self.a, self.b, self.o = a, b, o
 
-    def chains(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        return list(self.a.t.T), list(self.b.t.T)
+    def _axes(self, seq) -> np.ndarray:
+        """A sequence of columns (an array of them, or a list) as one array, an axis a row."""
+        return seq if isinstance(seq, np.ndarray) else np.reshape(seq, (-1, len(self.a.r)))
+
+    def chains(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.a.t.T, self.b.t.T
 
     def inverse_square(self) -> np.ndarray:
         if (self.b.r == 0.0).any():
             raise ZeroDivisionError("division by a zero-modulus number")
         return 1.0 / (self.b.r * self.b.r)
 
-    def trig(self, ts: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        t = np.array(ts)
-        return list(mapped(math.cos, t)), list(mapped(math.sin, t))
+    def trig(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        t = self._axes(ts)
+        return mapped(math.cos, t), mapped(math.sin, t)
+
+    def each(self, f, *seqs) -> np.ndarray:
+        return f(*map(self._axes, seqs))
+
+    def running(self, op, start, seq) -> np.ndarray:
+        """``_ScalarPair.running`` down the axes: numpy's accumulate is sequential."""
+        seq = self._axes(seq)
+        out = np.empty((len(seq) + 1, seq.shape[1]))
+        out[0], out[1:] = start, seq
+        return self._ACCUMULATE[op](out, axis=0, out=out)
+
+    def ones(self, k: int) -> np.ndarray:
+        return np.ones((k, len(self.a.r)))
 
 
 def assembled(bd) -> np.ndarray:

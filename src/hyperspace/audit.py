@@ -35,9 +35,9 @@ block once, then ``_integers`` every integer.  ``audit_law`` judges every
 sample with its block as float64 columns (``_columns.Columns``), bit for bit
 what the library's functions (``_VALUES``) compute, in numpy calls whose
 count does not grow with the dimension, the literal coefficient formulas'
-O(N^2) calls apart (a block of few rows runs those row by row); the N = 2
-``complex`` oracle runs per sample.  The library's functions only replay a
-cell's first failing sample, on the operands and integers its block drew.
+O(N) calls apart; the N = 2 ``complex`` oracle runs per sample.  The
+library's functions only replay a cell's first failing sample, on the
+operands and integers its block drew.
 
 ``run_audit`` splits its cells over the CPUs ``os.sched_getaffinity``
 reports (``_run_cells``): largest estimated cost first to the least loaded

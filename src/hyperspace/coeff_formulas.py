@@ -18,16 +18,20 @@ empty sums/products take their neutral values.
 
 Each formula is one body ``f(ev, c1, c2)`` over per-axis sequences; the
 evaluator ``ev`` supplies ``sqrt``, the operands' component arguments, their
-cosines and sines, and 1/|s2|^2.  The functions below run it on floats
-(``core._ScalarPair``), the audit on a block's columns
-(``_columns.ColumnPair``), bit for bit alike.
+cosines and sines, 1/|s2|^2, an operation axis by axis (``each``) and the
+running values of a sum, difference or product down the axes (``running``),
+and a sequence of ones (``ones``).
+The functions below run it on floats (``core._ScalarPair``), the audit on a
+block's columns (``_columns.ColumnPair``), bit for bit alike.  The general
+forms cost O(N^2) operations in either orientation, their correction
+brackets summing O(N) running products of cosines each; the coordinate
+forms O(N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+from operator import add, mul, sub
 
 from .core import CartesianHC, Orientation, _literal
 
@@ -54,43 +58,57 @@ class CoeffBreakdown:
         return (self.a0, *self.coeffs)
 
 
-def _prefix_sq(c: tuple[float, ...]) -> list[float]:
-    # ps[k] = a_0^2 + sum_{j=1}^{k} a_j^2
-    ps = [c[0] * c[0]]
-    for k in range(1, len(c)):
-        ps.append(ps[-1] + c[k] * c[k])
-    return ps
+def _sub_squares(ev, c):
+    """The squared sub-moduli paired with a_1 ... a_{N-1}: a_0^2 + a_1^2 + ... +
+    a_{k-1}^2 anticlockwise, a_0^2 + a_{N-1}^2 + ... + a_{k+1}^2 clockwise,
+    each added in that order."""
+    if ev.o is Orientation.ANTICLOCKWISE:
+        return ev.running(add, c[0] * c[0], ev.each(lambda x: x * x, c[1:-1]))
+    return ev.running(add, c[0] * c[0], ev.each(lambda x: x * x, c[:1:-1]))[::-1]
 
 
-def _suffix_sq(c: tuple[float, ...]) -> list[float]:
-    # ss[k] = a_0^2 + sum_{j=k}^{N-1} a_j^2, ss[N] = a_0^2
-    n = len(c)
-    ss = [0.0] * (n + 1)
-    ss[n] = c[0] * c[0]
-    for k in range(n - 1, 0, -1):
-        ss[k] = ss[k + 1] + c[k] * c[k]
-    return ss
+def _a0(ev, c1, c2, cos, op):
+    """The general a_0's sum: a_10*a_20 op a_1k*a_2k*prod cos(tsum_j) for each
+    axis k in turn, j over the axes passed, from the bottom (anticlockwise)
+    or from the top (clockwise)."""
+    if ev.o is Orientation.ANTICLOCKWISE:
+        x, y = c1[1:], c2[1:]
+    else:
+        x, y, cos = c1[:0:-1], c2[:0:-1], cos[::-1]
+    terms = ev.each(lambda p, q, r: p * q * r, x[1:], y[1:], ev.running(mul, 1.0, cos[:-1])[1:])
+    return ev.running(op, op(c1[0] * c2[0], x[0] * y[0]), terms)[-1]
 
 
-def _bracket_acw(cos_sum: list[float], k: int, n: int) -> float:
-    # 1 + sum_{i=1}^{n-k-2} prod_{j=k+1}^{k+i} cos(tsum_j)
-    total = 1.0
-    running = 1.0
-    for i in range(1, n - k - 1):
-        running = running * cos_sum[k + i]
-        total = total + running
-    return total
+def _brackets_acw(ev, cos):
+    # k = 1 ... N-2: 1 + sum_{i=1}^{N-k-2} prod_{j=k+1}^{k+i} cos(tsum_j), cos[j-1] = cos(tsum_j).
+    # Step i extends every window still growing by one factor and adds it in.
+    m = len(cos) - 1
+    brackets, windows = ev.ones(m), ev.ones(m)
+    for i in range(1, m):
+        windows[: m - i] = ev.each(mul, windows[: m - i], cos[i:m])
+        brackets[: m - i] = ev.each(add, brackets[: m - i], windows[: m - i])
+    return brackets
 
 
-def _bracket_cw(cos_sum: list[float], k: int, n: int) -> float:
-    # 1 + sum_{i=k+2}^{n-1} prod_{j=i-k-1}^{i} cos(tsum_j)
-    total = 1.0
-    for i in range(k + 2, n):
-        prod = 1.0
-        for j in range(i - k - 1, i + 1):
-            prod = prod * cos_sum[j]
-        total = total + prod
-    return total
+def _brackets_cw(ev, cos):
+    # k = 2 ... N-1: 1 + sum_{i=k+2}^{N-1} prod_{j=i-k-1}^{i} cos(tsum_j), cos[j-1] = cos(tsum_j).
+    # The window from s = i-k-1 is element k+2 of the running product from j = s,
+    # so each start's products add into every bracket they reach, starts ascending.
+    m = len(cos) - 1
+    brackets = ev.ones(m)
+    for s in range(1, m - 1):
+        brackets[: m - 1 - s] = ev.each(add, brackets[: m - 1 - s], ev.running(mul, 1.0, cos[s - 1 :])[4:])
+    return brackets
+
+
+def _corrections(ev, base, c1, c2, cos, sin):
+    """The general coefficients' sine corrections: the base coefficients
+    that take one and its factors a_1j, a_2j, sin(tsum_k) and bracket, for
+    k = 1 ... N-2 with j = k+1 (anticlockwise) or k = 2 ... N-1 with j = k-1
+    (clockwise)."""
+    if ev.o is Orientation.ANTICLOCKWISE:
+        return base[:-1], c1[2:], c2[2:], sin[:-1], _brackets_acw(ev, cos)
+    return base[1:], c1[1:-1], c2[1:-1], sin[1:], _brackets_cw(ev, cos)
 
 
 def _breakdown(ev, a0, coeffs, thetas) -> CoeffBreakdown:
@@ -103,104 +121,46 @@ def _breakdown(ev, a0, coeffs, thetas) -> CoeffBreakdown:
 
 
 def _mul_general(ev, c1, c2) -> CoeffBreakdown:
-    n = len(c1)
-    tsum = [a + b for a, b in zip(*ev.chains())]
-    cos_sum, sin_sum = ([0.0] + x for x in ev.trig(tsum))  # 1-indexed
-    if ev.o is Orientation.ANTICLOCKWISE:
-        ps1, ps2 = _prefix_sq(c1), _prefix_sq(c2)
-        a0 = c1[0] * c2[0] - c1[1] * c2[1]
-        running = 1.0
-        for k in range(2, n):
-            running = running * cos_sum[k - 1]
-            a0 = a0 - c1[k] * c2[k] * running
-        coeffs = []
-        for k in range(1, n):
-            base = c1[k] * ev.sqrt(ps2[k - 1]) + c2[k] * ev.sqrt(ps1[k - 1])
-            if k + 1 <= n - 1:
-                base = base - c1[k + 1] * c2[k + 1] * sin_sum[k] * _bracket_acw(cos_sum, k, n)
-            coeffs.append(base)
-        return _breakdown(ev, a0, coeffs, tsum)
-    ss1, ss2 = _suffix_sq(c1), _suffix_sq(c2)
-    a0 = c1[0] * c2[0] - c1[n - 1] * c2[n - 1]
-    running = 1.0
-    for k in range(n - 2, 0, -1):
-        running = running * cos_sum[k + 1]
-        a0 = a0 - c1[k] * c2[k] * running
-    coeffs = []
-    for k in range(1, n):
-        base = c1[k] * ev.sqrt(ss2[k + 1]) + c2[k] * ev.sqrt(ss1[k + 1])
-        if k >= 2:
-            base = base - c1[k - 1] * c2[k - 1] * sin_sum[k] * _bracket_cw(cos_sum, k, n)
-        coeffs.append(base)
-    return _breakdown(ev, a0, coeffs, tsum)
+    tsum = ev.each(add, *ev.chains())
+    cos, sin = ev.trig(tsum)  # cos[k-1] = cos(tsum_k)
+    r1, r2 = _sub_squares(ev, c1), _sub_squares(ev, c2)
+    base = ev.each(lambda x, y, p, q: x * ev.sqrt(q) + y * ev.sqrt(p), c1[1:], c2[1:], r1, r2)
+    fixed = ev.each(lambda b, x, y, s, r: b - x * y * s * r, *_corrections(ev, base, c1, c2, cos, sin))
+    coeffs = [*fixed, base[-1]] if ev.o is Orientation.ANTICLOCKWISE else [base[0], *fixed]
+    return _breakdown(ev, _a0(ev, c1, c2, cos, sub), coeffs, tsum)
 
 
 def _mul_coordinate(ev, c1, c2) -> CoeffBreakdown:
-    n = len(c1)
-    tsum = [a + b for a, b in zip(*ev.chains())]
-    # reduce(add), not sum(): from Python 3.12 on, sum() of floats compensates and of arrays does not
-    a0 = c1[0] * c2[0] - reduce(add, (c1[k] * c2[k] for k in range(1, n)), 0)
-    if ev.o is Orientation.ANTICLOCKWISE:
-        ps1, ps2 = _prefix_sq(c1), _prefix_sq(c2)
-        coeffs = [c1[k] * ev.sqrt(ps2[k - 1]) + c2[k] * ev.sqrt(ps1[k - 1]) for k in range(1, n)]
-        return _breakdown(ev, a0, coeffs, tsum)
-    ss1, ss2 = _suffix_sq(c1), _suffix_sq(c2)
-    coeffs = [c1[k] * ev.sqrt(ss2[k + 1]) + c2[k] * ev.sqrt(ss1[k + 1]) for k in range(1, n)]
+    tsum = ev.each(add, *ev.chains())
+    a0 = c1[0] * c2[0] - ev.running(add, 0.0, ev.each(mul, c1[1:], c2[1:]))[-1]
+    r1, r2 = _sub_squares(ev, c1), _sub_squares(ev, c2)
+    coeffs = ev.each(lambda x, y, p, q: x * ev.sqrt(q) + y * ev.sqrt(p), c1[1:], c2[1:], r1, r2)
     return _breakdown(ev, a0, coeffs, tsum)
 
 
 def _div_general(ev, c1, c2) -> CoeffBreakdown:
     inv = ev.inverse_square()
-    n = len(c1)
-    tsum = [a + b for a, b in zip(*ev.chains())]
-    cos_sum, sin_sum = ([0.0] + x for x in ev.trig(tsum))
-    if ev.o is Orientation.ANTICLOCKWISE:
-        ps1, ps2 = _prefix_sq(c1), _prefix_sq(c2)
-        acc = c1[0] * c2[0] + c1[1] * c2[1]
-        running = 1.0
-        for k in range(2, n):
-            running = running * cos_sum[k - 1]
-            acc = acc + c1[k] * c2[k] * running
-        a0 = inv * acc
-        coeffs = []
-        for k in range(1, n):
-            base = c1[k] * ev.sqrt(ps2[k - 1]) - c2[k] * ev.sqrt(ps1[k - 1])
-            if k + 1 <= n - 1:
-                base = base + c1[k + 1] * c2[k + 1] * sin_sum[k] * _bracket_acw(cos_sum, k, n)
-            coeffs.append(inv * base)
-        return _breakdown(ev, a0, coeffs, tsum)
-    ss1, ss2 = _suffix_sq(c1), _suffix_sq(c2)
-    acc = c1[0] * c2[0] + c1[n - 1] * c2[n - 1]
-    running = 1.0
-    for k in range(n - 2, 0, -1):
-        running = running * cos_sum[k + 1]
-        acc = acc + c1[k] * c2[k] * running
-    a0 = inv * acc
-    coeffs = []
-    for k in range(1, n):
-        base = c1[k] * ev.sqrt(ss2[k + 1]) - c2[k] * ev.sqrt(ss1[k + 1])
-        if k >= 2:
-            base = base + c1[k - 1] * c2[k - 1] * sin_sum[k] * _bracket_cw(cos_sum, k, n)
-        coeffs.append(inv * base)
-    return _breakdown(ev, a0, coeffs, tsum)
+    tsum = ev.each(add, *ev.chains())
+    cos, sin = ev.trig(tsum)  # cos[k-1] = cos(tsum_k)
+    r1, r2 = _sub_squares(ev, c1), _sub_squares(ev, c2)
+    base = ev.each(lambda x, y, p, q: x * ev.sqrt(q) - y * ev.sqrt(p), c1[1:], c2[1:], r1, r2)
+    fixed = ev.each(lambda b, x, y, s, r: inv * (b + x * y * s * r), *_corrections(ev, base, c1, c2, cos, sin))
+    coeffs = [*fixed, inv * base[-1]] if ev.o is Orientation.ANTICLOCKWISE else [inv * base[0], *fixed]
+    return _breakdown(ev, inv * _a0(ev, c1, c2, cos, add), coeffs, tsum)
 
 
 def _div_coordinate(ev, c1, c2) -> CoeffBreakdown:
     inv = ev.inverse_square()
-    n = len(c1)
-    tdiff = [a - b for a, b in zip(*ev.chains())]
-    a0 = inv * (c1[0] * c2[0] + reduce(add, (c1[k] * c2[k] for k in range(1, n)), 0))
-    if ev.o is Orientation.ANTICLOCKWISE:
-        ps1, ps2 = _prefix_sq(c1), _prefix_sq(c2)
-        coeffs = [inv * (c1[k] * ev.sqrt(ps2[k - 1]) - c2[k] * ev.sqrt(ps1[k - 1])) for k in range(1, n)]
-        return _breakdown(ev, a0, coeffs, tdiff)
-    ss1, ss2 = _suffix_sq(c1), _suffix_sq(c2)
-    coeffs = [inv * (c1[k] * ev.sqrt(ss2[k + 1]) - c2[k] * ev.sqrt(ss1[k + 1])) for k in range(1, n)]
+    tdiff = ev.each(sub, *ev.chains())
+    a0 = inv * (c1[0] * c2[0] + ev.running(add, 0.0, ev.each(mul, c1[1:], c2[1:]))[-1])
+    r1, r2 = _sub_squares(ev, c1), _sub_squares(ev, c2)
+    coeffs = ev.each(lambda x, y, p, q: inv * (x * ev.sqrt(q) - y * ev.sqrt(p)), c1[1:], c2[1:], r1, r2)
     return _breakdown(ev, a0, coeffs, tdiff)
 
 
 def mul_coeffs_general(s1: CartesianHC, s2: CartesianHC, orientation: Orientation) -> CoeffBreakdown:
-    """General product expansion with sine correction terms."""
+    """General product expansion with sine correction terms; O(N^2)
+    operations, clockwise as anticlockwise."""
     return _literal(_mul_general, s1, s2, orientation)
 
 
@@ -214,7 +174,7 @@ def div_coeffs_general(s1: CartesianHC, s2: CartesianHC, orientation: Orientatio
     """General quotient expansion.  Note the combined argument is the *sum*
     theta_1k + theta_2k here, unlike the coordinate case below; both are
     evaluated exactly as written and the audit reports which one tracks the
-    normative quotient."""
+    normative quotient.  O(N^2) operations, clockwise as anticlockwise."""
     return _literal(_div_general, s1, s2, orientation)
 
 

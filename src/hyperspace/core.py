@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import accumulate
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -468,7 +469,8 @@ def approx_eq(
 class _ScalarPair:
     """The scalar evaluator of the literal coefficient formulas' bodies
     (``coeff_formulas``, ``space3``): two numbers, an axis a float, their
-    component arguments under ``o``, and ``math``."""
+    component arguments under ``o``, ``math``, and Python's loops over the
+    axes."""
 
     sqrt, hypot = math.sqrt, math.hypot
 
@@ -488,6 +490,16 @@ class _ScalarPair:
 
     def trig(self, ts) -> tuple[list[float], list[float]]:
         return [math.cos(t) for t in ts], [math.sin(t) for t in ts]
+
+    def each(self, f, *seqs) -> list:
+        return list(map(f, *seqs))
+
+    def running(self, op, start, seq) -> list:
+        """[start, start op s_0, (start op s_0) op s_1, ...], left to right."""
+        return list(accumulate(seq, op, initial=start))
+
+    def ones(self, k: int) -> list[float]:
+        return [1.0] * k
 
 
 def _literal(body, s1: CartesianHC, s2: CartesianHC, o: Orientation):

@@ -204,14 +204,15 @@ class _Parser:
         self.kinds, self.texts, self.offsets = tokenize(text)
         self.pos = self.depth = 0
 
-    def fail(self, *expected: str) -> NoReturn:
+    def error(self, *expected: str) -> ParseError:
+        """The error of finding the current token where one of ``expected`` belongs."""
         pos = self.pos
         found = "end of input" if self.kinds[pos] == "EOF" else repr(self.texts[pos])
-        raise ParseError(self.offsets[pos], expected, found)
+        return ParseError(self.offsets[pos], expected, found)
 
     def expect(self, kind: str) -> None:
         if self.kinds[self.pos] != kind:
-            self.fail(f"'{kind}'")
+            raise self.error(f"'{kind}'")
         self.pos += 1
 
     def descend(self) -> int:
@@ -261,13 +262,13 @@ class _Parser:
         if kind == "(":
             node = self.group(self.parse_factor, Binary)
         elif kind != "NAME":
-            self.fail("a literal", "a function", "'('")
+            raise self.error("a literal", "a function", "'('")
         elif self.texts[pos] in _LITERAL_HEADS:
             node = self.parse_literal()
         elif self.texts[pos] in _FUNCTIONS:
             node = self.parse_call()
         else:
-            self.fail(*(f"'{n}'" for n in _LITERAL_HEADS + _FUNCTIONS))
+            raise self.error(*(f"'{n}'" for n in _LITERAL_HEADS + _FUNCTIONS))
         while self.kinds[self.pos] == "^":
             op = self.descend()
             node = Power(node, self.parse_signed_int(), self.offsets[op])
@@ -300,7 +301,7 @@ class _Parser:
         pos = self.pos
         if self.kinds[pos + 1] != "(":
             self.pos += 1
-            self.fail("'('")
+            raise self.error("'('")
         self.descend()  # the name's level holds the argument
         self.pos += 1
         child = self.climb(self.parse_factor, Binary)
@@ -320,7 +321,7 @@ class _Parser:
         self.pos += sign < 0
         pos = self.pos
         if self.kinds[pos] != "NUM" or not float(self.texts[pos]).is_integer():
-            self.fail("an integer")
+            raise self.error("an integer")
         self.pos += 1
         return sign * int(float(self.texts[pos]))
 
@@ -355,7 +356,7 @@ class _Parser:
         elif kinds[pos] == "(":
             value = self.group(self.parse_scalar_factor, _fold)
         else:
-            self.fail("a number", "'pi'", "'('")
+            raise self.error("a number", "'pi'", "'('")
         if kinds[self.pos] == "^":
             op = self.descend()
             value = _fold("^", value, self.parse_scalar_factor(), self.offsets[op])
@@ -368,7 +369,7 @@ def _parse_typed(text: str) -> tuple[Expr, tuple]:
     parser = _Parser(text)
     node = parser.climb(parser.parse_factor, Binary)
     if parser.kinds[parser.pos] != "EOF":
-        parser.fail("end of input")
+        raise parser.error("end of input")
     return node, check(node)
 
 

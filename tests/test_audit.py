@@ -686,19 +686,20 @@ class TestColumnFormulas:
             assert scalar(x, y, chart).a0 == a0
             assert body(_columns.ColumnPair(a, b, chart), list(a.c.T), list(b.c.T)).a0.tolist() == [a0]
 
-    @pytest.mark.parametrize("m", [1, 15, 16, 40])
-    def test_small_blocks_run_row_by_row_to_the_same_bits(self, m, monkeypatch):
+    @pytest.mark.parametrize("m, n", [(1, 6), (15, 6), (16, 6), (40, 6), (2, 600)])
+    def test_every_block_is_the_scalar_formulas_row_by_row(self, m, n):
+        # a block of any size runs on columns, to the bits of the library's
+        # formulas on each of its rows
         from hyperspace import _columns
 
         for chart, routes in ((ACW, audit._CARTESIAN_MUL_ROUTES + audit._CARTESIAN_DIV_ROUTES),
                               (S3, audit._SPACE3_MUL_ROUTES + audit._SPACE3_DIV_ROUTES)):
-            c1, c2 = formula_operands(np.random.default_rng(m), 3 if chart is S3 else 6, m, "uniform")
+            c1, c2 = formula_operands(np.random.default_rng(m), 3 if chart is S3 else n, m, "uniform")
             a, b = formula_block(c1, chart), formula_block(c2, chart)
-            got = {}
-            for rows in (0, 10**9):  # every block on columns, then row by row
-                monkeypatch.setattr(_columns, "FORMULA_ROWS", rows)
-                got[rows] = [bits(x) for x in _columns.Columns().formulas(routes, a, b)]
-            assert got[0] == got[10**9]
+            got = [bits(x) for x in _columns.Columns().formulas(routes, a, b)]
+            rows = [audit._VALUES.formulas(routes, *(core.make_cartesian(chart, c[j].tolist()) for c in (c1, c2)))
+                    for j in range(m)]
+            assert got == [bits([row[k].coeffs for row in rows]) for k in range(len(routes))]
 
     def test_a_zero_divisor_in_any_row_raises(self):
         from hyperspace import _columns, coeff_formulas as cf, space3
