@@ -9,7 +9,8 @@ its ``run_seconds``, so every checkout is measured with its own copy of the
 benchmark.  For each seed and workload the sides run in turn, and the side
 that goes first alternates from one seed to the next.  After every run
 its environment line and result line are appended, under the side's label,
-to the JSON list in BENCH_<pr>.json at the root of this repository; a run
+to the JSON list in BENCH_<pr>.json at the root of this repository, beside
+the bytecode regime the run started in (``bytecode_regime``); a run
 that fails, or whose last two lines are not JSON objects, is recorded with
 its exit code and the tails of its stderr and stdout, and the runs go on.
 After the runs it prints, for every workload, end-to-end metric
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import statistics
 import subprocess
 import sys
@@ -60,6 +62,14 @@ def append(path: Path, record: dict) -> None:
     records = load(path)
     records.append(record)
     path.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+
+
+def bytecode_regime(checkout: Path) -> dict:
+    """The value of PYTHONDONTWRITEBYTECODE a run inherits (None: unset), and
+    whether the checkout's src/hyperspace/__pycache__ holds bytecode."""
+    cache = checkout / "src" / "hyperspace" / "__pycache__"
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "pycache_held_bytecode": any(cache.glob("*.pyc"))}
 
 
 def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -153,7 +163,8 @@ def run(args) -> int:
         for workload in args.workload:
             for label, checkout in order:
                 record = {"label": label, "workload": workload, "seed": seed,
-                          "seconds": run_seconds(), "trace": args.trace}
+                          "seconds": run_seconds(), "trace": args.trace,
+                          "bytecode": bytecode_regime(checkout)}
                 record.update(run_once(checkout, workload, seed, args.trace))
                 append(path, record)
                 ok = "result" in record

@@ -39,6 +39,8 @@ from .core import (
     to_polar,
 )
 HCNumber = CartesianHC | PolarHC
+# Largest n that roots(e, n) and ``hsc roots`` accept: n roots are built.
+MAX_ROOT_ORDER = 1000
 
 
 class RootSet(_Frozen):

@@ -59,11 +59,9 @@ import math
 import operator
 import os
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from types import SimpleNamespace
-from typing import Callable
 
 from ._version import VERSION
 from .core import (
@@ -72,7 +70,9 @@ from .core import (
     DEFAULT_TOLERANCE,
     Orientation,
     Tolerance,
+    _Frozen,
     _cartesian,
+    _init,
     _literal,
     canonical_ranges,
     closeness,
@@ -119,58 +119,47 @@ def _dims(dims) -> tuple[int, ...]:
     return dims
 
 
-@dataclass(frozen=True, slots=True)
-class AuditConfig:
-    dims: tuple[int, ...] = (2, 3, 4)
-    samples: int = 1000
-    seed: int = 42
-    tolerance: Tolerance = DEFAULT_TOLERANCE
-    domain: Domain = Domain.UNRESTRICTED
+class AuditConfig(_Frozen):
+    __slots__ = _fields = ("dims", "samples", "seed", "tolerance", "domain")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", _dims(self.dims))
-        for name in ("samples", "seed"):  # ints, as _dims takes them
-            if not hasattr(value := getattr(self, name), "__index__"):
+    def __init__(self, dims: tuple[int, ...] = (2, 3, 4), samples: int = 1000, seed: int = 42,
+                 tolerance: Tolerance = DEFAULT_TOLERANCE, domain: Domain = Domain.UNRESTRICTED) -> None:
+        _init(self, "dims", _dims(dims))
+        for name, value in (("samples", samples), ("seed", seed)):  # ints, as _dims takes them
+            if not hasattr(value, "__index__"):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            _init(self, name, operator.index(value))
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.samples > 2**32:  # the sample index is one 32-bit seed word
             raise ValueError(f"samples must be at most 2**32, got {self.samples}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        object.__setattr__(self, "domain", Domain(self.domain))
+        _init(self, "tolerance", tolerance)
+        _init(self, "domain", Domain(domain))
 
 
-@dataclass(frozen=True, slots=True)
-class LawResult:
-    """Tally for one (law, dim) cell.
+class LawResult(_Frozen):
+    """Tally for one (law, dim) cell: law, dim, samples, passes, max_dev,
+    counterexample (a dict, or None) and resamples.
 
     ``dim`` echoes the requested dimension; laws with an intrinsic dimension
     (the N = 2 classic check, the 3D laws) ignore it for operand
     construction but still derive their sample streams from it.
     """
 
-    law: str
-    dim: int
-    samples: int
-    passes: int
-    max_dev: float
-    counterexample: dict | None
-    resamples: int
+    __slots__ = _fields = ("law", "dim", "samples", "passes", "max_dev", "counterexample", "resamples")
 
     @property
     def pass_rate(self) -> float:
         return self.passes / self.samples
 
 
-@dataclass(frozen=True, slots=True)
-class AuditReport:
-    config: AuditConfig
-    laws: tuple[str, ...]
-    results: tuple[LawResult, ...]
-    version: str
-    generated_at: str
+class AuditReport(_Frozen):
+    """An audit's config, its law ids, a LawResult per (law, dim), the
+    package version and the UTC time it ran."""
+
+    __slots__ = _fields = ("config", "laws", "results", "version", "generated_at")
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +499,13 @@ def _law_space3_conj_modulus(ops, ints, s):
     return [(ops.from_polar(ops.mul_polar(p, ops.conj3_polar(p))), ops.real(r * r, s), {})]
 
 
-@dataclass(frozen=True, slots=True)
-class _Law:
-    claims: Callable  # (ops, ints, *operands) -> [(lhs, rhs, tags), ...]
-    operands: int
-    normative: bool
-    dim: int | None = None  # operand dimension if fixed, else the audited one
-    chart: Orientation = _ACW  # the operands' chart
-    ints: tuple[tuple[int, int], ...] = ()  # integer ranges drawn after the operands
+class _Law(_Frozen):
+    # claims: (ops, ints, *operands) -> [(lhs, rhs, tags), ...]
+    # operands: how many; normative: whether the law must hold
+    # dim: the operand dimension if fixed (None: the audited one)
+    # chart: the operands' chart; ints: integer ranges drawn after the operands
+    __slots__ = _fields = ("claims", "operands", "normative", "dim", "chart", "ints")
+    _defaults = {"dim": None, "chart": _ACW, "ints": ()}
 
 
 def _agreement_law(normative: str, routes, **kw) -> _Law:

@@ -9,7 +9,7 @@ Subcommands::
 
 Exit codes: 0 success, 1 parse/type/usage error (including an expression
 nested deeper than expr.MAX_DEPTH, a root order outside 1 ..
-expr.MAX_ROOT_ORDER, a scalar or root-set expression given to convert or
+algebra.MAX_ROOT_ORDER, a scalar or root-set expression given to convert or
 roots, an option out of range or repeated, an audit of more than 2**32
 samples or of a dimension above audit.MAX_DIM, an unknown --law or --domain
 and an unwritable --out file, all found before any work; and a result that
@@ -26,11 +26,7 @@ import errno
 import os
 import sys
 
-from . import algebra
-from . import expr as expr_mod
 from ._version import VERSION
-from .core import Orientation, Tolerance, to_polar
-from .expr import ExprTypeError, ParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -81,6 +77,8 @@ def _add_expr_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .algebra import MAX_ROOT_ORDER  # loaded with the package
+
     parser = _ArgumentParser(prog="hsc", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hsc {VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots = sub.add_parser("roots", help="all n-th roots of a value")
     _add_expr_flags(p_roots)
     p_roots.add_argument("expr", help="expression text")
-    p_roots.add_argument("n", type=int, help=f"root order (1 to {expr_mod.MAX_ROOT_ORDER})")
+    p_roots.add_argument("n", type=int, help=f"root order (1 to {MAX_ROOT_ORDER})")
 
     # only the options given reach the audit, which owns every default and check
     p_audit = sub.add_parser(
@@ -118,15 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _evaluate(args, command: str | None = None) -> tuple[expr_mod.Value, Orientation]:
-    """The expression's value in coordinate form. A command named here needs
-    a number: the expression's static type is checked before it is evaluated."""
+def _evaluate(args, command: str | None = None) -> tuple:
+    """The expression's value in coordinate form, and its orientation. A
+    command named here needs a number: the expression's static type is
+    checked before it is evaluated."""
+    from . import expr as expr_mod
+
     if not 0 <= args.digits <= MAX_DIGITS:
         raise argparse.ArgumentError(None, f"--digits must be 0 to {MAX_DIGITS}, got {args.digits}")
     tree, kind = expr_mod._parse_typed(args.expr)
     if command and kind[0] not in ("ndim", "s3"):
-        raise ExprTypeError(0, f"{command} expects a number-valued expression")
-    orientation = Orientation(args.orientation)
+        raise expr_mod.ExprTypeError(0, f"{command} expects a number-valued expression")
+    orientation = expr_mod.Orientation(args.orientation)
     return expr_mod._cart(expr_mod.evaluate(tree, orientation)), orientation
 
 
@@ -138,7 +139,9 @@ def _stdout():
     return sys.stdout
 
 
-def _emit(value: expr_mod.Value, args) -> None:
+def _emit(value, args) -> None:
+    from . import expr as expr_mod
+
     if args.format == "json":
         import json  # loaded here: text output, the default, does not use it
 
@@ -156,13 +159,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from .core import to_polar
+
     value, orientation = _evaluate(args, "convert")
     _emit(to_polar(value, orientation) if args.to == "polar" else value, args)
     return EXIT_OK
 
 
 def _cmd_roots(args) -> int:
-    expr_mod.check_root_order(args.n)
+    from . import algebra, expr
+
+    expr.check_root_order(args.n)
     value, orientation = _evaluate(args, "roots")
     _emit(algebra.nth_roots(value, args.n, orientation), args)
     return EXIT_OK
@@ -176,7 +183,7 @@ def _cmd_audit(args) -> int:
     try:  # the options and the report file, checked before the audit runs
         cfg = audit.AuditConfig(
             **{k: opts[k] for k in ("dims", "samples", "seed", "domain") if k in opts},
-            **({"tolerance": Tolerance(**eps)} if eps else {}),
+            **({"tolerance": audit.Tolerance(**eps)} if eps else {}),
         )
         laws = audit.select_laws(opts.get("law"))
         out = open(args.out, "w", encoding="utf-8") if args.out else None
@@ -200,9 +207,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    usage = (argparse.ArgumentError,)
+    if args.command != "audit":  # the expression's parse and type errors are usage errors too
+        from .expr import ExprTypeError, ParseError
+
+        usage += (ParseError, ExprTypeError)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ExprTypeError, argparse.ArgumentError) as exc:
+    except usage as exc:
         print(f"hsc: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ZeroDivisionError, OverflowError, ValueError) as exc:

@@ -30,23 +30,18 @@ forms O(N).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, mul, sub
 
-from .core import CartesianHC, Orientation, _literal
+from .core import CartesianHC, Orientation, _Frozen, _literal
 
 
-@dataclass(frozen=True, slots=True)
-class CoeffBreakdown:
-    """Raw evaluator output: the real coefficient, the imaginary
-    coefficients a_1..a_{N-1}, the combined component arguments, and the
-    intermediate per-axis sub-numbers as (signed magnitude, phase chain)
-    pairs."""
+class CoeffBreakdown(_Frozen):
+    """Raw evaluator output: the real coefficient ``a0``, the imaginary
+    coefficients a_1..a_{N-1} (``coeffs``), the combined component arguments
+    (``thetas``), and the intermediate per-axis sub-numbers as (signed
+    magnitude, phase chain) pairs (``sub_components``)."""
 
-    a0: float
-    coeffs: tuple[float, ...]
-    thetas: tuple[float, ...]
-    sub_components: tuple[tuple[float, tuple[float, ...]], ...]
+    __slots__ = _fields = ("a0", "coeffs", "thetas", "sub_components")
 
     @property
     def assembled(self) -> CartesianHC:

@@ -68,7 +68,19 @@ class _Frozen:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()  # every slot, in constructor order
+    _defaults: dict = {}  # the fields a caller may omit, and their values
     _compared = None  # the leading fields equality and hashing read (None: all)
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Fill ``_fields`` by position or keyword, the omitted ones from ``_defaults``."""
+        if kwargs or len(args) != len(self._fields):  # else every field is given, in order
+            given = dict(zip(self._fields, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(given) or given.keys() & kwargs or values.keys() != set(self._fields):
+                raise TypeError(f"{type(self).__name__}() takes {self._fields}, got {args!r} and {kwargs!r}")
+            args = [values[name] for name in self._fields]
+        for name, value in zip(self._fields, args):
+            _init(self, name, value)
 
     def __getstate__(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -34,7 +34,7 @@ import re
 from itertools import accumulate
 
 from . import algebra, duality
-from .algebra import RootSet
+from .algebra import MAX_ROOT_ORDER, RootSet
 from .core import (
     CartesianHC,
     Orientation,
@@ -56,8 +56,6 @@ from .core import (
 # sign and each further operator of any chain is one (a numeric literal's own
 # signs are not).  Deeper input is a ParseError, so no stage overflows.
 MAX_DEPTH = 100
-# Largest n that roots(e, n) and ``hsc roots`` accept: n roots are built.
-MAX_ROOT_ORDER = 1000
 
 
 class ParseError(ValueError):

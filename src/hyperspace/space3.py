@@ -19,19 +19,16 @@ used by the normative route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import algebra, core
-from .core import Space3, Space3Polar
+from .core import Space3, Space3Polar, _Frozen
 
 
-@dataclass(frozen=True, slots=True)
-class SlaveDecomposition:
+class SlaveDecomposition(_Frozen):
     """Slave coefficient split against the master phase: c_r = c*cos(theta),
     c_i = c*sin(theta), so c_r^2 + c_i^2 = c^2."""
 
-    c_r: float
-    c_i: float
+    __slots__ = _fields = ("c_r", "c_i")
 
 
 ONE = Space3(1.0, 0.0, 0.0)
@@ -78,8 +75,7 @@ def pow_roots3(s: Space3 | Space3Polar, n: int) -> tuple[Space3, tuple[Space3, .
     return algebra.pow_int(s, n), tuple(algebra.nth_roots(s, n))
 
 
-@dataclass(frozen=True, slots=True)
-class Space3Breakdown:
+class Space3Breakdown(_Frozen):
     """Literal output of the expanded coefficient formulas.
 
     ``a``, ``b``, ``c`` and ``theta`` are the raw formula values; ``c_r`` /
@@ -90,12 +86,7 @@ class Space3Breakdown:
     and the residual rotation is absorbed, giving z = c * sign(cos theta).
     """
 
-    a: float
-    b: float
-    c: float
-    theta: float
-    c_r: float
-    c_i: float
+    __slots__ = _fields = ("a", "b", "c", "theta", "c_r", "c_i")
 
     @property
     def assembled(self) -> Space3:

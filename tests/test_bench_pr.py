@@ -111,3 +111,27 @@ def test_a_run_whose_lines_are_not_json_is_recorded_as_failed(monkeypatch, tmp_p
     assert first["stdout"] == '{"env": 1}\nnot json\n' and "result" not in first
     assert second["exit_code"] == 0 and "result" not in second
     assert third["seed"] == 3 and third["env"] == 2 and third["result"] == {"metrics": {}}
+
+
+def test_each_run_records_the_bytecode_regime_it_started_in(monkeypatch, tmp_path):
+    # the first run writes bytecode into the checkout, so the second starts with it
+    cache = tmp_path / "src" / "hyperspace" / "__pycache__"
+
+    def fake_run(argv, **kwargs):
+        cache.mkdir(parents=True, exist_ok=True)
+        (cache / "core.cpython-311.pyc").touch()
+        return subprocess.CompletedProcess(argv, 0, '{"env": 1}\n{"metrics": {}}\n', "")
+
+    monkeypatch.setattr(bench_pr.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pr, "bench_path", lambda pr: tmp_path / f"BENCH_{pr}.json")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").touch()
+    argv = ["--pr", "0", "--workload", "audit", "--side", f"change={tmp_path}", "--seed"]
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    bench_pr.main([*argv, "1"])
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    bench_pr.main([*argv, "2"])
+    first, second = bench_pr.load(tmp_path / "BENCH_0.json")
+    assert first["bytecode"] == {"PYTHONDONTWRITEBYTECODE": "1", "pycache_held_bytecode": False}
+    assert second["bytecode"] == {"PYTHONDONTWRITEBYTECODE": None, "pycache_held_bytecode": True}
+    assert first["env"] == second["env"] == 1

@@ -1,5 +1,6 @@
 import json
 import os
+import site
 import subprocess
 import sys
 from pathlib import Path
@@ -504,7 +505,20 @@ class TestExitContract:
 
 _WATCHED = ("numpy", "hyperspace.audit", "hyperspace.coeff_formulas", "hyperspace._columns")
 
-# what the interpreter loaded before hyperspace (site's .pth hooks, say) does not count
+# A probe's fresh interpreter runs without site (-S), whose .pth files may
+# import modules (typing, say) before the probe starts. src and this
+# interpreter's site-packages, where numpy is, go on an explicit path.
+_PROBE_PATH = os.pathsep.join([str(SRC), *site.getsitepackages(), site.getusersitepackages()])
+
+
+def fresh_interpreter(code: str, *args: str) -> str:
+    """What ``code`` prints, run with ``args`` in a new interpreter without site."""
+    env = {**os.environ, "PYTHONPATH": _PROBE_PATH}
+    return subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+# what the interpreter loaded before hyperspace does not count
 _MAIN_IN_A_FRESH_INTERPRETER = """
 import contextlib, io, json, sys
 before = set(sys.modules)
@@ -520,13 +534,7 @@ print(json.dumps([codes, [m for m in json.loads(sys.argv[2]) if m in set(sys.mod
 def main_in_a_fresh_interpreter(*argvs, watched=_WATCHED):
     """Exit codes of cli.main over argvs in one new interpreter, and which of
     the watched modules were loaded from ``from hyperspace import cli`` on."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    out = subprocess.run(
-        [sys.executable, "-c", _MAIN_IN_A_FRESH_INTERPRETER, json.dumps(argvs),
-         json.dumps(watched)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return tuple(json.loads(out.stdout))
+    return tuple(json.loads(fresh_interpreter(_MAIN_IN_A_FRESH_INTERPRETER, json.dumps(argvs), json.dumps(watched))))
 
 
 @pytest.fixture(scope="module")
@@ -559,13 +567,19 @@ class TestImports:
         assert codes == [0] * 6
         assert loaded == []
 
-    def test_the_audit_loads_dataclasses_and_space3(self):
-        # the control: the probe above can see these modules load
+    def test_the_audit_loads_neither_dataclasses_nor_the_expression_front_end(self):
+        # numpy loads inspect and typing itself; space3 and the column kernels
+        # loading shows the probe sees the audit's loads
         codes, loaded = main_in_a_fresh_interpreter(
-            ["audit", "--samples", "1", "--law", "add_commutative", "--dim", "2"], watched=_COLD,
+            ["audit", "--samples", "1", "--law", "add_commutative", "--dim", "2"],
+            watched=("dataclasses", "hyperspace.expr", "hyperspace.space3", "hyperspace._columns"),
         )
         assert codes == [0]
-        assert {"dataclasses", "hyperspace.space3"} <= set(loaded)
+        assert loaded == ["hyperspace.space3", "hyperspace._columns"]
+
+    def test_importing_the_cli_loads_no_expression_front_end(self):
+        probe = "import sys, hyperspace.cli; print('hyperspace.expr' in sys.modules)"
+        assert fresh_interpreter(probe) == "False\n"
 
     def test_the_package_loads_rotation_and_space3_on_first_use(self):
         probe = (
@@ -576,9 +590,7 @@ class TestImports:
             "same = [RotationChain is hyperspace.rotation.RotationChain, mul3 is hyperspace.space3.mul3]\n"
             "print(json.dumps([cold, same]))"
         )
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-        assert json.loads(out.stdout) == [[], [True, True]]
+        assert json.loads(fresh_interpreter(probe)) == [[], [True, True]]
 
     def test_every_exported_name_resolves_and_is_listed(self):
         import hyperspace
@@ -635,6 +647,4 @@ class TestImports:
 
     def test_importing_the_audit_loads_neither_numpy_nor_its_kernels(self):
         probe = f"import json, sys, hyperspace.audit; print(json.dumps([m for m in {_WATCHED!r} if m in sys.modules]))"
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-        assert json.loads(out.stdout) == ["hyperspace.audit", "hyperspace.coeff_formulas"]
+        assert json.loads(fresh_interpreter(probe)) == ["hyperspace.audit", "hyperspace.coeff_formulas"]
