@@ -176,8 +176,8 @@ class Columns:
         return Rows(None, np.ones(len(p.r)), np.zeros(p.t.shape), p.o)
 
     def formulas(self, routes, a: Rows, b: Rows) -> list[np.ndarray]:
-        """Every ``(label, body, chart)`` formula's assembled values on a block."""
-        return [assembled(f(ColumnPair(a, b, o), a.c.T, b.c.T)) for _, f, o in routes]
+        """Every ``(label, body)`` formula's assembled values on a block, in its chart."""
+        return [assembled(f(ColumnPair(a, b, a.o), a.c.T, b.c.T)) for _, f in routes]
 
     def to_complex(self, s: Rows) -> list[complex]:
         return [complex(*c) for c in s.c.tolist()]

@@ -32,7 +32,6 @@ from .core import (
     PolarHC,
     _Frozen,
     _cartesian,
-    _init,
     _polar,
     from_polar,
     resolve_orientation,
@@ -58,7 +57,7 @@ class RootSet(_Frozen):
     def __init__(self, roots: tuple[CartesianHC, ...]) -> None:
         if not roots:
             raise ValueError("a root set holds at least one root")
-        _init(self, "roots", roots)
+        _Frozen.__init__(self, roots)
 
     def __len__(self) -> int:
         return len(self.roots)

@@ -72,7 +72,6 @@ from .core import (
     Tolerance,
     _Frozen,
     _cartesian,
-    _init,
     _literal,
     canonical_ranges,
     closeness,
@@ -81,6 +80,7 @@ from .core import (
     make_cartesian,
     make_polar,
     modulus,
+    resolve_orientation,
     to_dict,
     to_polar,
 )
@@ -124,19 +124,19 @@ class AuditConfig(_Frozen):
 
     def __init__(self, dims: tuple[int, ...] = (2, 3, 4), samples: int = 1000, seed: int = 42,
                  tolerance: Tolerance = DEFAULT_TOLERANCE, domain: Domain = Domain.UNRESTRICTED) -> None:
-        _init(self, "dims", _dims(dims))
+        dims, checked = _dims(dims), []
         for name, value in (("samples", samples), ("seed", seed)):  # ints, as _dims takes them
             if not hasattr(value, "__index__"):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-            _init(self, name, operator.index(value))
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.samples > 2**32:  # the sample index is one 32-bit seed word
-            raise ValueError(f"samples must be at most 2**32, got {self.samples}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        _init(self, "tolerance", tolerance)
-        _init(self, "domain", Domain(domain))
+            checked.append(operator.index(value))
+        samples, seed = checked
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {samples}")
+        if samples > 2**32:  # the sample index is one 32-bit seed word
+            raise ValueError(f"samples must be at most 2**32, got {samples}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+        _Frozen.__init__(self, dims, samples, seed, tolerance, Domain(domain))
 
 
 class LawResult(_Frozen):
@@ -388,7 +388,7 @@ _VALUES = SimpleNamespace(
     conj3_polar=space3.conj3_polar,
     real=lambda x, like: make_cartesian(like.orientation, (x,) + (0.0,) * (like.dim - 1)),
     unit=lambda p: make_polar(p.orientation, 1.0, (0.0,) * (p.dim - 1)),
-    formulas=lambda routes, a, b: [_literal(f, a, b, o).assembled for _, f, o in routes],
+    formulas=lambda routes, a, b: [_literal(f, a, b, resolve_orientation(None, a, b)).assembled for _, f in routes],
     to_complex=lambda s: complex(*s.coeffs),
     each=lambda f, *args: f(*args),
     classic=lambda z: CartesianHC((z.real, z.imag)),
@@ -477,20 +477,15 @@ def _agreement(normative, routes, ops, ints, s1, s2):
     """Two operands through the normative operation and every formula route."""
     nm = getattr(ops, normative)(s1, s2)
     sides = ops.formulas(routes, s1, s2)
-    return [(side, nm, {"route": label}) for (label, *_), side in zip(routes, sides)]
+    return [(side, nm, {"route": label}) for (label, _), side in zip(routes, sides)]
 
 
-# (label, formula body, chart); the public formula functions run the same bodies
-_CARTESIAN_MUL_ROUTES = [
-    ("general", coeff_formulas._mul_general, _ACW),
-    ("coordinate", coeff_formulas._mul_coordinate, _ACW),
-]
-_CARTESIAN_DIV_ROUTES = [
-    ("general", coeff_formulas._div_general, _ACW),
-    ("coordinate", coeff_formulas._div_coordinate, _ACW),
-]
-_SPACE3_MUL_ROUTES = [("coefficients", space3._mul3_coeffs, _S3)]
-_SPACE3_DIV_ROUTES = [("coefficients", space3._div3_coeffs, _S3)]
+# (label, formula body), run in the operands' chart, which is the law's; the
+# public formula functions run the same bodies
+_CARTESIAN_MUL_ROUTES = [("general", coeff_formulas._mul_general), ("coordinate", coeff_formulas._mul_coordinate)]
+_CARTESIAN_DIV_ROUTES = [("general", coeff_formulas._div_general), ("coordinate", coeff_formulas._div_coordinate)]
+_SPACE3_MUL_ROUTES = [("coefficients", space3._mul3_coeffs)]
+_SPACE3_DIV_ROUTES = [("coefficients", space3._div3_coeffs)]
 
 
 def _law_space3_conj_modulus(ops, ints, s):

@@ -58,18 +58,29 @@ class Orientation(Enum):
 
 _CCW, _CW, _S3 = Orientation
 
-_init = object.__setattr__  # fills a slot of a frozen value under construction
-
 
 class _Frozen:
-    """Base of the immutable values: slotted, equal only to a value of its own
-    class with equal fields, hashable, picklable.  Assigning or deleting any
-    name raises ``dataclasses.FrozenInstanceError``."""
+    """Base of every immutable record: the value types, the syntax-tree nodes,
+    the audit's and the formulas' records and ``rotation.RotationChain``.
+    Slotted, equal only to a record of its own class with equal fields,
+    hashable, picklable.  Assigning or deleting any name raises
+    ``dataclasses.FrozenInstanceError``.
+
+    ``__init__`` is the one place a record's fields are filled, through the
+    slots' own setters; a validating constructor checks its arguments and
+    passes the checked values on to it.  No record is a dataclass, so
+    ``dataclasses.replace``, ``asdict`` and ``fields`` do not apply: a changed
+    record is built anew by its constructor, by position or keyword."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()  # every slot, in constructor order
     _defaults: dict = {}  # the fields a caller may omit, and their values
     _compared = None  # the leading fields equality and hashing read (None: all)
+    _fills: tuple = ()  # each field's slot setter, in _fields order
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fills = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *args, **kwargs) -> None:
         """Fill ``_fields`` by position or keyword, the omitted ones from ``_defaults``."""
@@ -79,15 +90,16 @@ class _Frozen:
             if len(args) > len(given) or given.keys() & kwargs or values.keys() != set(self._fields):
                 raise TypeError(f"{type(self).__name__}() takes {self._fields}, got {args!r} and {kwargs!r}")
             args = [values[name] for name in self._fields]
-        for name, value in zip(self._fields, args):
-            _init(self, name, value)
+        i = 0
+        for fill in self._fills:  # indexing args costs less than zip's pairs
+            fill(self, args[i])
+            i += 1
 
     def __getstate__(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(self._fields, state):
-            _init(self, name, value)
+        _Frozen.__init__(self, *state)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -120,8 +132,7 @@ class Tolerance(_Frozen):
     def __init__(self, abs_eps: float = 1e-12, rel_eps: float = 1e-9) -> None:
         if not (0 < abs_eps < math.inf and 0 < rel_eps < math.inf):
             raise ValueError("tolerance components must be finite and strictly positive")
-        _init(self, "abs_eps", abs_eps)
-        _init(self, "rel_eps", rel_eps)
+        _Frozen.__init__(self, abs_eps, rel_eps)
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -143,7 +154,7 @@ class CartesianHC(_Frozen):
             raise ValueError(f"need at least 2 coefficients, got {len(coeffs)}")
         if not all(map(math.isfinite, coeffs)):
             raise ValueError(f"coefficients must be finite, got {coeffs}")
-        _init(self, "coeffs", coeffs)
+        _Frozen.__init__(self, coeffs)
 
     @property
     def dim(self) -> int:
@@ -184,9 +195,7 @@ class PolarHC(_Frozen):
             raise _not_3d(len(angles) + 1)
         if orientation is _S3 and not isinstance(self, Space3Polar):
             raise TypeError("an s3 polar value is built as Space3Polar(modulus, theta, phi)")
-        _init(self, "modulus", modulus)
-        _init(self, "angles", angles)
-        _init(self, "orientation", orientation)
+        _Frozen.__init__(self, modulus, angles, orientation)
 
     @property
     def dim(self) -> int:
@@ -259,10 +268,8 @@ def make_polar(orientation: Orientation, modulus: float, angles) -> PolarHC:
 # The engine's results are built from checked values, s3 chains of two
 # angles included, so their builders check only what arithmetic can break:
 # finiteness, which turns overflow into an error.  They fill the slots directly.
-_set_coeffs = CartesianHC.coeffs.__set__
-_set_modulus = PolarHC.modulus.__set__
-_set_angles = PolarHC.angles.__set__
-_set_orientation = PolarHC.orientation.__set__
+(_set_coeffs,) = CartesianHC._fills
+_set_modulus, _set_angles, _set_orientation = PolarHC._fills
 
 
 def _cartesian(orientation: Orientation | None, coeffs: tuple[float, ...]) -> CartesianHC:

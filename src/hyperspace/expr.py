@@ -42,7 +42,6 @@ from .core import (
     Space3,
     Space3Polar,
     _Frozen,
-    _init,
     arguments,
     conjugate,
     from_polar,
@@ -111,56 +110,40 @@ def tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
 
 class _Node(_Frozen):
     __slots__ = ()
+    _defaults = {"offset": 0}
     _compared = -1  # a node's offset, its last field, is not compared
 
 
 class Literal(_Node):
-    """``head[numbers]``; a polar head's numbers start with the modulus."""
+    """``head[numbers]``, head one of 'c', 'p', 's3', 's3p'; a polar head's
+    numbers start with the modulus."""
 
     __slots__ = _fields = ("head", "numbers", "offset")
 
-    def __init__(self, head: str, numbers: tuple[float, ...], offset: int = 0) -> None:
-        _init(self, "head", head)  # 'c', 'p', 's3', 's3p'
-        _init(self, "numbers", numbers)
-        _init(self, "offset", offset)
-
 
 class Unary(_Node):
-    __slots__ = _fields = ("op", "child", "offset")
+    """``op child``, op 'neg'."""
 
-    def __init__(self, op: str, child: Expr, offset: int = 0) -> None:
-        _init(self, "op", op)  # 'neg'
-        _init(self, "child", child)
-        _init(self, "offset", offset)
+    __slots__ = _fields = ("op", "child", "offset")
 
 
 class Binary(_Node):
-    __slots__ = _fields = ("op", "left", "right", "offset")
+    """``left op right``, op one of '+', '-', '*', '/'."""
 
-    def __init__(self, op: str, left: Expr, right: Expr, offset: int = 0) -> None:
-        _init(self, "op", op)  # '+', '-', '*', '/'
-        _init(self, "left", left)
-        _init(self, "right", right)
-        _init(self, "offset", offset)
+    __slots__ = _fields = ("op", "left", "right", "offset")
 
 
 class Power(_Node):
-    __slots__ = _fields = ("child", "n", "offset")
+    """``child ^ n``."""
 
-    def __init__(self, child: Expr, n: int, offset: int = 0) -> None:
-        _init(self, "child", child)
-        _init(self, "n", n)
-        _init(self, "offset", offset)
+    __slots__ = _fields = ("child", "n", "offset")
 
 
 class Call(_Node):
-    __slots__ = _fields = ("fn", "child", "arg", "offset")
+    """``fn(child)`` or ``fn(child, arg)``, fn one of 'abs', 'arg', 'roots',
+    'lift', 'conj'; arg is None for the one-argument functions."""
 
-    def __init__(self, fn: str, child: Expr, arg: float | int | None, offset: int = 0) -> None:
-        _init(self, "fn", fn)  # 'abs', 'arg', 'roots', 'lift', 'conj'
-        _init(self, "child", child)
-        _init(self, "arg", arg)
-        _init(self, "offset", offset)
+    __slots__ = _fields = ("fn", "child", "arg", "offset")
 
 
 Expr = Literal | Unary | Binary | Power | Call

@@ -11,43 +11,38 @@ vectors along that axis exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import CartesianHC
+from .core import CartesianHC, _Frozen
 
 Vector = tuple[float, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class RotationChain:
+class RotationChain(_Frozen):
     """Rotation program: radius plus ordered (axis, angle) steps in ``dim``.
 
     Axes are imaginary-axis indices in 1 ... dim-1, strictly ascending
     (anticlockwise accumulation) or strictly descending (clockwise).
     """
 
-    radius: float
-    steps: tuple[tuple[int, float], ...]
-    dim: int
+    __slots__ = _fields = ("radius", "steps", "dim")
 
-    def __post_init__(self) -> None:
-        radius = float(self.radius)
-        steps = tuple((int(a), float(t)) for a, t in self.steps)
+    def __init__(self, radius: float, steps: tuple[tuple[int, float], ...], dim: int) -> None:
+        radius = float(radius)
+        steps = tuple((int(a), float(t)) for a, t in steps)
         if not (math.isfinite(radius) and radius >= 0.0):
             raise ValueError(f"radius must be finite and >= 0, got {radius}")
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
+        if dim < 2:
+            raise ValueError(f"dim must be >= 2, got {dim}")
         axes = [a for a, _ in steps]
-        if any(not 1 <= a <= self.dim - 1 for a in axes):
-            raise ValueError(f"step axes must lie in 1..{self.dim - 1}, got {axes}")
+        if any(not 1 <= a <= dim - 1 for a in axes):
+            raise ValueError(f"step axes must lie in 1..{dim - 1}, got {axes}")
         ascending = all(a < b for a, b in zip(axes, axes[1:]))
         descending = all(a > b for a, b in zip(axes, axes[1:]))
         if not (ascending or descending):
             raise ValueError(f"step axes must be strictly monotone, got {axes}")
         if any(not math.isfinite(t) for _, t in steps):
             raise ValueError("step angles must be finite")
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "steps", steps)
+        _Frozen.__init__(self, radius, steps, dim)
 
 
 def _norm(v: Vector) -> float:

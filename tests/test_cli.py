@@ -592,6 +592,12 @@ class TestImports:
         )
         assert json.loads(fresh_interpreter(probe)) == [[], [True, True]]
 
+    def test_importing_rotation_loads_neither_dataclasses_nor_inspect(self):
+        # RotationChain is a record on the value types' base, not a dataclass
+        watched = ("dataclasses", "inspect", "hyperspace.rotation")
+        probe = f"import json, sys, hyperspace.rotation; print(json.dumps([m for m in {watched!r} if m in sys.modules]))"
+        assert json.loads(fresh_interpreter(probe)) == ["hyperspace.rotation"]
+
     def test_every_exported_name_resolves_and_is_listed(self):
         import hyperspace
         from hyperspace.core import Space3

@@ -1,9 +1,13 @@
-"""The contract of the audit's and the formulas' record classes.
+"""The contract of the records on ``core._Frozen``, whose constructor fills
+every record's fields.
 
-``AuditConfig``, ``LawResult``, ``AuditReport``, ``_Law``, ``CoeffBreakdown``,
-``SlaveDecomposition`` and ``Space3Breakdown`` are plain slotted classes on
-``core._Frozen``.  Each keeps the constructor, equality, hashing, ``repr``,
-pickling and ``FrozenInstanceError`` it had as a frozen slotted dataclass.
+The table covers the audit's ``AuditConfig``, ``LawResult``, ``AuditReport``
+and ``_Law``, the formulas' ``CoeffBreakdown``, ``SlaveDecomposition`` and
+``Space3Breakdown``, ``Tolerance``, ``RootSet``, ``RotationChain`` and the five
+syntax-tree nodes.  Each record is built by position, by keyword or from its
+defaults; it is equal and hashes alike by its fields and class, pickles, and
+raises ``FrozenInstanceError`` on assignment and deletion.  Its ``repr`` is
+the one a frozen dataclass of the same fields prints.
 """
 
 import pickle
@@ -11,12 +15,16 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
+from hyperspace.algebra import RootSet
 from hyperspace.audit import AuditConfig, AuditReport, Domain, LawResult, _Law, _law_add_commutative
 from hyperspace.coeff_formulas import CoeffBreakdown
-from hyperspace.core import DEFAULT_TOLERANCE, Orientation, Tolerance
+from hyperspace.core import DEFAULT_TOLERANCE, CartesianHC, Orientation, Tolerance
+from hyperspace.expr import Binary, Call, Literal, Power, Unary
+from hyperspace.rotation import RotationChain
 from hyperspace.space3 import SlaveDecomposition, Space3Breakdown
 
 RESULT = LawResult("distributive", 3, 50, 41, 0.25, None, 2)
+ONE, TWO = Literal("c", (1.0, 2.0), 4), Literal("s3", (1.0, 2.0, 3.0), 9)
 
 # class: (its fields in constructor order, the values of one record, the
 # defaults of the trailing fields a caller may omit, another first field)
@@ -48,6 +56,17 @@ CASES = {
     "Space3Breakdown": (
         Space3Breakdown, ("a", "b", "c", "theta", "c_r", "c_i"), (1.0, 2.0, 3.0, 0.5, 0.6, 0.7), (), 4.0,
     ),
+    "Tolerance": (Tolerance, ("abs_eps", "rel_eps"), (1e-10, 1e-8), (1e-12, 1e-9), 1e-11),
+    "RootSet": (
+        RootSet, ("roots",), ((CartesianHC((1.0, 0.0)), CartesianHC((-1.0, 0.0))),), (),
+        (CartesianHC((0.0, 1.0)),),
+    ),
+    "RotationChain": (RotationChain, ("radius", "steps", "dim"), (2.0, ((1, 0.5), (2, -0.25)), 3), (), 1.0),
+    "Literal": (Literal, ("head", "numbers", "offset"), ("c", (1.0, 2.0), 4), (0,), "p"),
+    "Unary": (Unary, ("op", "child", "offset"), ("neg", ONE, 3), (0,), "pos"),
+    "Binary": (Binary, ("op", "left", "right", "offset"), ("*", ONE, TWO, 7), (0,), "+"),
+    "Power": (Power, ("child", "n", "offset"), (ONE, 3, 6), (0,), TWO),
+    "Call": (Call, ("fn", "child", "arg", "offset"), ("roots", ONE, 3, 2), (0,), "arg"),
 }
 
 cases = pytest.mark.parametrize("case", list(CASES))
@@ -101,6 +120,13 @@ def test_equality_and_hashing_read_every_field_and_the_class(case):
     assert a != tuple(values) and a != subclass(*values)
 
 
+def test_nodes_that_differ_only_in_offset_are_equal_and_hash_alike():
+    here = Binary("*", ONE, Unary("neg", TWO, 12), 7)
+    there = Binary("*", Literal("c", (1.0, 2.0)), Unary("neg", Literal("s3", (1.0, 2.0, 3.0), 1), 2), 30)
+    assert here == there and hash(here) == hash(there)
+    assert here.offset == 7 and there.offset == 30
+
+
 def test_the_repr_is_the_dataclass_one():
     assert repr(AuditConfig()) == (
         "AuditConfig(dims=(2, 3, 4), samples=1000, seed=42, "
@@ -110,6 +136,7 @@ def test_the_repr_is_the_dataclass_one():
         "LawResult(law='distributive', dim=3, samples=50, passes=41, max_dev=0.25, "
         "counterexample={'sample_index': 7}, resamples=2)"
     )
+    assert repr(RotationChain(2, [(1, 0.5)], 3)) == "RotationChain(radius=2.0, steps=((1, 0.5),), dim=3)"
 
 
 @cases
