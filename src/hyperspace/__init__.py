@@ -2,12 +2,12 @@
 
 Cartesian and angle-chain polar representations with conversion accurate
 to the last bits (against 50-digit mpmath: ``to_polar``'s modulus within
-0.5 ulp, ``from_polar`` within 3 ulp of the modulus up to N = 8),
-angle-addition arithmetic (products, quotients, powers, roots), a 3D
-specialization with master/slave arguments, a geometric rotation-chain
-oracle, literal evaluators for the expanded coefficient formulas, and a
-seeded law-audit harness that measures which claimed identities actually
-hold.
+0.5 ulp, ``from_polar`` within 3 ulp of the modulus up to N = 8 and within
+2*log2(N) ulp past it), angle-addition arithmetic (products, quotients,
+powers, roots), a 3D specialization with master/slave arguments, a
+geometric rotation-chain oracle, literal evaluators for the expanded
+coefficient formulas, and a seeded law-audit harness that measures which
+claimed identities actually hold.
 """
 
 from ._version import VERSION as __version__

@@ -1,6 +1,7 @@
 """The audit's column kernels: the ccw and s3 charts and the closeness measure
 of :mod:`hyperspace.core` over blocks of numbers, one number per row, and the
-column evaluator of the audit's laws.
+column evaluator of the audit's laws, which holds its cell's chart: a block
+holds numbers only.
 
 Every result is the scalar engine's to the bit.  ``+ - * /``, ``abs``,
 ``max`` and ``sqrt`` run in numpy in the scalar engine's operation order,
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import TWO_PI, Orientation, Tolerance
 
-_CCW, _S3 = Orientation.ANTICLOCKWISE, Orientation.S3
+_S3 = Orientation.S3
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
@@ -77,22 +78,21 @@ def point(r: np.ndarray, th: np.ndarray, o: Orientation) -> np.ndarray:
 
 
 class Rows(NamedTuple):
-    """A block of numbers of one chart: coefficients (None in a polar block),
-    moduli and chains."""
+    """A block of numbers: coefficients (None in a polar block), moduli and
+    chains.  Its chart is the evaluator's."""
 
     c: np.ndarray
     r: np.ndarray
     t: np.ndarray
-    o: Orientation
 
     def take(self, sel) -> Rows:
-        return Rows(self.c[sel], self.r[sel], self.t[sel], self.o)
+        return Rows(self.c[sel], self.r[sel], self.t[sel])
 
 
 def rows(c: np.ndarray, o: Orientation) -> Rows:
-    """``core.to_polar`` of every row (``math.hypot`` of all N coefficients)."""
+    """``core.to_polar`` of every row in chart ``o`` (``math.hypot`` of all N coefficients)."""
     r = np.fromiter(starmap(math.hypot, c.tolist()), float, len(c))
-    return Rows(c, r, chain(c, r, o), o)
+    return Rows(c, r, chain(c, r, o))
 
 
 def closeness(lhs: np.ndarray, rhs: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -116,35 +116,35 @@ def judge(claims, tol: Tolerance, distinct: type) -> tuple[np.ndarray, np.ndarra
 
 
 class Columns:
-    """The column evaluator of the audit's laws: each operation a law names,
-    as the library function of that name computes it, over a block.  A block
-    of numbers is a coordinate array, or a ``Rows`` as drawn; a polar block is
-    a ``Rows`` that holds no coordinates.  Coordinates become a ``Rows`` only
-    where the library calls ``to_polar``.  An integer is a column, or one int
-    that every row shares."""
+    """The column evaluator of the audit's laws in one chart, ccw or s3: each
+    operation a law names, as the library function of that name computes it,
+    over a block.  A block of numbers is a coordinate array, or a ``Rows`` as
+    drawn; a polar block is a ``Rows`` that holds no coordinates.  Coordinates
+    become a ``Rows`` only where the library calls ``to_polar``.  An integer
+    is a column, or one int that every row shares."""
 
-    def to_polar(self, x, o: Orientation = _CCW) -> Rows:
-        return x if isinstance(x, Rows) else rows(x, o)
+    def __init__(self, o: Orientation) -> None:
+        self.o = o
+
+    def to_polar(self, x) -> Rows:
+        return x if isinstance(x, Rows) else rows(x, self.o)
 
     def from_polar(self, p: Rows) -> np.ndarray:
-        return point(p.r, p.t, p.o)
+        return point(p.r, p.t, self.o)
 
     def mul_polar(self, p: Rows, q: Rows) -> Rows:
-        return Rows(None, p.r * q.r, p.t + q.t, p.o)
-
-    def div_polar(self, p: Rows, q: Rows) -> Rows:
-        return Rows(None, p.r / q.r, p.t - q.t, p.o)
+        return Rows(None, p.r * q.r, p.t + q.t)
 
     def pow_int_polar(self, p: Rows, n) -> Rows:
         n = np.full(p.r.shape, n)
-        return Rows(None, mapped(math.pow, p.r, n), n[:, None] * p.t, p.o)
+        return Rows(None, mapped(math.pow, p.r, n), n[:, None] * p.t)
 
     def nth_roots_polar(self, p: Rows, n: int) -> list[Rows]:
         r = mapped(lambda x: math.pow(x, 1.0 / n), p.r)
-        return [Rows(None, r, (p.t + 2.0 * math.pi * m) / n, p.o) for m in range(n)]
+        return [Rows(None, r, (p.t + 2.0 * math.pi * m) / n) for m in range(n)]
 
     def conj3_polar(self, p: Rows) -> Rows:
-        return Rows(None, p.r, p.t * (-1.0, 1.0), p.o)
+        return Rows(None, p.r, p.t * (-1.0, 1.0))
 
     def add(self, a, b) -> np.ndarray:
         return coords(a) + coords(b)
@@ -153,7 +153,8 @@ class Columns:
         return self.from_polar(self.mul_polar(self.to_polar(a), self.to_polar(b)))
 
     def div(self, a, b) -> np.ndarray:
-        return self.from_polar(self.div_polar(self.to_polar(a), self.to_polar(b)))
+        p, q = self.to_polar(a), self.to_polar(b)
+        return self.from_polar(Rows(None, p.r / q.r, p.t - q.t))
 
     def pow_int(self, s, n) -> np.ndarray:
         return self.from_polar(self.pow_int_polar(self.to_polar(s), n))
@@ -173,11 +174,11 @@ class Columns:
         return x[:, None] * ((1.0,) + (0.0,) * like.t.shape[1])
 
     def unit(self, p: Rows) -> Rows:
-        return Rows(None, np.ones(len(p.r)), np.zeros(p.t.shape), p.o)
+        return Rows(None, np.ones(len(p.r)), np.zeros(p.t.shape))
 
     def formulas(self, routes, a: Rows, b: Rows) -> list[np.ndarray]:
-        """Every ``(label, body)`` formula's assembled values on a block, in its chart."""
-        return [assembled(f(ColumnPair(a, b, a.o), a.c.T, b.c.T)) for _, f in routes]
+        """Every ``(label, body)`` formula's assembled values on a block."""
+        return [assembled(f(ColumnPair(a, b, self.o), a.c.T, b.c.T)) for _, f in routes]
 
     def to_complex(self, s: Rows) -> list[complex]:
         return [complex(*c) for c in s.c.tolist()]

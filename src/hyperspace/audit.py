@@ -373,10 +373,10 @@ def _judge(claims, tol: Tolerance) -> tuple[float, tuple | None]:
 # ---------------------------------------------------------------------------
 # laws: (ops, ints, *operands) -> [(lhs, rhs, tags), ...], each written once
 # and run by two evaluators that name the same operations: ``_VALUES``, the
-# library's own functions on one sample's numbers, and ``_columns.Columns`` on
-# a block of samples.  ints holds the integers the law's table entry
-# declares, drawn after the operands; on a block, a column per integer, the
-# last being one int that the block's rows share.
+# library's own functions on one sample's numbers, and ``_columns.Columns`` of
+# the law's chart on a block of samples.  ints holds the integers the law's
+# table entry declares, drawn after the operands; on a block, a column per
+# integer, the last being one int that the block's rows share.
 
 _POW_ORDERS, _ROOT_ORDERS, _DEMOIVRE_ORDERS = (-4, 9), (1, 7), (0, 9)
 
@@ -558,7 +558,7 @@ def _draw_block(K, spec: _Law, domain: Domain, seeds, raw, n: int):
     while len(todo):
         s, near = _draw(K, _doubles(_read(seeds, raw, todo, r * w, w)), spec.chart, domain)
         if r == 0:
-            parts = [np.empty((spec.operands, *a.shape)) for a in s[:3]]
+            parts = [np.empty((spec.operands, *a.shape)) for a in s]
         ok = todo[~near]
         for whole, part in zip(parts, s):  # an attempt is the next operand its row lacks
             whole[got[ok], ok] = part[~near]
@@ -568,28 +568,28 @@ def _draw_block(K, spec: _Law, domain: Domain, seeds, raw, n: int):
         if run.max() >= _MAX_REDRAWS:
             raise RuntimeError("exhausted redraws for a non-singular operand")
         todo, r = todo[got[todo] < spec.operands], r + 1
-    return [K.Rows(c, mod, t, spec.chart) for c, mod, t in zip(*parts)], redraws
+    return [K.Rows(*part) for part in zip(*parts)], redraws
 
 
-def _sample(cfg: AuditConfig, law: str, operands, ints, j: int):
+def _sample(cfg: AuditConfig, spec: _Law, operands, ints, j: int):
     """The counterexample replay: row j of a block's operands and integers,
     exactly as the block drew them, through the library's functions:
     (operands, deviation, failing claim or None)."""
-    spec = _LAWS[law]
     drawn = [_cartesian(spec.chart, tuple(s.c[j].tolist())) for s in operands]
     ints = ints[: len(spec.ints), j].tolist()
     return (drawn, *_judge(spec.claims(_VALUES, ints, *drawn), cfg.tolerance))
 
 
-def _column_block(law: str, cfg: AuditConfig, n: int, seeds, raw):
-    """Judge a block of one cell's samples as columns, on the operands
-    ``_draw_block`` draws and the integers each sample draws after its last
-    attempt.  Returns (deviation, failed, redraws, (operands, integers))."""
+def _column_block(spec: _Law, cfg: AuditConfig, n: int, seeds, raw):
+    """Judge a block of one cell's samples as columns in the law's chart, on
+    the operands ``_draw_block`` draws and the integers each sample draws
+    after its last attempt.  Returns (deviation, failed, redraws, (operands,
+    integers))."""
     import numpy as np
 
     from . import _columns as K  # loaded here: importing the audit loads no numpy
 
-    spec, m = _LAWS[law], len(raw)
+    m, ev = len(raw), K.Columns(spec.chart)
     operands, redraws = _draw_block(K, spec, cfg.domain, seeds, raw, n)
     ints = np.zeros((1, m), int)  # a row per integer; the last groups samples
     if spec.ints:  # past each sample's last attempt, of n / operands words
@@ -598,7 +598,7 @@ def _column_block(law: str, cfg: AuditConfig, n: int, seeds, raw):
     for group in sorted(set(ints[-1].tolist())):
         sel = np.flatnonzero(ints[-1] == group)
         block_ints = (*ints[:-1, sel], group)[: len(spec.ints)]
-        claims = spec.claims(K.Columns(), block_ints, *(s.take(sel) for s in operands))
+        claims = spec.claims(ev, block_ints, *(s.take(sel) for s in operands))
         dev[sel], failed[sel] = K.judge(claims, cfg.tolerance, _Distinct)
     return dev, failed, int(redraws.sum()), (operands, ints)
 
@@ -614,13 +614,13 @@ def audit_law(law: str, cfg: AuditConfig, dim: int) -> LawResult:
         m = min(rows, cfg.samples - i0)
         seeds = _seed_words(cfg.seed, LAW_IDS.index(law), d, i0, m)
         raw = _stream_words(seeds, k)
-        dev, failed, redraws, block = _column_block(law, cfg, n, seeds, raw)
+        dev, failed, redraws, block = _column_block(spec, cfg, n, seeds, raw)
         resamples += redraws
         passes += m - int(failed.sum())
         max_dev = max(max_dev, float(dev.max()))
         if first_cex is None and failed.any():
             j = int(failed.argmax())
-            drawn, replayed, claim = _sample(cfg, law, *block, j)
+            drawn, replayed, claim = _sample(cfg, spec, *block, j)
             if claim is None or replayed != dev[j]:
                 raise RuntimeError(f"{law} sample {i0 + j}: column and scalar verdicts differ")
             lhs, rhs, tags = claim

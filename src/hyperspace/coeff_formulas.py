@@ -20,12 +20,13 @@ Each formula is one body ``f(ev, c1, c2)`` over per-axis sequences; the
 evaluator ``ev`` supplies ``sqrt``, the operands' component arguments, their
 cosines and sines, 1/|s2|^2, an operation axis by axis (``each``) and the
 running values of a sum, difference or product down the axes (``running``),
-and a sequence of ones (``ones``).
-The functions below run it on floats (``core._ScalarPair``), the audit on a
-block's columns (``_columns.ColumnPair``), bit for bit alike.  The general
-forms cost O(N^2) operations in either orientation, their correction
-brackets summing O(N) running products of cosines each; the coordinate
-forms O(N).
+and a sequence of ones (``ones``).  It returns the coefficients and the
+combined arguments; a sub-number's phase chain is a slice of the latter
+(``CoeffBreakdown``).  The functions below run it on floats
+(``core._ScalarPair``), the audit on a block's columns
+(``_columns.ColumnPair``), bit for bit alike.  The general forms cost O(N^2)
+operations in either orientation, their correction brackets summing O(N)
+running products of cosines each; the coordinate forms O(N).
 """
 
 from __future__ import annotations
@@ -37,11 +38,12 @@ from .core import CartesianHC, Orientation, _Frozen, _literal
 
 class CoeffBreakdown(_Frozen):
     """Raw evaluator output: the real coefficient ``a0``, the imaginary
-    coefficients a_1..a_{N-1} (``coeffs``), the combined component arguments
-    (``thetas``), and the intermediate per-axis sub-numbers as (signed
-    magnitude, phase chain) pairs (``sub_components``)."""
+    coefficients a_1..a_{N-1} (``coeffs``) and the combined component
+    arguments (``thetas``).  Sub-number k is signed magnitude ``coeffs[k]``
+    with phase chain ``thetas[:k]`` anticlockwise, ``thetas[k+1:]``
+    clockwise: the arguments below its axis, or above it."""
 
-    __slots__ = _fields = ("a0", "coeffs", "thetas", "sub_components")
+    __slots__ = _fields = ("a0", "coeffs", "thetas")
 
     @property
     def assembled(self) -> CartesianHC:
@@ -107,12 +109,8 @@ def _corrections(ev, base, c1, c2, cos, sin):
 
 
 def _breakdown(ev, a0, coeffs, thetas) -> CoeffBreakdown:
-    """The breakdown, each sub-number's phase chain the arguments below its
-    axis (anticlockwise) or above it (clockwise)."""
-    coeffs, thetas = tuple(coeffs), tuple(thetas)
-    ccw = ev.o is Orientation.ANTICLOCKWISE
-    subs = tuple((x, thetas[:k] if ccw else thetas[k + 1 :]) for k, x in enumerate(coeffs))
-    return CoeffBreakdown(a0, coeffs, thetas, subs)
+    """A body's breakdown; the bodies pass their evaluator ``ev``, unneeded here."""
+    return CoeffBreakdown(a0, tuple(coeffs), tuple(thetas))
 
 
 def _mul_general(ev, c1, c2) -> CoeffBreakdown:

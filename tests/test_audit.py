@@ -500,7 +500,7 @@ class TestStreams:
 
         stream_words.real = audit._stream_words
         monkeypatch.setattr(audit, "_stream_words", stream_words)
-        ints = audit._column_block(law, cfg, n, seeds, raw)[3][1]
+        ints = audit._column_block(spec, cfg, n, seeds, raw)[3][1]
         assert 0 < max(extended) <= np.count_nonzero(redraws) < cfg.samples
         for i in np.flatnonzero(redraws).tolist():
             words = (spec.operands + int(redraws[i])) * (n // spec.operands)
@@ -619,7 +619,7 @@ def formula_block(c, chart):
         return _columns.rows(c, chart)
     r = np.array([math.hypot(*row) for row in c.tolist()])
     t = np.array([core._chain(tuple(row), m, CW) for row, m in zip(c.tolist(), r.tolist())])
-    return _columns.Rows(c, r, t, CW)
+    return _columns.Rows(c, r, t)
 
 
 def breakdown_fields(bd):
@@ -668,7 +668,7 @@ class TestColumnFormulas:
         c1, c2 = formula_operands(np.random.default_rng(1), 4, 50, "negative")
         a, b = formula_block(c1, ACW), formula_block(c2, ACW)
         got = _columns.assembled(cf._mul_coordinate(_columns.ColumnPair(a, b, ACW), list(a.c.T), list(b.c.T)))
-        ok, _ = _columns.closeness(got, _columns.Columns().mul(a, b), Tolerance())
+        ok, _ = _columns.closeness(got, _columns.Columns(ACW).mul(a, b), Tolerance())
         assert not ok.any()
 
     @pytest.mark.parametrize("chart", [ACW, CW])
@@ -696,7 +696,7 @@ class TestColumnFormulas:
                               (S3, audit._SPACE3_MUL_ROUTES + audit._SPACE3_DIV_ROUTES)):
             c1, c2 = formula_operands(np.random.default_rng(m), 3 if chart is S3 else n, m, "uniform")
             a, b = formula_block(c1, chart), formula_block(c2, chart)
-            got = [bits(x) for x in _columns.Columns().formulas(routes, a, b)]
+            got = [bits(x) for x in _columns.Columns(chart).formulas(routes, a, b)]
             rows = [audit._VALUES.formulas(routes, *(core.make_cartesian(chart, c[j].tolist()) for c in (c1, c2)))
                     for j in range(m)]
             assert got == [bits([row[k].coeffs for row in rows]) for k in range(len(routes))]
@@ -713,10 +713,10 @@ class TestColumnFormulas:
                 body(_columns.ColumnPair(a, b, chart), list(a.c.T), list(b.c.T))
 
 
-def evaluated_block(law, dim, domain, rows):
+def evaluated_block(law, dim, domain, rows, chart):
     """A block of drawn operands and its integers, as the audit draws them
-    for samples 0 ... rows-1 at seed 5: the operand blocks, and per row the
-    operands as values and the integers."""
+    in ``chart`` for samples 0 ... rows-1 at seed 5: the operand blocks, and
+    per row the operands as values and the integers."""
     from hyperspace import _columns, core
 
     spec = audit._LAWS[law]
@@ -724,8 +724,8 @@ def evaluated_block(law, dim, domain, rows):
     seeds = audit._seed_words(5, LAW_IDS.index(law), dim, 0, rows)
     raw = audit._stream_words(seeds, k)
     u, w = audit._doubles(raw[:, :n]), n // spec.operands
-    blocks = [audit._draw(_columns, u[:, j : j + w], spec.chart, domain)[0] for j in range(0, n, w)]
-    values = [[core.make_cartesian(spec.chart, b.c[i].tolist()) for b in blocks] for i in range(rows)]
+    blocks = [audit._draw(_columns, u[:, j : j + w], chart, domain)[0] for j in range(0, n, w)]
+    values = [[core.make_cartesian(chart, b.c[i].tolist()) for b in blocks] for i in range(rows)]
     ints = []
     for i in range(rows):  # numpy's integers after a sample's first attempts
         rng = ref_rng(5, law, dim, i)
@@ -734,31 +734,44 @@ def evaluated_block(law, dim, domain, rows):
     return blocks, values, ints
 
 
+def assert_evaluators_agree(law, dim, domain, rows, chart):
+    """A law's one body, run on a block in ``chart`` by the column evaluator
+    of that chart and on each of its rows by the library's functions: every
+    claim's sides to the bit, and every distinct flag."""
+    from hyperspace import _columns
+
+    spec = audit._LAWS[law]
+    blocks, values, ints = evaluated_block(law, dim, domain, rows, chart)
+    last = [row[-1] if row else 0 for row in ints]
+    for key in sorted(set(last)):
+        sel = [i for i, v in enumerate(last) if v == key]
+        columns = np.array([ints[i] for i in sel], int).reshape(len(sel), -1).T
+        block_ints = (*columns[:-1], key) if spec.ints else ()
+        got = spec.claims(_columns.Columns(chart), block_ints, *(b.take(sel) for b in blocks))
+        for j, i in enumerate(sel):
+            want = spec.claims(audit._VALUES, ints[i], *values[i])
+            assert len(got) == len(want), (law, i)
+            for (gl, gr, gt), (wl, wr, wt) in zip(got, want):
+                assert bits(_columns.coords(gl)[j]) == bits(wl.coeffs), (law, dim, i)
+                assert bits(_columns.coords(gr)[j]) == bits(wr.coeffs), (law, dim, i)
+                assert isinstance(gt, audit._Distinct) == isinstance(wt, audit._Distinct)
+
+
 class TestEvaluators:
     @pytest.mark.parametrize("domain", list(Domain))
     @pytest.mark.parametrize("dim", [2, 3, 8, 300])
     def test_the_evaluators_agree_claim_by_claim(self, dim, domain):
-        # each law's one body, run on a block by the column evaluator and on
-        # each of its rows by the library's functions: every claim's sides
-        # to the bit, and every distinct flag
-        from hyperspace import _columns
-
         for law in LAW_IDS:
-            spec = audit._LAWS[law]
-            blocks, values, ints = evaluated_block(law, dim, domain, 40 if dim <= 8 else 3)
-            last = [row[-1] if row else 0 for row in ints]
-            for key in sorted(set(last)):
-                sel = [i for i, v in enumerate(last) if v == key]
-                columns = np.array([ints[i] for i in sel], int).reshape(len(sel), -1).T
-                block_ints = (*columns[:-1], key) if spec.ints else ()
-                got = spec.claims(_columns.Columns(), block_ints, *(b.take(sel) for b in blocks))
-                for j, i in enumerate(sel):
-                    want = spec.claims(audit._VALUES, ints[i], *values[i])
-                    assert len(got) == len(want), (law, i)
-                    for (gl, gr, gt), (wl, wr, wt) in zip(got, want):
-                        assert bits(_columns.coords(gl)[j]) == bits(wl.coeffs), (law, dim, i)
-                        assert bits(_columns.coords(gr)[j]) == bits(wr.coeffs), (law, dim, i)
-                        assert isinstance(gt, audit._Distinct) == isinstance(wt, audit._Distinct)
+            assert_evaluators_agree(law, dim, domain, 40 if dim <= 8 else 3, audit._LAWS[law].chart)
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_the_evaluators_agree_in_the_s3_chart(self, domain):
+        # every law of the audited dimension on s3 numbers: the evaluator
+        # takes coordinate results (add, conjugate, from_polar) back to polar
+        # in its own chart, as the library does with Space3 values
+        for law in LAW_IDS:
+            if audit._LAWS[law].dim is None:
+                assert_evaluators_agree(law, 3, domain, 40, S3)
 
 
 class TestColumnAudit:

@@ -105,16 +105,6 @@ class TestStructure:
         got = mul_coeffs_general(c(1, 2, 3, 4), c(4, 3, 2, 1), ACW)
         assert isinstance(got, CoeffBreakdown)
         assert len(got.coeffs) == 3 and len(got.thetas) == 3
-        assert len(got.sub_components) == 3
-        # anticlockwise sub-chains are prefixes of the combined arguments
-        for k, (mag, phases) in enumerate(got.sub_components):
-            assert mag == got.coeffs[k]
-            assert phases == got.thetas[:k]
-
-    def test_clockwise_sub_chains_are_suffixes(self):
-        got = mul_coeffs_general(c(1, 2, 3, 4), c(4, 3, 2, 1), CW)
-        for k, (mag, phases) in enumerate(got.sub_components):
-            assert phases == got.thetas[k + 1 :]
 
     def test_deterministic_bit_identical(self):
         s1, s2 = c(0.3, -1.2, 0.7), c(1.1, 0.4, -2.2)

@@ -49,8 +49,7 @@ CASES = {
         (None, Orientation.ANTICLOCKWISE, ()), len,
     ),
     "CoeffBreakdown": (
-        CoeffBreakdown, ("a0", "coeffs", "thetas", "sub_components"),
-        (1.0, (2.0, -3.0), (0.5, 0.25), ((1.5, (0.5,)), (-2.0, (0.5, 0.25)))), (), -1.0,
+        CoeffBreakdown, ("a0", "coeffs", "thetas"), (1.0, (2.0, -3.0), (0.5, 0.25)), (), -1.0,
     ),
     "SlaveDecomposition": (SlaveDecomposition, ("c_r", "c_i"), (0.6, 0.8), (), -0.6),
     "Space3Breakdown": (
