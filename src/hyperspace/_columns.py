@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import TWO_PI, Orientation, Tolerance
 
-_S3 = Orientation.S3
+_CCW, _S3 = Orientation.ANTICLOCKWISE, Orientation.S3
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
@@ -47,12 +47,14 @@ def _wrap(a: np.ndarray) -> np.ndarray:
 
 
 def chain(c: np.ndarray, r: np.ndarray, o: Orientation) -> np.ndarray:
-    """``core._chain`` of every row of ``c`` (ccw or s3), with moduli ``r``."""
+    """``core._chain`` of every row of ``c`` (ccw or s3; cw raises), with moduli ``r``."""
     if o is _S3:
         a, b, z = c.T
         r_yz = mapped(math.hypot, b, z)
         phi = np.where(r_yz != 0.0, _wrap(mapped(math.atan2, z, b)), 0.0)
         th = np.stack([mapped(math.atan2, r_yz, a), phi], axis=1)
+    elif o is not _CCW:
+        raise ValueError(f"the column kernels have no {o.value} chart")
     else:
         # the running sub-moduli m_0 = c_0, m_k = hypot(m_{k-1}, c_k), and
         # theta_k = atan2(c_k, m_{k-1}): theta_1 is atan2(c_1, c_0), wrapped
@@ -64,12 +66,14 @@ def chain(c: np.ndarray, r: np.ndarray, o: Orientation) -> np.ndarray:
 
 
 def point(r: np.ndarray, th: np.ndarray, o: Orientation) -> np.ndarray:
-    """``core._point`` of every row: the coefficients of chains ``th``, moduli ``r``."""
+    """``core._point`` of every row, ccw or s3 (cw raises): chains ``th``, moduli ``r``."""
     if o is _S3:
         theta, phi = th.T
         st = mapped(math.sin, theta)
         cols = [r * mapped(math.cos, theta), r * st * mapped(math.cos, phi), r * st * mapped(math.sin, phi)]
         return np.stack(cols, axis=1)
+    if o is not _CCW:
+        raise ValueError(f"the column kernels have no {o.value} chart")
     # suffix_k = prod_{j >= k} cos(theta_j), multiplied top axis first, and 1
     cos = np.multiply.accumulate(mapped(math.cos, th)[:, ::-1], axis=1)[:, ::-1]
     suffix = np.hstack([cos, np.ones((len(r), 1))])

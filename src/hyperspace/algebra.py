@@ -33,9 +33,9 @@ from .core import (
     _Frozen,
     _cartesian,
     _polar,
+    _to_polar,
     from_polar,
     resolve_orientation,
-    to_polar,
 )
 HCNumber = CartesianHC | PolarHC
 # Largest n that roots(e, n) and ``hsc roots`` accept: n roots are built.
@@ -70,9 +70,11 @@ class RootSet(_Frozen):
 
 
 def add(s1: CartesianHC, s2: CartesianHC) -> CartesianHC:
-    """Coefficientwise sum."""
-    o = resolve_orientation(None, s1, s2)
-    return _cartesian(o, tuple(map(operator.add, s1.coeffs, s2.coeffs)))
+    """Coefficientwise sum, 3D if an operand is (coordinates conflict in no chart)."""
+    c1, c2 = s1.coeffs, s2.coeffs
+    if len(c1) != len(c2):
+        resolve_orientation(None, s1, s2)  # raises the operand pair rule's error
+    return _cartesian(s1.orientation or s2.orientation, tuple(map(operator.add, c1, c2)))
 
 
 def negate(s: CartesianHC) -> CartesianHC:
@@ -85,36 +87,35 @@ def sub(s1: CartesianHC, s2: CartesianHC) -> CartesianHC:
     return add(s1, negate(s2))
 
 
-def _polar_in(x: HCNumber, o: Orientation) -> PolarHC:
-    return x if isinstance(x, PolarHC) else to_polar(x, o)
+def _as_polar(x: HCNumber, o: Orientation) -> PolarHC:
+    return x if isinstance(x, PolarHC) else _to_polar(x, o)
 
 
 def as_polar(x: HCNumber, orientation: Orientation | None = None) -> PolarHC:
     """Polar view of ``x``: canonical conversion for Cartesian, pass-through
     for polar (the carried chain is preserved, not re-canonicalized)."""
-    return _polar_in(x, resolve_orientation(orientation, x))
+    return _as_polar(x, resolve_orientation(orientation, x))
+
+
+def _chart(p1: PolarHC, p2: PolarHC) -> Orientation:
+    """The chart of two polar values, each bound to one: they must agree."""
+    if p2.orientation is not p1.orientation or len(p1.angles) != len(p2.angles):
+        resolve_orientation(None, p1, p2)  # raises the operand pair rule's error
+    return p1.orientation
 
 
 def mul_polar(p1: PolarHC, p2: PolarHC) -> PolarHC:
     """Moduli multiply, angle chains add; no canonicalization."""
-    o = resolve_orientation(None, p1, p2)
-    return _polar(
-        o,
-        p1.modulus * p2.modulus,
-        tuple(map(operator.add, p1.angles, p2.angles)),
-    )
+    o = _chart(p1, p2)
+    return _polar(o, p1.modulus * p2.modulus, tuple(map(operator.add, p1.angles, p2.angles)))
 
 
 def div_polar(p1: PolarHC, p2: PolarHC) -> PolarHC:
     """Moduli divide, angle chains subtract; raises on a zero divisor."""
-    o = resolve_orientation(None, p1, p2)
+    o = _chart(p1, p2)
     if p2.modulus == 0.0:
         raise ZeroDivisionError("division by a zero-modulus number")
-    return _polar(
-        o,
-        p1.modulus / p2.modulus,
-        tuple(map(operator.sub, p1.angles, p2.angles)),
-    )
+    return _polar(o, p1.modulus / p2.modulus, tuple(map(operator.sub, p1.angles, p2.angles)))
 
 
 def pow_int_polar(p: PolarHC, n: int) -> PolarHC:
@@ -149,7 +150,7 @@ def mul(
 ) -> CartesianHC:
     """Product in coordinate form; the result modulus is |s1|*|s2|."""
     o = resolve_orientation(orientation, s1, s2)
-    return from_polar(mul_polar(_polar_in(s1, o), _polar_in(s2, o)))
+    return from_polar(mul_polar(_as_polar(s1, o), _as_polar(s2, o)))
 
 
 def div(
@@ -157,7 +158,7 @@ def div(
 ) -> CartesianHC:
     """Quotient in coordinate form; raises on a zero divisor."""
     o = resolve_orientation(orientation, s1, s2)
-    return from_polar(div_polar(_polar_in(s1, o), _polar_in(s2, o)))
+    return from_polar(div_polar(_as_polar(s1, o), _as_polar(s2, o)))
 
 
 def pow_int(

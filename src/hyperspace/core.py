@@ -428,7 +428,11 @@ def to_polar(
 ) -> PolarHC:
     """Canonical polar form of ``s``: (modulus, component arguments).  The
     orientation must be an :class:`Orientation`; 3D values keep the s3 chart."""
-    o = resolve_orientation(orientation, s)
+    return _to_polar(s, resolve_orientation(orientation, s))
+
+
+def _to_polar(s: CartesianHC, o: Orientation) -> PolarHC:
+    """``to_polar`` in the resolved chart ``o``."""
     r = math.hypot(*s.coeffs)
     return _polar(o, r, _chain(s.coeffs, r, o))
 
@@ -448,7 +452,7 @@ def from_polar(p: PolarHC) -> CartesianHC:
 
 def canonicalize(p: PolarHC) -> PolarHC:
     """Canonical representative of the point ``p`` denotes."""
-    return to_polar(from_polar(p), p.orientation)
+    return _to_polar(from_polar(p), p.orientation)
 
 
 def conjugate(s: CartesianHC) -> CartesianHC:

@@ -21,6 +21,8 @@ table; ``_fold`` folds a slot's chain to a finite real or rejects it at the
 operator: a division by zero (``0^-1`` too), a complex power, an overflow.
 A slot that is only a number or its negation is read without climbing.
 
+``evaluate`` takes a tree that ``parse`` returned and checks only its
+orientation (None means ccw), once: the type check stands for the rest.
 Multiplicative results are carried in polar form so that chained products
 compose at the angle level; additive operations and display project to
 coordinates.
@@ -42,14 +44,17 @@ from .core import (
     Space3,
     Space3Polar,
     _Frozen,
+    _cartesian,
+    _not_3d,
+    _polar,
     arguments,
     conjugate,
     from_polar,
-    make_cartesian,
-    make_polar,
     modulus,
     to_dict,
 )
+
+_CCW, _S3 = Orientation.ANTICLOCKWISE, Orientation.S3
 
 # Nesting levels an expression may use: each parenthesis, call, power, unary
 # sign and each further operator of any chain is one (a numeric literal's own
@@ -423,45 +428,46 @@ def _cart(v: Value) -> Value:
     return from_polar(v) if isinstance(v, PolarHC) else v
 
 
-def evaluate(node: Expr, orientation: Orientation = Orientation.ANTICLOCKWISE) -> Value:
-    """Evaluate a type-checked expression under the given orientation.
+def evaluate(node: Expr, orientation: Orientation | None = Orientation.ANTICLOCKWISE) -> Value:
+    """Evaluate a tree that :func:`parse` returned under the orientation, the chart
+    of N-dimensional values (None: ccw; 3D values keep s3), checked here once.
+    Below it literals are built unchecked and values enter the kernels in their
+    own chart; a tree ``parse`` cannot return may raise anywhere."""
+    return _eval(node, _CCW if orientation is None else Orientation.check(orientation))
 
-    The orientation is the chart of N-dimensional values; 3D values keep
-    the s3 chart.
-    """
-    o = orientation if orientation is None else Orientation.check(orientation)
-    if isinstance(node, Literal):
-        chart = Orientation.S3 if node.head in _S3_HEADS else o
+
+def _eval(node: Expr, o: Orientation) -> Value:
+    kind = node.__class__
+    if kind is Literal:
+        numbers, chart = node.numbers, _S3 if node.head in _S3_HEADS else o
+        if chart is _S3 and len(numbers) != 3:  # an s3 request: a dimension parse cannot know
+            raise _not_3d(len(numbers))
         if node.head in _POLAR_HEADS:
-            return make_polar(chart, node.numbers[0], node.numbers[1:])
-        return make_cartesian(chart, node.numbers)
-    if isinstance(node, Unary):
-        return algebra.negate(_cart(evaluate(node.child, o)))
-    if isinstance(node, Binary):
-        lv = evaluate(node.left, o)
-        rv = evaluate(node.right, o)
+            return _polar(chart, numbers[0], numbers[1:])
+        return _cartesian(chart, numbers)
+    if kind is Binary:
+        lv, rv = _eval(node.left, o), _eval(node.right, o)
         if node.op == "+":
             return algebra.add(_cart(lv), _cart(rv))
         if node.op == "-":
             return algebra.sub(_cart(lv), _cart(rv))
-        if node.op == "*":
-            return algebra.mul_polar(algebra.as_polar(lv, o), algebra.as_polar(rv, o))
-        return algebra.div_polar(algebra.as_polar(lv, o), algebra.as_polar(rv, o))
-    if isinstance(node, Power):
-        v = evaluate(node.child, o)
-        return algebra.pow_int_polar(algebra.as_polar(v, o), node.n)
-    if isinstance(node, Call):
-        v = evaluate(node.child, o)
-        if node.fn == "abs":
-            return v.modulus if isinstance(v, PolarHC) else modulus(v)
-        if node.fn == "conj":
-            return conjugate(_cart(v))
-        if node.fn == "arg":
-            return arguments(_cart(v), o)[int(node.arg) - 1]
-        if node.fn == "roots":
-            return algebra.nth_roots(_cart(v), int(node.arg), o)
-        if node.fn == "lift":
-            return duality.lift(_cart(v), float(node.arg))
+        lp, rp = algebra._as_polar(lv, lv.orientation or o), algebra._as_polar(rv, rv.orientation or o)
+        return algebra.mul_polar(lp, rp) if node.op == "*" else algebra.div_polar(lp, rp)
+    v = _eval(node.child, o)  # Unary, Power and Call take one operand
+    if kind is Unary:
+        return algebra.negate(_cart(v))
+    if kind is Power:
+        return algebra.pow_int_polar(algebra._as_polar(v, v.orientation or o), node.n)
+    if node.fn == "abs":
+        return v.modulus if isinstance(v, PolarHC) else modulus(v)
+    if node.fn == "conj":
+        return conjugate(_cart(v))
+    if node.fn == "arg":
+        return arguments(_cart(v), o)[int(node.arg) - 1]
+    if node.fn == "roots":
+        return algebra.nth_roots(_cart(v), int(node.arg), o)
+    if node.fn == "lift":
+        return duality.lift(_cart(v), float(node.arg))
     raise AssertionError(f"unhandled node {node!r}")
 
 

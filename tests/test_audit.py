@@ -579,6 +579,17 @@ class TestColumns:
             want = [core._point(m, tuple(t), chart) for m, t in zip(r.tolist(), th.tolist())]
             assert bits(_columns.point(r, th, chart)) == bits(want)
 
+    def test_the_cw_chart_has_no_column_kernels(self):
+        # they would convert with ccw chains, and say nothing
+        from hyperspace import _columns
+
+        with pytest.raises(ValueError, match="no cw chart"):
+            _columns.rows(np.array([[1.0, 2.0, 3.0, 4.0]]), CW)
+        with pytest.raises(ValueError, match="no cw chart"):
+            _columns.point(np.ones(1), np.zeros((1, 3)), CW)
+        with pytest.raises(ValueError, match="no cw chart"):
+            _columns.Columns(CW).mul(np.ones((1, 4)), np.ones((1, 4)))
+
     def test_closeness_is_the_scalar_closeness(self):
         from hyperspace import _columns, core
 

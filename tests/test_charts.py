@@ -119,6 +119,8 @@ class TestS3Chart:
     def test_a_3_dim_cartesian_converts_under_s3_on_request(self):
         p = to_polar(CartesianHC((1, 2, 3)), S3)
         assert p == to_polar3(Space3(1, 2, 3))
+        assert expr.evaluate(expr.parse("c[1,2,3]"), S3) == Space3(1, 2, 3)
+        assert expr.evaluate(expr.parse("p[1; 0.5, 2]"), S3) == Space3Polar(1, 0.5, 2)
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_other_dimensions_are_rejected(self, dim):
@@ -133,6 +135,10 @@ class TestS3Chart:
             PolarHC(1.0, (0.1,) * (dim - 1), S3)
         with pytest.raises(ValueError, match="3-dimensional"):
             canonical_ranges(S3, dim)
+        # evaluate's literals: parse knows no chart, so an s3 request meets them there
+        for text in (f"c[{','.join(['1'] * dim)}]", f"p[1; {','.join(['0.5'] * (dim - 1))}]"):
+            with pytest.raises(ValueError, match="3-dimensional"):
+                expr.evaluate(expr.parse(text), S3)
 
     def test_polar_payload_under_s3_needs_two_angles(self):
         payload = {"kind": "polar", "modulus": 1.0, "angles": [0.1, 0.2, 0.3], "orientation": "s3"}
@@ -168,7 +174,8 @@ class TestChartRequests:
         # evaluate checks its chart where it starts, also for trees whose
         # nodes pick no chart
         trees = map(expr.parse, ["c[1,2,3] * c[1,0,1]", "c[1,2]+c[3,4]", "abs(c[1,2])", "-c[1,2]",
-                                 "conj(c[1,2])", "lift(c[3,4],12)"])
+                                 "conj(c[1,2])", "lift(c[3,4],12)", "p[1; 0.5]*c[1,1]",
+                                 "s3p[2; 0.5, 1] / s3[1,2,3]"])
         calls = [
             lambda: to_polar(self.s, bad),
             lambda: arguments(self.s, bad),
@@ -186,6 +193,10 @@ class TestChartRequests:
         assert arguments(self.s, None) == arguments(self.s, ACW)
         assert algebra.mul(self.s, self.s, None) == algebra.mul(self.s, self.s, ACW)
         assert to_polar(Space3(1, 2, 3), None) == to_polar3(Space3(1, 2, 3))
+        # evaluate's literals take the request, ccw for None, in every tree
+        for text in ["p[1; 0.5]*c[1,1]", "p[2; 0.5, 1]^2", "s3p[2; 0.5, 1] / s3[1,2,3]", "c[1,2]+c[3,4]"]:
+            tree = expr.parse(text)
+            assert expr.evaluate(tree, None) == expr.evaluate(tree, ACW)
 
 
 class TestS3PolarValues:
