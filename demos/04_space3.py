@@ -9,13 +9,22 @@ measures -- they genuinely disagree, most famously on i*j.
 
 import math
 
-from hyperspace import Space3, Space3Polar, conj3, from_polar3, j_pow, mul3, pow_roots3, to_polar3
+from hyperspace import (
+    Space3,
+    Space3Polar,
+    conj3,
+    div_polar,
+    from_polar3,
+    j_pow,
+    modulus,
+    mul3,
+    mul_polar,
+    pow_roots3,
+    to_polar3,
+)
 from hyperspace.space3 import (
     conj3_polar,
-    div3_polar,
-    modulus3,
     mul3_coeffs,
-    mul3_polar,
     slave_decompose,
 )
 
@@ -32,16 +41,16 @@ print("slave decomposition:", slave_decompose(s))
 # Products: moduli multiply, both angles add.
 t = Space3(0.5, -2.0, 1.0)
 print("s * t  =", mul3(s, t))
-print("|s||t| =", modulus3(s) * modulus3(t), "vs", modulus3(mul3(s, t)))
+print("|s||t| =", modulus(s) * modulus(t), "vs", modulus(mul3(s, t)))
 
 # Quotient roundtrip composes at the angle level: the coordinate projection
 # of an intermediate forgets its chain, so chained operations stay polar.
-q = div3_polar(to_polar3(s), to_polar3(t))
-print("s/t*t  =", from_polar3(mul3_polar(q, to_polar3(t))))
+q = div_polar(to_polar3(s), to_polar3(t))
+print("s/t*t  =", from_polar3(mul_polar(q, to_polar3(t))))
 
 # Conjugation, evaluated at the angle level, recovers the squared modulus.
-identity = from_polar3(mul3_polar(p, conj3_polar(p)))
-print("s*conj =", identity, " (|s|^2 =", modulus3(s) ** 2, ")")
+identity = from_polar3(mul_polar(p, conj3_polar(p)))
+print("s*conj =", identity, " (|s|^2 =", modulus(s) ** 2, ")")
 print("conj   =", conj3(s))
 
 # Powers and roots de-Moivre style on both angles.

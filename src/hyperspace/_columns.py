@@ -180,9 +180,10 @@ class Columns:
     def unit(self, p: Rows) -> Rows:
         return Rows(None, np.ones(len(p.r)), np.zeros(p.t.shape))
 
-    def formulas(self, routes, a: Rows, b: Rows) -> list[np.ndarray]:
-        """Every ``(label, body)`` formula's assembled values on a block."""
-        return [assembled(f(ColumnPair(a, b, self.o), a.c.T, b.c.T)) for _, f in routes]
+    def formula(self, body, a: Rows, b: Rows) -> np.ndarray:
+        """A literal formula's ``assembled`` coordinates on a block, in the evaluator's chart."""
+        bd = body(ColumnPair(a, b, self.o), a.c.T, b.c.T)
+        return np.stack(bd.coordinates(partial(mapped, math.cos), np.where), axis=1)
 
     def to_complex(self, s: Rows) -> list[complex]:
         return [complex(*c) for c in s.c.tolist()]
@@ -239,11 +240,6 @@ class ColumnPair:
 
     def ones(self, k: int) -> np.ndarray:
         return np.ones((k, len(self.a.r)))
-
-
-def assembled(bd) -> np.ndarray:
-    """The ``assembled`` coordinates of a breakdown whose fields are columns."""
-    return np.stack(bd.coordinates(partial(mapped, math.cos), np.where), axis=1)
 
 
 def coords(x) -> np.ndarray:

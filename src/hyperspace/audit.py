@@ -80,7 +80,6 @@ from .core import (
     make_cartesian,
     make_polar,
     modulus,
-    resolve_orientation,
     to_dict,
     to_polar,
 )
@@ -388,7 +387,7 @@ _VALUES = SimpleNamespace(
     conj3_polar=space3.conj3_polar,
     real=lambda x, like: make_cartesian(like.orientation, (x,) + (0.0,) * (like.dim - 1)),
     unit=lambda p: make_polar(p.orientation, 1.0, (0.0,) * (p.dim - 1)),
-    formulas=lambda routes, a, b: [_literal(f, a, b, resolve_orientation(None, a, b)).assembled for _, f in routes],
+    formula=lambda body, a, b: _literal(body, a, b, None).assembled,
     to_complex=lambda s: complex(*s.coeffs),
     each=lambda f, *args: f(*args),
     classic=lambda z: CartesianHC((z.real, z.imag)),
@@ -476,8 +475,7 @@ def _law_demoivre(ops, ints, s):
 def _agreement(normative, routes, ops, ints, s1, s2):
     """Two operands through the normative operation and every formula route."""
     nm = getattr(ops, normative)(s1, s2)
-    sides = ops.formulas(routes, s1, s2)
-    return [(side, nm, {"route": label}) for (label, _), side in zip(routes, sides)]
+    return [(ops.formula(body, s1, s2), nm, {"route": label}) for label, body in routes]
 
 
 # (label, formula body), run in the operands' chart, which is the law's; the

@@ -7,6 +7,9 @@ Subcommands::
     roots EXPR N              all N-th roots of an expression's value
     audit [...]               run the law audit and emit the report
 
+An EXPR that starts with a minus sign follows ``--`` (``hsc eval -- '-c[3,4]'``);
+before it, argparse reads ``-c[3,4]`` as an option and the EXPR is missing.
+
 Exit codes: 0 success, 1 parse/type/usage error (including an expression
 nested deeper than expr.MAX_DEPTH, a root order outside 1 ..
 algebra.MAX_ROOT_ORDER, a scalar or root-set expression given to convert or

@@ -9,8 +9,9 @@ They are *not* the normative route -- the angle-addition semantics in
 domain.  The audit harness exists to measure that disagreement; nothing here
 feeds normative results.
 
-Each operation comes in two flavours per orientation: the *general* form,
-whose correction terms reference the component-argument sums, and the
+Each operation comes in two flavours per orientation, ccw or cw (the s3
+chart's formulas are :mod:`hyperspace.space3`'s): the *general* form, whose
+correction terms reference the component-argument sums, and the
 *coordinate* form for plain-coefficient operands.  Correction terms that
 would index a coefficient past the top axis do not occur (they only arise
 for k <= N-2 anticlockwise, k >= 2 clockwise, matching the expansion), and
@@ -23,10 +24,11 @@ running values of a sum, difference or product down the axes (``running``),
 and a sequence of ones (``ones``).  It returns the coefficients and the
 combined arguments; a sub-number's phase chain is a slice of the latter
 (``CoeffBreakdown``).  The functions below run it on floats
-(``core._ScalarPair``), the audit on a block's columns
-(``_columns.ColumnPair``), bit for bit alike.  The general forms cost O(N^2)
-operations in either orientation, their correction brackets summing O(N)
-running products of cosines each; the coordinate forms O(N).
+(``core._ScalarPair``, in the chart ``core._literal`` decides once), the
+audit on a block's columns (``_columns.ColumnPair``), bit for bit alike.
+The general forms cost O(N^2) operations in either orientation, their
+correction brackets summing O(N) running products of cosines each; the
+coordinate forms O(N).
 """
 
 from __future__ import annotations
@@ -108,11 +110,6 @@ def _corrections(ev, base, c1, c2, cos, sin):
     return base[1:], c1[1:-1], c2[1:-1], sin[1:], _brackets_cw(ev, cos)
 
 
-def _breakdown(ev, a0, coeffs, thetas) -> CoeffBreakdown:
-    """A body's breakdown; the bodies pass their evaluator ``ev``, unneeded here."""
-    return CoeffBreakdown(a0, tuple(coeffs), tuple(thetas))
-
-
 def _mul_general(ev, c1, c2) -> CoeffBreakdown:
     tsum = ev.each(add, *ev.chains())
     cos, sin = ev.trig(tsum)  # cos[k-1] = cos(tsum_k)
@@ -120,7 +117,7 @@ def _mul_general(ev, c1, c2) -> CoeffBreakdown:
     base = ev.each(lambda x, y, p, q: x * ev.sqrt(q) + y * ev.sqrt(p), c1[1:], c2[1:], r1, r2)
     fixed = ev.each(lambda b, x, y, s, r: b - x * y * s * r, *_corrections(ev, base, c1, c2, cos, sin))
     coeffs = [*fixed, base[-1]] if ev.o is Orientation.ANTICLOCKWISE else [base[0], *fixed]
-    return _breakdown(ev, _a0(ev, c1, c2, cos, sub), coeffs, tsum)
+    return CoeffBreakdown(_a0(ev, c1, c2, cos, sub), tuple(coeffs), tuple(tsum))
 
 
 def _mul_coordinate(ev, c1, c2) -> CoeffBreakdown:
@@ -128,7 +125,7 @@ def _mul_coordinate(ev, c1, c2) -> CoeffBreakdown:
     a0 = c1[0] * c2[0] - ev.running(add, 0.0, ev.each(mul, c1[1:], c2[1:]))[-1]
     r1, r2 = _sub_squares(ev, c1), _sub_squares(ev, c2)
     coeffs = ev.each(lambda x, y, p, q: x * ev.sqrt(q) + y * ev.sqrt(p), c1[1:], c2[1:], r1, r2)
-    return _breakdown(ev, a0, coeffs, tsum)
+    return CoeffBreakdown(a0, tuple(coeffs), tuple(tsum))
 
 
 def _div_general(ev, c1, c2) -> CoeffBreakdown:
@@ -139,7 +136,7 @@ def _div_general(ev, c1, c2) -> CoeffBreakdown:
     base = ev.each(lambda x, y, p, q: x * ev.sqrt(q) - y * ev.sqrt(p), c1[1:], c2[1:], r1, r2)
     fixed = ev.each(lambda b, x, y, s, r: inv * (b + x * y * s * r), *_corrections(ev, base, c1, c2, cos, sin))
     coeffs = [*fixed, inv * base[-1]] if ev.o is Orientation.ANTICLOCKWISE else [inv * base[0], *fixed]
-    return _breakdown(ev, inv * _a0(ev, c1, c2, cos, add), coeffs, tsum)
+    return CoeffBreakdown(inv * _a0(ev, c1, c2, cos, add), tuple(coeffs), tuple(tsum))
 
 
 def _div_coordinate(ev, c1, c2) -> CoeffBreakdown:
@@ -148,19 +145,26 @@ def _div_coordinate(ev, c1, c2) -> CoeffBreakdown:
     a0 = inv * (c1[0] * c2[0] + ev.running(add, 0.0, ev.each(mul, c1[1:], c2[1:]))[-1])
     r1, r2 = _sub_squares(ev, c1), _sub_squares(ev, c2)
     coeffs = ev.each(lambda x, y, p, q: inv * (x * ev.sqrt(q) - y * ev.sqrt(p)), c1[1:], c2[1:], r1, r2)
-    return _breakdown(ev, a0, coeffs, tdiff)
+    return CoeffBreakdown(a0, tuple(coeffs), tuple(tdiff))
+
+
+def _nd_chart(orientation: Orientation) -> Orientation:
+    """The requested chart, ccw or cw; operands bound to another raise in ``_literal``."""
+    if Orientation.check(orientation) is Orientation.S3:
+        raise ValueError("no N-dimensional formula runs in the s3 chart: its formulas are space3's")
+    return orientation
 
 
 def mul_coeffs_general(s1: CartesianHC, s2: CartesianHC, orientation: Orientation) -> CoeffBreakdown:
     """General product expansion with sine correction terms; O(N^2)
     operations, clockwise as anticlockwise."""
-    return _literal(_mul_general, s1, s2, orientation)
+    return _literal(_mul_general, s1, s2, _nd_chart(orientation))
 
 
 def mul_coeffs_coordinate(s1: CartesianHC, s2: CartesianHC, orientation: Orientation) -> CoeffBreakdown:
     """Coordinate-case product: a_0 = a_10*a_20 - sum(a_1k*a_2k), imaginary
     coefficients paired with the opposite operand's sub-modulus roots."""
-    return _literal(_mul_coordinate, s1, s2, orientation)
+    return _literal(_mul_coordinate, s1, s2, _nd_chart(orientation))
 
 
 def div_coeffs_general(s1: CartesianHC, s2: CartesianHC, orientation: Orientation) -> CoeffBreakdown:
@@ -168,10 +172,10 @@ def div_coeffs_general(s1: CartesianHC, s2: CartesianHC, orientation: Orientatio
     theta_1k + theta_2k here, unlike the coordinate case below; both are
     evaluated exactly as written and the audit reports which one tracks the
     normative quotient.  O(N^2) operations, clockwise as anticlockwise."""
-    return _literal(_div_general, s1, s2, orientation)
+    return _literal(_div_general, s1, s2, _nd_chart(orientation))
 
 
 def div_coeffs_coordinate(s1: CartesianHC, s2: CartesianHC, orientation: Orientation) -> CoeffBreakdown:
     """Coordinate-case quotient; here the combined argument is the
     difference theta_1k - theta_2k."""
-    return _literal(_div_coordinate, s1, s2, orientation)
+    return _literal(_div_coordinate, s1, s2, _nd_chart(orientation))

@@ -301,8 +301,8 @@ def resolve_orientation(
     bound to a chart.  A requested orientation must agree with a bound ccw/cw
     chart; it applies to the N-dimensional family only, so 3D values keep the
     s3 chart.  Values bound to no chart take the requested one, ccw by
-    default (None).  A request that is not an ``Orientation`` raises
-    ``TypeError``.
+    default (None), and plain coordinates take s3 only at N = 3.  A request
+    that is not an ``Orientation`` raises ``TypeError``.
     """
     if requested is not None:
         Orientation.check(requested)
@@ -314,6 +314,8 @@ def resolve_orientation(
             raise _conflict(o, y.orientation)
         o = o or y.orientation
     if o is None:
+        if requested is _S3 and x.dim != 3:
+            raise _not_3d(x.dim)
         return requested or _CCW
     if requested is not None and requested is not o and o is not _S3:
         raise _conflict(o, requested)
@@ -363,9 +365,7 @@ def _mirror(c):
 
 
 def _chain(c: tuple[float, ...], r: float, o: Orientation) -> tuple[float, ...]:
-    """Canonical angle chain of coefficients ``c`` with modulus ``r``."""
-    if o is _S3 and len(c) != 3:
-        raise _not_3d(len(c))
+    """Canonical angle chain of coefficients ``c`` with modulus ``r`` in the resolved chart ``o``."""
     if r == 0.0:
         return (0.0,) * (len(c) - 1)
     if o is _CW:
@@ -491,25 +491,24 @@ def approx_eq(
 
 class _ScalarPair:
     """The scalar evaluator of the literal coefficient formulas' bodies
-    (``coeff_formulas``, ``space3``): two numbers, an axis a float, their
-    component arguments under ``o``, ``math``, and Python's loops over the
-    axes."""
+    (``coeff_formulas``, ``space3``): two numbers' coefficients, an axis a
+    float, their moduli and component arguments in the resolved chart ``o``,
+    each computed once, ``math``, and Python's loops over the axes."""
 
     sqrt, hypot = math.sqrt, math.hypot
 
-    def __init__(self, s1: CartesianHC, s2: CartesianHC, o: Orientation) -> None:
-        resolve_orientation(None, s1, s2)  # the operand-pair rule
-        self.s1, self.s2, self.o = s1, s2, o
+    def __init__(self, c1: tuple[float, ...], c2: tuple[float, ...], o: Orientation) -> None:
+        self.o, self.r2 = o, math.hypot(*c2)  # the moduli, as ``modulus`` computes them
+        self.t = (_chain(c1, math.hypot(*c1), o), _chain(c2, self.r2, o))
 
     def chains(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        return arguments(self.s1, self.o), arguments(self.s2, self.o)
+        return self.t
 
     def inverse_square(self) -> float:
         """1 / |s2|^2; a zero-modulus divisor raises."""
-        m2 = modulus(self.s2)
-        if m2 == 0.0:
+        if self.r2 == 0.0:
             raise ZeroDivisionError("division by a zero-modulus number")
-        return 1.0 / (m2 * m2)
+        return 1.0 / (self.r2 * self.r2)
 
     def trig(self, ts) -> tuple[list[float], list[float]]:
         return [math.cos(t) for t in ts], [math.sin(t) for t in ts]
@@ -525,9 +524,14 @@ class _ScalarPair:
         return [1.0] * k
 
 
-def _literal(body, s1: CartesianHC, s2: CartesianHC, o: Orientation):
-    """A literal formula's body on two numbers, by the scalar evaluator."""
-    return body(_ScalarPair(s1, s2, o), s1.coeffs, s2.coeffs)
+def _literal(body, s1: CartesianHC, s2: CartesianHC, orientation: Orientation | None):
+    """A literal formula's body on two numbers by the scalar evaluator, in the
+    one chart it decides: ``resolve_orientation``'s (None: the operands' own),
+    which must be the one requested, so ccw on ``Space3`` values raises."""
+    o = resolve_orientation(orientation, s1, s2)
+    if orientation not in (None, o):
+        raise _conflict(o, orientation)
+    return body(_ScalarPair(s1.coeffs, s2.coeffs, o), s1.coeffs, s2.coeffs)
 
 
 def to_dict(number: CartesianHC | PolarHC) -> dict:

@@ -51,6 +51,7 @@ from .core import (
     conjugate,
     from_polar,
     modulus,
+    resolve_orientation,
     to_dict,
 )
 
@@ -431,8 +432,8 @@ def _cart(v: Value) -> Value:
 def evaluate(node: Expr, orientation: Orientation | None = Orientation.ANTICLOCKWISE) -> Value:
     """Evaluate a tree that :func:`parse` returned under the orientation, the chart
     of N-dimensional values (None: ccw; 3D values keep s3), checked here once.
-    Below it literals are built unchecked and values enter the kernels in their
-    own chart; a tree ``parse`` cannot return may raise anywhere."""
+    Below it literals are built unchecked and values enter the kernels in their own chart,
+    else in ``resolve_orientation``'s; a tree ``parse`` cannot return may raise anywhere."""
     return _eval(node, _CCW if orientation is None else Orientation.check(orientation))
 
 
@@ -451,13 +452,15 @@ def _eval(node: Expr, o: Orientation) -> Value:
             return algebra.add(_cart(lv), _cart(rv))
         if node.op == "-":
             return algebra.sub(_cart(lv), _cart(rv))
-        lp, rp = algebra._as_polar(lv, lv.orientation or o), algebra._as_polar(rv, rv.orientation or o)
+        lp = algebra._as_polar(lv, lv.orientation or resolve_orientation(o, lv))
+        rp = algebra._as_polar(rv, rv.orientation or resolve_orientation(o, rv))
         return algebra.mul_polar(lp, rp) if node.op == "*" else algebra.div_polar(lp, rp)
     v = _eval(node.child, o)  # Unary, Power and Call take one operand
     if kind is Unary:
         return algebra.negate(_cart(v))
     if kind is Power:
-        return algebra.pow_int_polar(algebra._as_polar(v, v.orientation or o), node.n)
+        p = algebra._as_polar(v, v.orientation or resolve_orientation(o, v))
+        return algebra.pow_int_polar(p, node.n)
     if node.fn == "abs":
         return v.modulus if isinstance(v, PolarHC) else modulus(v)
     if node.fn == "conj":

@@ -45,10 +45,6 @@ class RotationChain(_Frozen):
         _Frozen.__init__(self, radius, steps, dim)
 
 
-def _norm(v: Vector) -> float:
-    return math.hypot(*v)
-
-
 def rotate_in_plane(v: Vector, axis: int, angle: float) -> Vector:
     """Rotate ``v`` by ``angle`` inside the plane spanned by ``v`` and basis
     axis ``axis``.
@@ -63,7 +59,7 @@ def rotate_in_plane(v: Vector, axis: int, angle: float) -> Vector:
         raise ValueError(
             f"component along axis {axis} must be zero, got {v[axis]!r}"
         )
-    r = _norm(v)
+    r = math.hypot(*v)
     if r == 0.0:
         return tuple(v)
     c, s = math.cos(angle), math.sin(angle)
@@ -88,7 +84,7 @@ def apply_plane_rotation(w: Vector, u: Vector, axis: int, angle: float) -> Vecto
         raise ValueError(
             f"plane vector component along axis {axis} must be zero, got {u[axis]!r}"
         )
-    un = _norm(u)
+    un = math.hypot(*u)
     if un == 0.0:
         raise ValueError("plane vector must be nonzero")
     e1 = tuple(x / un for x in u)

@@ -41,17 +41,12 @@ def j_pow(n: int) -> Space3:
     return table[int(n) % 4]
 
 
-modulus3 = core.modulus
 to_polar3 = core.to_polar
 from_polar3 = core.from_polar
 conj3 = core.conjugate
-mul3_polar = algebra.mul_polar
-div3_polar = algebra.div_polar
 mul3 = algebra.mul
 div3 = algebra.div
-approx_eq3 = core.approx_eq
-to_dict3 = core.to_dict
-from_dict3 = core.from_dict
+from_dict3 = core.from_dict  # perfbench/run.py decodes audit reports with it
 
 
 def slave_decompose(s: Space3) -> SlaveDecomposition:
@@ -129,7 +124,7 @@ def _div3_coeffs(ev, c1, c2) -> Space3Breakdown:
 
 
 def mul3_coeffs(s1: Space3, s2: Space3) -> Space3Breakdown:
-    """Expanded product coefficients, evaluated literally (audit route).
+    """Expanded product coefficients, evaluated literally (audit route) in the s3 chart.
 
     a = a1*a2 - b1*b2 - c1r*c2r + c1i*c2i
     b = b1*a2 + b2*a1 - c1r*c2i - c1i*c2r
@@ -141,7 +136,7 @@ def mul3_coeffs(s1: Space3, s2: Space3) -> Space3Breakdown:
 
 
 def div3_coeffs(s1: Space3, s2: Space3) -> Space3Breakdown:
-    """Expanded quotient coefficients, evaluated literally (audit route).
+    """Expanded quotient coefficients, evaluated literally (audit route) in the s3 chart.
 
     a = (a1*a2 + b1*b2 + c1r*c2r + c1i*c2i) / |s2|^2
     b = (b1*a2 - b2*a1 + c1r*c2i - c1i*c2r) / |s2|^2

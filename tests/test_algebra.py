@@ -205,6 +205,10 @@ class TestRoots:
         assert vec_close(got[0].coeffs, (0, 1))
         assert vec_close(got[1].coeffs, (0, -1))
 
+    def test_a_root_set_is_never_empty(self):
+        with pytest.raises(ValueError, match="a root set holds at least one root"):
+            RootSet(())
+
     def test_first_root_identity(self):
         got = nth_roots(c(1, 0), 1)
         assert len(got) == 1 and vec_close(got[0].coeffs, (1, 0))

@@ -180,12 +180,13 @@ class TestHypothesisLaws:
                 assert result.counterexample is None
 
     def test_space3_agreement_counterexample_replayable(self):
-        from hyperspace.space3 import from_dict3, mul3, mul3_coeffs, approx_eq3
+        from hyperspace.core import approx_eq
+        from hyperspace.space3 import from_dict3, mul3, mul3_coeffs
 
         result = audit_law("space3_mul_agreement", AuditConfig(dims=(3,), samples=50), 3)
         assert result.passes < result.samples
         s1, s2 = (from_dict3(d) for d in result.counterexample["operands"])
-        assert not approx_eq3(mul3_coeffs(s1, s2).assembled, mul3(s1, s2))
+        assert not approx_eq(mul3_coeffs(s1, s2).assembled, mul3(s1, s2))
 
 
 class TestStructure:
@@ -400,6 +401,13 @@ class TestStreams:
                         for i in range(i0, i0 + m)
                     ]
                     assert audit._seed_words(seed, code, dim, i0, m).tolist() == want
+
+    def test_the_last_sample_index_is_2_to_the_32_minus_1(self):
+        # the sample index is one 32-bit seed word
+        assert audit._seed_words(42, 0, 3, 2**32 - 2, 2).shape == (2, 4)
+        for i0, m in ((2**32 - 1, 2), (-1, 1)):
+            with pytest.raises(ValueError, match="sample indices must fit in 32 bits"):
+                audit._seed_words(42, 0, 3, i0, m)
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_streams_draw_what_numpy_draws(self, seed):
@@ -665,7 +673,7 @@ class TestColumnFormulas:
         a, b = formula_block(c1, chart), formula_block(c2, chart)
         for body, scalar in formulas_of(chart):
             got = body(_columns.ColumnPair(a, b, chart), list(a.c.T), list(b.c.T))
-            coords = _columns.assembled(got)
+            coords = _columns.Columns(chart).formula(body, a, b)
             for j, (x, y) in enumerate(zip(c1.tolist(), c2.tolist())):
                 want = scalar(*(core.make_cartesian(chart, v) for v in (x, y)))
                 assert bits([f[j] for f in breakdown_fields(got)]) == bits(breakdown_fields(want)), body
@@ -678,7 +686,7 @@ class TestColumnFormulas:
 
         c1, c2 = formula_operands(np.random.default_rng(1), 4, 50, "negative")
         a, b = formula_block(c1, ACW), formula_block(c2, ACW)
-        got = _columns.assembled(cf._mul_coordinate(_columns.ColumnPair(a, b, ACW), list(a.c.T), list(b.c.T)))
+        got = _columns.Columns(ACW).formula(cf._mul_coordinate, a, b)
         ok, _ = _columns.closeness(got, _columns.Columns(ACW).mul(a, b), Tolerance())
         assert not ok.any()
 
@@ -707,10 +715,10 @@ class TestColumnFormulas:
                               (S3, audit._SPACE3_MUL_ROUTES + audit._SPACE3_DIV_ROUTES)):
             c1, c2 = formula_operands(np.random.default_rng(m), 3 if chart is S3 else n, m, "uniform")
             a, b = formula_block(c1, chart), formula_block(c2, chart)
-            got = [bits(x) for x in _columns.Columns(chart).formulas(routes, a, b)]
-            rows = [audit._VALUES.formulas(routes, *(core.make_cartesian(chart, c[j].tolist()) for c in (c1, c2)))
-                    for j in range(m)]
-            assert got == [bits([row[k].coeffs for row in rows]) for k in range(len(routes))]
+            values = [[core.make_cartesian(chart, c[j].tolist()) for c in (c1, c2)] for j in range(m)]
+            for _, body in routes:
+                got = _columns.Columns(chart).formula(body, a, b)
+                assert bits(got) == bits([audit._VALUES.formula(body, *row).coeffs for row in values])
 
     def test_a_zero_divisor_in_any_row_raises(self):
         from hyperspace import _columns, coeff_formulas as cf, space3
@@ -810,6 +818,19 @@ class TestColumnAudit:
                 assert got == ref_audit_law(law, cfg, dim), (law, dim)
                 failing += got.passes < got.samples
         assert failing > 0
+
+    @pytest.mark.parametrize("law, dim, op", [("distributive", 3, "add"),
+                                              ("cartesian_mul_agreement", 4, "formula")])
+    def test_the_replay_catches_a_column_verdict_the_scalar_one_does_not_give(
+            self, law, dim, op, monkeypatch):
+        # a column op off by 1e-3 moves every failing row's deviation; the
+        # replay of the cell's first failing sample must notice
+        from hyperspace import _columns
+
+        exact = getattr(_columns.Columns, op)
+        monkeypatch.setattr(_columns.Columns, op, lambda self, *args: exact(self, *args) + 1e-3)
+        with pytest.raises(RuntimeError, match=rf"{law} sample \d+: column and scalar verdicts differ"):
+            audit_law(law, AuditConfig(dims=(dim,), samples=50), dim)
 
 
 class TestBlockSize:

@@ -18,6 +18,7 @@ from hyperspace.core import (
     canonicalize,
     from_dict,
     from_polar,
+    resolve_orientation,
     to_dict,
     to_polar,
 )
@@ -125,6 +126,8 @@ class TestS3Chart:
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_other_dimensions_are_rejected(self, dim):
         s = CartesianHC(tuple(range(1, dim + 1)))
+        with pytest.raises(ValueError, match=f"the s3 chart is 3-dimensional, got dimension {dim}"):
+            resolve_orientation(S3, s)  # the rule's one home
         with pytest.raises(ValueError, match="3-dimensional"):
             to_polar(s, S3)
         with pytest.raises(ValueError, match="3-dimensional"):
@@ -138,6 +141,15 @@ class TestS3Chart:
         # evaluate's literals: parse knows no chart, so an s3 request meets them there
         for text in (f"c[{','.join(['1'] * dim)}]", f"p[1; {','.join(['0.5'] * (dim - 1))}]"):
             with pytest.raises(ValueError, match="3-dimensional"):
+                expr.evaluate(expr.parse(text), S3)
+
+    def test_a_lifted_value_under_s3_converts_in_no_chart(self):
+        # a lift adds an axis to a 3D value: plain coordinates of dimension 4,
+        # which leave the s3 chart only when a product or power converts them
+        tree = "lift(c[1,2,3], 1)"
+        assert expr.evaluate(expr.parse(f"conj({tree})"), S3) == CartesianHC((1, -2, -3, -1))
+        for text in (f"{tree} * {tree}", f"{tree} / {tree}", f"{tree}^2", f"arg({tree}, 1)"):
+            with pytest.raises(ValueError, match="the s3 chart is 3-dimensional, got dimension 4"):
                 expr.evaluate(expr.parse(text), S3)
 
     def test_polar_payload_under_s3_needs_two_angles(self):

@@ -69,6 +69,14 @@ class TestEval:
         assert out.returncode == 0
         assert out.stdout == "s3[-1,0,0]\n"
 
+    def test_an_expression_with_a_leading_minus_follows_a_double_dash(self):
+        # argparse reads "-c[3,4]" as an option, so no expression is left
+        out = run_cli("eval", "-c[3,4]")
+        assert (out.returncode, out.stdout) == (1, "")
+        assert "the following arguments are required: expr" in out.stderr
+        assert run_in_process("eval", "--", "-c[3,4]") == (0, "c[-3,-4]\n", "")
+        assert run_in_process("eval", "--digits", "3", "--", "-c[3,4] * c[1,1]") == (0, "c[1,-7]\n", "")
+
 
 class TestErrors:
     def test_malformed_expression_exit_1_with_position(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hyperspace.core import (
     DimensionMismatchError,
     Orientation,
     PolarHC,
+    Space3,
     from_polar,
 )
 
@@ -23,6 +25,7 @@ from util import close, vec_close
 
 ACW = Orientation.ANTICLOCKWISE
 CW = Orientation.CLOCKWISE
+S3 = Orientation.S3
 
 MUL_EVALUATORS = [mul_coeffs_general, mul_coeffs_coordinate]
 DIV_EVALUATORS = [div_coeffs_general, div_coeffs_coordinate]
@@ -209,3 +212,34 @@ class TestRestrictedN3Comparison:
             if vec_close(got.coeffs, want.coeffs, rel=1e-9):
                 agree += 1
         assert 0 <= agree <= total
+
+
+class TestRequestedChart:
+    """A formula runs only in the chart it was asked for: each operand's
+    chains are taken in the chart its body branches on."""
+
+    def test_the_same_coordinates_unbound_run_in_the_request(self):
+        assert mul_coeffs_general(c(1, 2, 3), c(0.5, -1, 2), ACW).a0 == -3.5
+        assert close(mul_coeffs_general(c(1, 2, 3), c(0.5, -1, 2), CW).a0, -7.1873, rel=1e-4)
+
+    @pytest.mark.parametrize("chart", [ACW, CW])
+    def test_space3_values_under_ccw_or_cw_conflict(self, chart):
+        # the ccw body ran on s3 chains: a0 = 7.7925 where c[...] gives -3.5
+        error = re.escape(f"conflicting orientations: {sorted([chart.value, 's3'])}")
+        for evaluate in MUL_EVALUATORS + DIV_EVALUATORS:
+            with pytest.raises(ValueError, match=error):
+                evaluate(Space3(1, 2, 3), Space3(0.5, -1, 2), chart)
+            with pytest.raises(ValueError, match=error):
+                evaluate(c(1, 2, 3), Space3(0.5, -1, 2), chart)
+
+    def test_an_s3_request_is_refused(self):
+        # the cw branches ran on s3 chains: a0 = -7.4846 where cw gives -7.1873
+        for evaluate in MUL_EVALUATORS + DIV_EVALUATORS:
+            with pytest.raises(ValueError, match="no N-dimensional formula runs in the s3 chart"):
+                evaluate(c(1, 2, 3), c(0.5, -1, 2), S3)
+
+    @pytest.mark.parametrize("bad", [None, "ccw"])
+    def test_a_request_that_is_not_an_orientation_is_rejected(self, bad):
+        for evaluate in MUL_EVALUATORS + DIV_EVALUATORS:
+            with pytest.raises(TypeError, match="bad orientation"):
+                evaluate(c(1, 2), c(3, 4), bad)

@@ -63,6 +63,24 @@ class TestTypes:
         with pytest.raises(ValueError):
             PolarHC(-1.0, (0.0,))
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_finite_angles_only(self, angle):
+        with pytest.raises(ValueError, match="angles must be finite"):
+            PolarHC(1.0, (0.5, angle))
+
+    def test_a_coefficient_by_index(self):
+        s = c(1.5, -2.0, 3.0)
+        assert (s[0], s[1], s[-1]) == (1.5, -2.0, 3.0)
+        with pytest.raises(IndexError):
+            s[3]
+
+    def test_a_request_against_a_bound_chart_conflicts(self):
+        # a cw chain asked for as ccw: the request must agree with the value's chart
+        from hyperspace import algebra
+
+        with pytest.raises(ValueError, match=r"conflicting orientations: \['ccw', 'cw'\]"):
+            algebra.as_polar(to_polar(c(1.0, 2.0, 3.0), CW), ACW)
+
     def test_tolerance_positive(self):
         with pytest.raises(ValueError):
             Tolerance(abs_eps=0.0)
@@ -289,6 +307,11 @@ class TestJson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             from_dict({"kind": "spherical"})
+
+    @pytest.mark.parametrize("value", [3.0, (1.0, 2.0), None])
+    def test_to_dict_of_a_non_number(self, value):
+        with pytest.raises(TypeError, match="not a hyperspace number"):
+            to_dict(value)
 
 
 class TestEntryChecks:

@@ -49,6 +49,15 @@ class TestParsing:
             parse("c[1,2] + s3[1,2,3]")
         assert "mix" in str(err.value)
 
+    @pytest.mark.parametrize("text, error", [
+        ("-abs(c[3,4])", "cannot negate a scalar value"),
+        ("-roots(c[1,0], 2)", "cannot negate a roots value"),
+        ("abs(c[3,4])^2", "cannot raise a scalar value to a power"),
+    ])
+    def test_a_sign_or_power_of_a_non_number_rejected(self, text, error):
+        with pytest.raises(ExprTypeError, match=error):
+            parse(text)
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ExprTypeError) as err:
             parse("c[1,2] + c[1,2,3]")

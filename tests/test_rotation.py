@@ -44,6 +44,11 @@ class TestRotateInPlane:
     def test_zero_vector_unchanged(self):
         assert rotate_in_plane((0.0, 0.0, 0.0), 1, 1.0) == (0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("axis", [-1, 3])
+    def test_axis_out_of_range_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"axis {axis} out of range for dim 3"):
+            rotate_in_plane((1.0, 0.0, 0.0), axis, 0.3)
+
     def test_norm_preserved(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -91,6 +96,15 @@ class TestApplyPlaneRotation:
         with pytest.raises(ValueError):
             apply_plane_rotation((1.0, 0.0), (0.0, 0.0), 1, 0.5)
 
+    def test_argument_checks(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 2 != 3"):
+            apply_plane_rotation((1.0, 0.0), (1.0, 0.0, 0.0), 1, 0.5)
+        for axis in (-1, 3):
+            with pytest.raises(ValueError, match=f"axis {axis} out of range for dim 3"):
+                apply_plane_rotation((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), axis, 0.5)
+        with pytest.raises(ValueError, match="plane vector component along axis 1 must be zero"):
+            apply_plane_rotation((1.0, 0.0, 0.0), (1.0, 2.0, 0.0), 1, 0.5)
+
 
 class TestBuildByRotations:
     def test_single_quarter_turn(self):
@@ -122,6 +136,20 @@ class TestBuildByRotations:
             RotationChain(1.0, ((1, 0.1), (3, 0.2), (2, 0.3)), 4)
         with pytest.raises(ValueError):
             RotationChain(1.0, ((2, 0.1), (2, 0.2)), 4)
+
+    @pytest.mark.parametrize("radius", [-1.0, math.inf, math.nan])
+    def test_radius_enforced(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and >= 0"):
+            RotationChain(radius, ((1, 0.1),), 2)
+
+    def test_dim_floor(self):
+        with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
+            RotationChain(1.0, (), 1)
+
+    @pytest.mark.parametrize("angle", [math.inf, math.nan])
+    def test_finite_steps(self, angle):
+        with pytest.raises(ValueError, match="step angles must be finite"):
+            RotationChain(1.0, ((1, 0.1), (2, angle)), 3)
 
     def test_axis_range_enforced(self):
         with pytest.raises(ValueError):

@@ -5,26 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from hyperspace.algebra import div_polar, mul_polar
+from hyperspace.core import CartesianHC, approx_eq, modulus, to_dict, to_polar
 from hyperspace.rotation import apply_plane_rotation
 from hyperspace.space3 import (
     Space3,
     Space3Polar,
-    approx_eq3,
     conj3,
     conj3_polar,
     div3,
     div3_coeffs,
-    div3_polar,
     from_dict3,
     from_polar3,
     j_pow,
-    modulus3,
     mul3,
     mul3_coeffs,
-    mul3_polar,
     pow_roots3,
     slave_decompose,
-    to_dict3,
     to_polar3,
 )
 
@@ -154,8 +151,8 @@ class TestConj3:
         for _ in range(200):
             s = sample(rng)
             p = to_polar3(s)
-            got = from_polar3(mul3_polar(p, conj3_polar(p)))
-            r2 = modulus3(s) ** 2
+            got = from_polar3(mul_polar(p, conj3_polar(p)))
+            r2 = modulus(s) ** 2
             assert vec_close(got.coeffs, (r2, 0, 0), rel=1e-9)
 
 
@@ -164,7 +161,7 @@ class TestMulDiv3:
         assert vec_close(mul3(I, I).coeffs, (-1, 0, 0))
 
     def test_angle_addition(self):
-        got = mul3_polar(Space3Polar(2, 0.3, 0.4), Space3Polar(3, 0.1, 0.2))
+        got = mul_polar(Space3Polar(2, 0.3, 0.4), Space3Polar(3, 0.1, 0.2))
         assert got.modulus == 6.0
         assert close(got.theta, 0.4, rel=1e-15) and close(got.phi, 0.6, rel=1e-15)
 
@@ -189,7 +186,7 @@ class TestMulDiv3:
         rng = np.random.default_rng(75)
         for _ in range(300):
             p1, p2 = to_polar3(sample(rng)), to_polar3(sample(rng))
-            back = from_polar3(mul3_polar(div3_polar(p1, p2), p2))
+            back = from_polar3(mul_polar(div_polar(p1, p2), p2))
             assert vec_close(back.coeffs, from_polar3(p1).coeffs, rel=1e-9)
 
     def test_modulus_multiplicative(self):
@@ -197,7 +194,7 @@ class TestMulDiv3:
         for _ in range(300):
             s1, s2 = sample(rng), sample(rng)
             assert close(
-                modulus3(mul3(s1, s2)), modulus3(s1) * modulus3(s2), rel=1e-12
+                modulus(mul3(s1, s2)), modulus(s1) * modulus(s2), rel=1e-12
             )
 
     def test_commutes_exactly(self):
@@ -210,8 +207,8 @@ class TestMulDiv3:
         rng = np.random.default_rng(78)
         for _ in range(200):
             p1, p2, p3 = (to_polar3(sample(rng)) for _ in range(3))
-            lhs = from_polar3(mul3_polar(mul3_polar(p1, p2), p3))
-            rhs = from_polar3(mul3_polar(p1, mul3_polar(p2, p3)))
+            lhs = from_polar3(mul_polar(mul_polar(p1, p2), p3))
+            rhs = from_polar3(mul_polar(p1, mul_polar(p2, p3)))
             assert vec_close(lhs.coeffs, rhs.coeffs, rel=1e-9)
 
     def test_classic_embedding(self):
@@ -315,13 +312,34 @@ class TestCoeffRoutes:
             s1, s2 = sample(rng), sample(rng)
             got = mul3_coeffs(s1, s2).assembled
             want = mul3(s1, s2)
-            if not approx_eq3(got, want):
+            if not approx_eq(got, want):
                 disagreements += 1
         assert disagreements > 0  # the routes genuinely differ off-plane
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             div3_coeffs(I, Space3(0, 0, 0))
+
+
+class TestCoeffRoutesChart:
+    """The 3D formulas run in the s3 chart only."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_other_dimensions_are_refused(self, dim):
+        s = CartesianHC(tuple(range(1, dim + 1)))
+        for f in (mul3_coeffs, div3_coeffs):
+            with pytest.raises(ValueError, match=f"the s3 chart is 3-dimensional, got dimension {dim}"):
+                f(s, s)
+
+    def test_plain_3_dim_coordinates_run_as_space3(self):
+        x, y = CartesianHC((1, 2, 3)), CartesianHC((0.5, -1, 2))
+        for f in (mul3_coeffs, div3_coeffs):
+            assert f(x, y) == f(Space3(1, 2, 3), Space3(0.5, -1, 2))
+
+    def test_values_bound_to_another_chart_conflict(self):
+        p = to_polar(CartesianHC((1, 2, 3)))
+        with pytest.raises(ValueError, match=r"conflicting orientations: \['ccw', 's3'\]"):
+            mul3_coeffs(p, p)
 
 
 class TestAbsorption:
@@ -339,11 +357,11 @@ class TestAbsorption:
 class TestJson3:
     def test_coordinate_round_trip(self):
         s = Space3(0.1, -2.5e-17, 3.0000000000000004)
-        assert from_dict3(json.loads(json.dumps(to_dict3(s)))) == s
+        assert from_dict3(json.loads(json.dumps(to_dict(s)))) == s
 
     def test_polar_round_trip(self):
         p = Space3Polar(2.5, 0.7853981633974483, 4.71238898038469)
-        assert from_dict3(json.loads(json.dumps(to_dict3(p)))) == p
+        assert from_dict3(json.loads(json.dumps(to_dict(p)))) == p
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
