@@ -1,7 +1,7 @@
-"""The audit's column kernels: the ccw and s3 charts and the closeness measure
-of :mod:`hyperspace.core` over blocks of numbers, one number per row, and the
-column evaluator of the audit's laws, which holds its cell's chart: a block
-holds numbers only.
+"""The audit's column kernels: the charts and the closeness measure of
+:mod:`hyperspace.core` over blocks of numbers, one number per row (cw is ccw
+on ``core._mirror``'s axes, as in ``core``), and the column evaluator of the
+audit's laws, which holds its cell's chart: a block holds numbers only.
 
 Every result is the scalar engine's to the bit.  ``+ - * /``, ``abs``,
 ``max`` and ``sqrt`` run in numpy in the scalar engine's operation order,
@@ -27,9 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TWO_PI, Orientation, Tolerance
+from .core import TWO_PI, Orientation, Tolerance, _CCW, _CW, _S3, _mirror
 
-_CCW, _S3 = Orientation.ANTICLOCKWISE, Orientation.S3
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
@@ -47,14 +46,14 @@ def _wrap(a: np.ndarray) -> np.ndarray:
 
 
 def chain(c: np.ndarray, r: np.ndarray, o: Orientation) -> np.ndarray:
-    """``core._chain`` of every row of ``c`` (ccw or s3; cw raises), with moduli ``r``."""
+    """``core._chain`` of every row of ``c``, with moduli ``r``."""
+    if o is _CW:
+        return chain(c[:, _mirror(list(range(c.shape[1])))], r, _CCW)[:, ::-1]
     if o is _S3:
         a, b, z = c.T
         r_yz = mapped(math.hypot, b, z)
         phi = np.where(r_yz != 0.0, _wrap(mapped(math.atan2, z, b)), 0.0)
         th = np.stack([mapped(math.atan2, r_yz, a), phi], axis=1)
-    elif o is not _CCW:
-        raise ValueError(f"the column kernels have no {o.value} chart")
     else:
         # the running sub-moduli m_0 = c_0, m_k = hypot(m_{k-1}, c_k), and
         # theta_k = atan2(c_k, m_{k-1}): theta_1 is atan2(c_1, c_0), wrapped
@@ -66,14 +65,14 @@ def chain(c: np.ndarray, r: np.ndarray, o: Orientation) -> np.ndarray:
 
 
 def point(r: np.ndarray, th: np.ndarray, o: Orientation) -> np.ndarray:
-    """``core._point`` of every row, ccw or s3 (cw raises): chains ``th``, moduli ``r``."""
+    """``core._point`` of every row: chains ``th``, moduli ``r``."""
+    if o is _CW:
+        return point(r, th[:, ::-1], _CCW)[:, _mirror(list(range(th.shape[1] + 1)))]
     if o is _S3:
         theta, phi = th.T
         st = mapped(math.sin, theta)
         cols = [r * mapped(math.cos, theta), r * st * mapped(math.cos, phi), r * st * mapped(math.sin, phi)]
         return np.stack(cols, axis=1)
-    if o is not _CCW:
-        raise ValueError(f"the column kernels have no {o.value} chart")
     # suffix_k = prod_{j >= k} cos(theta_j), multiplied top axis first, and 1
     cos = np.multiply.accumulate(mapped(math.cos, th)[:, ::-1], axis=1)[:, ::-1]
     suffix = np.hstack([cos, np.ones((len(r), 1))])
@@ -120,7 +119,7 @@ def judge(claims, tol: Tolerance, distinct: type) -> tuple[np.ndarray, np.ndarra
 
 
 class Columns:
-    """The column evaluator of the audit's laws in one chart, ccw or s3: each
+    """The column evaluator of the audit's laws in one chart: each
     operation a law names, as the library function of that name computes it,
     over a block.  A block of numbers is a coordinate array, or a ``Rows`` as
     drawn; a polar block is a ``Rows`` that holds no coordinates.  Coordinates

@@ -123,18 +123,19 @@ class AuditConfig(_Frozen):
 
     def __init__(self, dims: tuple[int, ...] = (2, 3, 4), samples: int = 1000, seed: int = 42,
                  tolerance: Tolerance = DEFAULT_TOLERANCE, domain: Domain = Domain.UNRESTRICTED) -> None:
-        dims, checked = _dims(dims), []
+        dims = _dims(dims)
         for name, value in (("samples", samples), ("seed", seed)):  # ints, as _dims takes them
             if not hasattr(value, "__index__"):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-            checked.append(operator.index(value))
-        samples, seed = checked
+        samples, seed = operator.index(samples), operator.index(seed)
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         if samples > 2**32:  # the sample index is one 32-bit seed word
             raise ValueError(f"samples must be at most 2**32, got {samples}")
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+        if not isinstance(tolerance, Tolerance):  # read in each cell, maybe in a worker
+            raise TypeError(f"tolerance must be a Tolerance, got {tolerance!r}")
         _Frozen.__init__(self, dims, samples, seed, tolerance, Domain(domain))
 
 

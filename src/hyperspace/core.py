@@ -237,8 +237,8 @@ class Space3Polar(PolarHC):
     """3D exponent form: modulus, master angle theta, slave angle phi.
 
     Canonical instances keep theta in [0, pi] and phi in [0, 2*pi), with
-    phi = 0 whenever theta is polar (0 or pi) and theta = phi = 0 for the
-    zero number.
+    phi = 0 exactly when hypot(b, c) == 0 (theta can round to 0 or pi with
+    phi != 0) and theta = phi = 0 for the zero number.
     """
 
     __slots__ = ()

@@ -4,6 +4,8 @@ import os
 import signal
 import sys
 import time
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +67,9 @@ class TestConfig:
                 AuditConfig(**bad)
         cfg = AuditConfig(dims=(np.int64(3), np.uint8(2)), samples=np.int32(5), seed=np.uint64(2**63))
         assert (cfg.dims, cfg.samples, cfg.seed) == ((3, 2), 5, 2**63)
+        # a cell reads the tolerance's fields, possibly in a forked worker
+        with pytest.raises(TypeError, match="tolerance must be a Tolerance, got 1e-09"):
+            AuditConfig(dims=(2,), samples=3, tolerance=1e-9)
 
     def test_bounds(self):
         with pytest.raises(ValueError, match="samples must be at most 2\\*\\*32"):
@@ -548,7 +553,7 @@ def in_blocks(rows):
 
 
 HIGH_DIMS = [300, audit.MAX_DIM]
-CHARTS = [(n, ACW) for n in range(2, 9)] + [(3, S3)] + [(n, ACW) for n in HIGH_DIMS]
+CHARTS = [(n, o) for o in (ACW, CW) for n in [*range(2, 9), *HIGH_DIMS]] + [(3, S3)]
 
 
 class TestColumns:
@@ -587,17 +592,6 @@ class TestColumns:
             want = [core._point(m, tuple(t), chart) for m, t in zip(r.tolist(), th.tolist())]
             assert bits(_columns.point(r, th, chart)) == bits(want)
 
-    def test_the_cw_chart_has_no_column_kernels(self):
-        # they would convert with ccw chains, and say nothing
-        from hyperspace import _columns
-
-        with pytest.raises(ValueError, match="no cw chart"):
-            _columns.rows(np.array([[1.0, 2.0, 3.0, 4.0]]), CW)
-        with pytest.raises(ValueError, match="no cw chart"):
-            _columns.point(np.ones(1), np.zeros((1, 3)), CW)
-        with pytest.raises(ValueError, match="no cw chart"):
-            _columns.Columns(CW).mul(np.ones((1, 4)), np.ones((1, 4)))
-
     def test_closeness_is_the_scalar_closeness(self):
         from hyperspace import _columns, core
 
@@ -629,18 +623,6 @@ def formula_operands(rng, n, m, kind):
     return list(c)
 
 
-def formula_block(c, chart):
-    """A ``Rows`` block of coefficients c in chart, as the audit builds it
-    (the column kernels have no cw chart: its chains are the scalar ones)."""
-    from hyperspace import _columns, core
-
-    if chart is not CW:
-        return _columns.rows(c, chart)
-    r = np.array([math.hypot(*row) for row in c.tolist()])
-    t = np.array([core._chain(tuple(row), m, CW) for row, m in zip(c.tolist(), r.tolist())])
-    return _columns.Rows(c, r, t)
-
-
 def breakdown_fields(bd):
     """A breakdown's numbers, in field order."""
     if hasattr(bd, "a0"):
@@ -659,6 +641,16 @@ def formulas_of(chart):
         (cf._div_general, cf.div_coeffs_general), (cf._div_coordinate, cf.div_coeffs_coordinate))]
 
 
+# audit._VALUES asked for cw wherever a plain coordinate value, which has no
+# chart of its own, is converted
+CW_VALUES = SimpleNamespace(**{
+    **vars(audit._VALUES),
+    **{name: partial(getattr(algebra, name), orientation=CW) for name in ("mul", "div", "pow_int", "nth_roots")},
+    "to_polar": partial(to_polar, orientation=CW),
+    "formula": lambda body, a, b: core._literal(body, a, b, CW).assembled,
+})
+
+
 class TestColumnFormulas:
     @given(n=st.integers(2, 64), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["uniform", "positive", "negative"]),
@@ -670,7 +662,7 @@ class TestColumnFormulas:
 
         n = 3 if chart is S3 else n
         c1, c2 = formula_operands(np.random.default_rng(seed), n, m, kind)
-        a, b = formula_block(c1, chart), formula_block(c2, chart)
+        a, b = _columns.rows(c1, chart), _columns.rows(c2, chart)
         for body, scalar in formulas_of(chart):
             got = body(_columns.ColumnPair(a, b, chart), list(a.c.T), list(b.c.T))
             coords = _columns.Columns(chart).formula(body, a, b)
@@ -685,7 +677,7 @@ class TestColumnFormulas:
         from hyperspace import _columns, coeff_formulas as cf
 
         c1, c2 = formula_operands(np.random.default_rng(1), 4, 50, "negative")
-        a, b = formula_block(c1, ACW), formula_block(c2, ACW)
+        a, b = _columns.rows(c1, ACW), _columns.rows(c2, ACW)
         got = _columns.Columns(ACW).formula(cf._mul_coordinate, a, b)
         ok, _ = _columns.closeness(got, _columns.Columns(ACW).mul(a, b), Tolerance())
         assert not ok.any()
@@ -698,7 +690,7 @@ class TestColumnFormulas:
         from hyperspace import _columns, coeff_formulas as cf
 
         c1, c2 = np.array([[1.0, 1e16, 1.0, -1e16]]), np.ones((1, 4))
-        a, b = formula_block(c1, chart), formula_block(c2, chart)
+        a, b = _columns.rows(c1, chart), _columns.rows(c2, chart)
         x, y = (core.make_cartesian(chart, tuple(c[0])) for c in (c1, c2))
         for body, scalar, a0 in ((cf._mul_coordinate, cf.mul_coeffs_coordinate, 1.0),
                                  (cf._div_coordinate, cf.div_coeffs_coordinate, 0.25)):
@@ -708,17 +700,20 @@ class TestColumnFormulas:
     @pytest.mark.parametrize("m, n", [(1, 6), (15, 6), (16, 6), (40, 6), (2, 600)])
     def test_every_block_is_the_scalar_formulas_row_by_row(self, m, n):
         # a block of any size runs on columns, to the bits of the library's
-        # formulas on each of its rows
+        # formulas on each of its rows, as the audit replays them in the
+        # block's chart
         from hyperspace import _columns
 
-        for chart, routes in ((ACW, audit._CARTESIAN_MUL_ROUTES + audit._CARTESIAN_DIV_ROUTES),
+        cartesian = audit._CARTESIAN_MUL_ROUTES + audit._CARTESIAN_DIV_ROUTES
+        for chart, routes in ((ACW, cartesian), (CW, cartesian),
                               (S3, audit._SPACE3_MUL_ROUTES + audit._SPACE3_DIV_ROUTES)):
             c1, c2 = formula_operands(np.random.default_rng(m), 3 if chart is S3 else n, m, "uniform")
-            a, b = formula_block(c1, chart), formula_block(c2, chart)
+            a, b = _columns.rows(c1, chart), _columns.rows(c2, chart)
             values = [[core.make_cartesian(chart, c[j].tolist()) for c in (c1, c2)] for j in range(m)]
             for _, body in routes:
                 got = _columns.Columns(chart).formula(body, a, b)
-                assert bits(got) == bits([audit._VALUES.formula(body, *row).coeffs for row in values])
+                want = (CW_VALUES if chart is CW else audit._VALUES).formula
+                assert bits(got) == bits([want(body, *row).coeffs for row in values])
 
     def test_a_zero_divisor_in_any_row_raises(self):
         from hyperspace import _columns, coeff_formulas as cf, space3
@@ -727,7 +722,7 @@ class TestColumnFormulas:
             c = np.ones((3, 3))
             d = c.copy()
             d[1] = 0.0
-            a, b = formula_block(c, chart), formula_block(d, chart)
+            a, b = _columns.rows(c, chart), _columns.rows(d, chart)
             with pytest.raises(ZeroDivisionError):
                 body(_columns.ColumnPair(a, b, chart), list(a.c.T), list(b.c.T))
 
@@ -753,14 +748,14 @@ def evaluated_block(law, dim, domain, rows, chart):
     return blocks, values, ints
 
 
-def assert_evaluators_agree(law, dim, domain, rows, chart):
+def assert_evaluators_agree(law, dim, domain, rows, chart, values=audit._VALUES):
     """A law's one body, run on a block in ``chart`` by the column evaluator
-    of that chart and on each of its rows by the library's functions: every
-    claim's sides to the bit, and every distinct flag."""
+    of that chart and on each of its rows by the library's functions
+    (``values``): every claim's sides to the bit, and every distinct flag."""
     from hyperspace import _columns
 
     spec = audit._LAWS[law]
-    blocks, values, ints = evaluated_block(law, dim, domain, rows, chart)
+    blocks, operands, ints = evaluated_block(law, dim, domain, rows, chart)
     last = [row[-1] if row else 0 for row in ints]
     for key in sorted(set(last)):
         sel = [i for i, v in enumerate(last) if v == key]
@@ -768,7 +763,7 @@ def assert_evaluators_agree(law, dim, domain, rows, chart):
         block_ints = (*columns[:-1], key) if spec.ints else ()
         got = spec.claims(_columns.Columns(chart), block_ints, *(b.take(sel) for b in blocks))
         for j, i in enumerate(sel):
-            want = spec.claims(audit._VALUES, ints[i], *values[i])
+            want = spec.claims(values, ints[i], *operands[i])
             assert len(got) == len(want), (law, i)
             for (gl, gr, gt), (wl, wr, wt) in zip(got, want):
                 assert bits(_columns.coords(gl)[j]) == bits(wl.coeffs), (law, dim, i)
@@ -791,6 +786,16 @@ class TestEvaluators:
         for law in LAW_IDS:
             if audit._LAWS[law].dim is None:
                 assert_evaluators_agree(law, 3, domain, 40, S3)
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    @pytest.mark.parametrize("dim", [2, 3, 8, 300])
+    def test_the_evaluators_agree_in_the_cw_chart(self, dim, domain):
+        # every law with no fixed dimension on cw numbers: the column kernels
+        # convert on the mirrored axes, the library in the cw chart it is
+        # asked for, and the formulas run their cw bodies on both sides
+        for law in LAW_IDS:
+            if audit._LAWS[law].dim is None:
+                assert_evaluators_agree(law, dim, domain, 40 if dim <= 8 else 3, CW, CW_VALUES)
 
 
 class TestColumnAudit:

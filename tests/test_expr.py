@@ -343,6 +343,32 @@ class TestCopies:
             delattr(node, name)
 
 
+class TestHandBuiltTrees:
+    # parse builds a Call only for a known function name and only the node
+    # and value types below, so these raises guard trees and values built by
+    # hand, which no text reaches
+    BOGUS = Call("bogus", Literal("c", (1.0, 2.0)), None)
+
+    def test_check_rejects_an_unknown_function(self):
+        from hyperspace.expr import check
+
+        with pytest.raises(ExprTypeError, match="unknown function 'bogus'") as err:
+            check(self.BOGUS)
+        assert err.value.offset == 0
+
+    def test_evaluate_rejects_an_unhandled_node(self):
+        with pytest.raises(AssertionError, match="unhandled node Call\\(fn='bogus'"):
+            evaluate(self.BOGUS)
+
+    def test_format_value_rejects_a_non_value(self):
+        with pytest.raises(TypeError, match="cannot format <object object"):
+            format_value(object())
+
+    def test_unparse_rejects_a_non_node(self):
+        with pytest.raises(TypeError, match="cannot unparse <object object"):
+            unparse(object())
+
+
 class TestLimits:
     def test_nesting_up_to_the_limit_parses(self):
         from hyperspace.expr import MAX_DEPTH

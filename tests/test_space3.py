@@ -106,6 +106,16 @@ class TestPolar3:
         assert to_polar3(Space3(0, 0, 0)) == Space3Polar(0, 0, 0)
         p = to_polar3(Space3(-3, 0, 0))
         assert close(p.theta, math.pi) and p.phi == 0.0
+        assert p == Space3Polar(3, math.pi, 0)
+
+    def test_phi_is_zero_exactly_when_the_imaginary_plane_radius_is(self):
+        # the pole rule is hypot(b, c) == 0, not a polar theta: atan2
+        # underflows theta to 0 while phi is pi/4, and canonicalizing a
+        # chain at theta = pi keeps its phi
+        from hyperspace.core import canonicalize
+
+        assert to_polar3(Space3(1e10, 5e-324, 5e-324)) == Space3Polar(1e10, 0.0, math.pi / 4)
+        assert canonicalize(Space3Polar(1, math.pi, 1)) == Space3Polar(1, math.pi, 1)
 
 
 class TestSlaveDecompose:
