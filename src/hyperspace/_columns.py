@@ -12,22 +12,31 @@ whatever the dimension, but the literal coefficient formulas: ``ColumnPair``
 runs their bodies (:mod:`hyperspace.coeff_formulas`) on every block, an axis
 a row of float64 columns, in O(N) numpy calls a block, a running sum,
 difference or product down the axes being one sequential ``accumulate``.  Only
-numpy APIs of numpy 1.24 and later are used.  The audit's draws and
-``audit.audit_law`` import this module when they run, so importing the audit
-loads no numpy.
+numpy APIs of numpy 1.24 and later are used.
+
+The audit's numpy code is all here: ``audit.audit_law`` imports this module
+when a cell runs, so importing the audit loads no numpy.  The audit has one
+source of random numbers: ``audit_law`` seeds a block of samples once
+(``_seed_words``), computes one words array for it (``_stream_words``:
+PCG64 on (high, low) pairs of uint64 words), and every draw reads it by
+position (``_read``, which computes a row's words past it from the row's
+seed words) as numpy's ``Generator`` would.  ``_draw_block`` draws every
+attempt of a block once, redrawing what ``_draw`` finds near singular, then
+``_integers`` every integer, and ``_column_block`` judges the block's
+samples with the column evaluator, as the library's functions would.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache, partial
 from itertools import starmap
 from operator import add, mul, sub
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import TWO_PI, Orientation, Tolerance, _CCW, _CW, _S3, _mirror
+from .core import TWO_PI, Orientation, Tolerance, _CCW, _CW, _S3, _mirror, canonical_ranges
 
 _hypot = np.frompyfunc(math.hypot, 2, 1)
 
@@ -244,3 +253,223 @@ class ColumnPair:
 def coords(x) -> np.ndarray:
     """The coordinates of a block of numbers."""
     return x.c if isinstance(x, Rows) else x
+
+
+# ---------------------------------------------------------------------------
+# the audit's streams, draws and block judge
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# the 128-bit PCG multiplier (O'Neill, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", HMC-CS-2014-0905)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_POOL = 4
+_SINGULAR_MODULUS = 1e-8
+_ANGLE_MARGIN = 1e-8
+_MAX_REDRAWS = 128
+
+
+def _seed_words(seed: int, code: int, dim: int, i0: int, m: int):
+    """PCG64 seed words of samples i0 ... i0+m-1 of one cell, an (m, 4) uint64
+    array: row i is ``SeedSequence((seed, code, dim, i0 + i)).generate_state(4,
+    uint64)``, computed as uint32 array arithmetic over all m indices at once."""
+    u32 = np.uint32
+
+    def words(n: int) -> list[int]:  # an int's little-endian 32-bit words; 0 is one word
+        return [n & _MASK32] + (words(n >> 32) if n >> 32 else [])
+
+    if not 0 <= i0 <= i0 + m <= 2**32:
+        raise ValueError("sample indices must fit in 32 bits")
+    entropy = [np.full(m, w, u32) for w in words(seed) + words(code) + words(dim)]
+    entropy.append(np.arange(i0, i0 + m, dtype=np.int64).astype(u32))
+
+    def hasher(const: int, mult: int):  # a hash whose constant steps per call
+        def hash_(v):
+            nonlocal const
+            v = v ^ u32(const)
+            const = const * mult & _MASK32
+            v = v * u32(const)
+            return v ^ (v >> u32(16))
+        return hash_
+
+    def mix(x, y):
+        r = u32(_MIX_L) * x - u32(_MIX_R) * y
+        return r ^ (r >> u32(16))
+
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(m, u32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[_POOL:]:  # a seed of two words leaves the index over
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+    out = hasher(_INIT_B, _MULT_B)
+    state = [out(pool[k % _POOL]).astype(np.uint64) for k in range(2 * _POOL)]
+    # uint32 pairs, low word first, as uint64 by arithmetic (any byte order)
+    return np.stack([state[k] | state[k + 1] << np.uint64(32) for k in range(0, 2 * _POOL, 2)], 1)
+
+
+# 128-bit integers are (high, low) uint64 pairs, as in the seed words and PCG's C code
+def _mul_hi(x, y):
+    """The high words of the 128-bit products x * y of uint64 words."""
+    x0, x1, y0, y1 = x & _MASK32, x >> 32, y & _MASK32, y >> 32
+    t = x1 * y0 + (x0 * y0 >> 32)
+    mid = (t & _MASK32) + x0 * y1
+    return x1 * y1 + (t >> 32) + (mid >> 32)
+
+
+def _mul(x, y):
+    """x * y mod 2**128."""
+    return _mul_hi(x[1], y[1]) + x[0] * y[1] + x[1] * y[0], x[1] * y[1]
+
+
+def _add(x, y):
+    """x + y mod 2**128."""
+    lo = x[1] + y[1]
+    return x[0] + y[0] + (lo < y[1]), lo
+
+
+@lru_cache
+def _pcg_jumps(k: int) -> tuple[tuple, tuple]:
+    """(A_n, C_n), n = 2 ... k+1, as pairs: n PCG64 steps take a state x to
+    A_n * x + C_n * inc.  Cached, so a cell computes them once."""
+    a, c, ac = 1, 0, []
+    for _ in range(k + 1):
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+        ac += (a, c)
+    hi, lo = (np.array([v >> s & _MASK64 for v in ac[2:]], np.uint64) for s in (64, 0))
+    return (hi[0::2], lo[0::2]), (hi[1::2], lo[1::2])
+
+
+def _stream_words(seeds, k: int):
+    """The first k outputs of the streams of (m, 4) ``_seed_words`` rows, an
+    (m, k) uint64 array: row i is what ``random_raw(k)`` gives of numpy's
+    PCG64 seeded by the SeedSequence whose state is row i.  PCG64 seeds
+    from state 0 with the odd increment inc = 2 * seq + 1 (step, add the
+    initial state, step); each output steps, then takes the XSL-RR of the
+    state."""
+    s0, s1, q0, q1 = (w[:, None] for w in seeds.T)
+    inc = (q0 << 1 | q1 >> 63, q1 << 1 | 1)
+    a, c = _pcg_jumps(k)
+    hi, lo = _add(_mul(a, _add((s0, s1), inc)), _mul(c, inc))
+    xor, rot = hi ^ lo, hi >> 58
+    return xor >> rot | xor << (64 - rot & 63)
+
+
+def _doubles(words):
+    """``Generator.random``'s doubles of stream words: the top 53 bits."""
+    return (words >> 11) * 2.0**-53
+
+
+def _read(seeds, raw, rows, start, count: int):
+    """Words start ... start+count-1 (start an int or one per row) of the
+    streams of a block's rows: its words ``raw``, and words past them computed
+    from the seed words of the rows that read there."""
+    idx = np.add.outer(np.broadcast_to(start, rows.shape), np.arange(count))
+    out = raw[rows[:, None], np.minimum(idx, raw.shape[1] - 1)]
+    if (past := idx[:, -1] >= raw.shape[1]).any():
+        more = _stream_words(seeds[rows[past]], int(idx[past, -1].max()) + 1)
+        out[past] = np.take_along_axis(more, idx[past], axis=1)
+    return out
+
+
+def _integers(ranges, seeds, raw, start):
+    """A block's integers, a row per range, as ``Generator.integers`` draws
+    them from each row's 32-bit halves, a word's low half first, on from word
+    ``start``: Lemire's method, a rejected half passing to the next (Lemire,
+    "Fast Random Integer Generation in an Interval", ACM TOMACS 2019)."""
+    out, half = np.zeros((len(ranges), len(raw)), np.int64), 2 * start
+    for row, (lo, hi) in zip(out, ranges):
+        todo = np.arange(len(raw))
+        while len(todo):  # the rows whose every half so far was rejected
+            word = _read(seeds, raw, todo, half[todo] >> 1, 1)[:, 0]
+            m = np.where(half[todo] & 1, word >> 32, word & _MASK32) * (hi - lo)
+            ok = m & _MASK32 >= 2**32 % (hi - lo)
+            row[todo[ok]] = lo + (m[ok] >> 32).astype(np.int64)
+            half[todo] += 1
+            todo = todo[~ok]
+    return out
+
+
+def _uniform(lo: float, hi: float, u):
+    """numpy's ``Generator.uniform(lo, hi)`` of standard doubles ``u``."""
+    return lo + (hi - lo) * u
+
+
+@lru_cache
+def _bounds(chart: Orientation, dim: int):
+    """The low and high ends of every canonical angle's range, as arrays."""
+    lo, hi, _ = np.array(canonical_ranges(chart, dim)).T
+    return lo, hi
+
+
+def _draw(u, chart: Orientation, unrestricted: bool):
+    """One attempt at an operand per row of u, as ``Rows`` in ``chart``, and
+    the rows that are near singular: a modulus under ``_SINGULAR_MODULUS``,
+    or a canonical angle within ``_ANGLE_MARGIN`` of its range's ends.  A row
+    of u is an attempt's doubles: the magnitude, then the coefficients
+    (unrestricted) or the angles (positive)."""
+    mag = mapped(partial(pow, 10.0), _uniform(-2.0, 2.0, u[:, 0]))
+    v = u[:, 1:]
+    if unrestricted:
+        c = _uniform(-1.0, 1.0, v) * mag[:, None]
+    else:
+        th = _uniform(-math.pi / 4, math.pi / 4, v)
+        if chart is _S3:  # theta in [0, pi/4), phi wrapped to [0, 2*pi)
+            th[:, 0] = _uniform(0.0, math.pi / 4, v[:, 0])
+            th[:, 1] = mapped(lambda a: a % TWO_PI, th[:, 1])
+        c = point(mag, th, chart)
+    s = rows(c, chart)
+    lo, hi = _bounds(chart, c.shape[1])
+    edge = (s.t - lo < _ANGLE_MARGIN) | (hi - s.t < _ANGLE_MARGIN)
+    return s, (s.r < _SINGULAR_MODULUS) | edge.any(axis=1)
+
+
+def _draw_block(spec, unrestricted: bool, seeds, raw, n: int):
+    """A block's operands, one ``Rows`` each, and each row's redraws.  A
+    sample's operands are the first attempts of its stream, w = n / operands
+    words each, that ``_draw`` does not find near singular; at most
+    ``_MAX_REDRAWS`` attempts in a row may be.  Round r draws, in one
+    ``_draw``, attempt r of every sample still short: words r*w ... (r+1)*w-1."""
+    m, w = len(raw), n // spec.operands
+    got, run, redraws = np.zeros((3, m), int)  # by row: operands, near attempts in a row, redraws
+    todo, r = np.arange(m), 0
+    while len(todo):
+        s, near = _draw(_doubles(_read(seeds, raw, todo, r * w, w)), spec.chart, unrestricted)
+        if r == 0:
+            parts = [np.empty((spec.operands, *a.shape)) for a in s]
+        ok = todo[~near]
+        for whole, part in zip(parts, s):  # an attempt is the next operand its row lacks
+            whole[got[ok], ok] = part[~near]
+        got[ok] += 1
+        run[todo] = (run[todo] + 1) * near
+        redraws[todo] += near
+        if run.max() >= _MAX_REDRAWS:
+            raise RuntimeError("exhausted redraws for a non-singular operand")
+        todo, r = todo[got[todo] < spec.operands], r + 1
+    return [Rows(*part) for part in zip(*parts)], redraws
+
+
+def _column_block(spec, unrestricted: bool, tol: Tolerance, distinct: type, n: int, seeds, raw):
+    """Judge a block of one cell's samples as columns in the law's chart, on
+    the operands ``_draw_block`` draws and the integers each sample draws
+    after its last attempt, within ``tol``, ``distinct`` tagging claims as in
+    ``judge``.  Returns (deviation, failed, redraws, (operands, integers))."""
+    m, ev = len(raw), Columns(spec.chart)
+    operands, redraws = _draw_block(spec, unrestricted, seeds, raw, n)
+    ints = np.zeros((1, m), int)  # a row per integer; the last groups samples
+    if spec.ints:  # past each sample's last attempt, of n / operands words
+        ints = _integers(spec.ints, seeds, raw, n // spec.operands * (spec.operands + redraws))
+    dev, failed = np.zeros(m), np.zeros(m, bool)
+    for group in sorted(set(ints[-1].tolist())):
+        sel = np.flatnonzero(ints[-1] == group)
+        block_ints = (*ints[:-1, sel], group)[: len(spec.ints)]
+        claims = spec.claims(ev, block_ints, *(s.take(sel) for s in operands))
+        dev[sel], failed[sel] = judge(claims, tol, distinct)
+    return dev, failed, int(redraws.sum()), (operands, ints)

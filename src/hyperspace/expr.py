@@ -43,7 +43,9 @@ from .core import (
     PolarHC,
     Space3,
     Space3Polar,
+    _CCW,
     _Frozen,
+    _S3,
     _cartesian,
     _not_3d,
     _polar,
@@ -54,8 +56,6 @@ from .core import (
     resolve_orientation,
     to_dict,
 )
-
-_CCW, _S3 = Orientation.ANTICLOCKWISE, Orientation.S3
 
 # Nesting levels an expression may use: each parenthesis, call, power, unary
 # sign and each further operator of any chain is one (a numeric literal's own
@@ -462,7 +462,10 @@ def _eval(node: Expr, o: Orientation) -> Value:
         p = algebra._as_polar(v, v.orientation or resolve_orientation(o, v))
         return algebra.pow_int_polar(p, node.n)
     if node.fn == "abs":
-        return v.modulus if isinstance(v, PolarHC) else modulus(v)
+        r = v.modulus if isinstance(v, PolarHC) else modulus(v)
+        if not math.isfinite(r):  # the norm of finite coordinates may overflow
+            raise ValueError(f"modulus must be finite and >= 0, got {r}")
+        return r
     if node.fn == "conj":
         return conjugate(_cart(v))
     if node.fn == "arg":

@@ -54,7 +54,9 @@ def evaluate(node, orientation=Orientation.ANTICLOCKWISE):
     if isinstance(node, Call):
         v = evaluate(node.child, o)
         if node.fn == "abs":
-            return v.modulus if isinstance(v, PolarHC) else modulus(v)
+            # a modulus is one a polar value can hold: the validating constructor
+            # rejects the inf of finite coordinates whose norm overflows
+            return v.modulus if isinstance(v, PolarHC) else PolarHC(modulus(v), (0.0,)).modulus
         if node.fn == "conj":
             return conjugate(_cart(v))
         if node.fn == "arg":

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperspace import algebra, audit, core
+from hyperspace import _columns, algebra, audit, core
 from hyperspace.audit import (
     HYPOTHESIS_LAWS,
     LAW_IDS,
@@ -152,6 +152,38 @@ class TestNormativeLaws:
         assert {"root_index", "order", "sample_index"} <= set(tight.counterexample)
 
 
+class TestDeviationBounds:
+    # Each normative law's largest relative deviation, in units of 2**-52,
+    # with at least 2x headroom over what 1,000 samples a cell gave at seeds
+    # 42 and 7, dims 2, 3, 8 and 64, both domains (in brackets).  The
+    # tolerance leaves about 10**5 of slack, so these catch a loss of
+    # precision that keeps every pass rate at 1.0.
+    BOUNDS = {
+        "add_commutative": 0,  # [0] IEEE sums and products commute
+        "mul_commutative": 0,  # [0]
+        "space3_conj_modulus": 0,  # [0] theta - theta is 0, and cos(0) is 1
+        "conj_modulus": 4,  # [1.1]
+        "add_associative": 64,  # [31.3 at N = 2; 1.5 from N = 3]
+        "mul_associative": 40,  # [17.0]
+        "demoivre": 80,  # [34.8]
+        "n2_classic_equiv": 96,  # [39.5]
+        "roots_correct": 128,  # [62.1 at N <= 8]
+    }
+    ROOTS_AT_64 = 320  # [147.5 unrestricted, 62.1 positive]: roots' deviation grows with N
+
+    def test_every_normative_law_has_a_bound(self):
+        assert set(self.BOUNDS) == NORMATIVE_LAWS
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_normative_deviations_stay_within_their_bounds(self, seed, domain):
+        cfg = AuditConfig(dims=(2, 3, 8, 64), samples=200, seed=seed, domain=domain)
+        for r in run_audit(cfg, sorted(NORMATIVE_LAWS)).results:
+            bound = self.ROOTS_AT_64 if (r.law, r.dim) == ("roots_correct", 64) else self.BOUNDS[r.law]
+            assert r.passes == r.samples, (r.law, r.dim)
+            assert r.max_dev <= bound * 2.0**-52, (r.law, r.dim, r.max_dev / 2.0**-52)
+
+
 class TestHypothesisLaws:
     def test_distributive_dim2_holds(self):
         result = audit_law("distributive", AuditConfig(dims=(2,), samples=500), 2)
@@ -277,12 +309,12 @@ def ref_rng(seed, law, dim, index):
 
 def seed_row(seed, law, dim, index):
     """A sample's seed words, as its block computes them."""
-    return audit._seed_words(seed, LAW_IDS.index(law), dim, index, 1)[0]
+    return _columns._seed_words(seed, LAW_IDS.index(law), dim, index, 1)[0]
 
 
 def first_doubles(seed, law, dim, index, k):
     """A sample's first k doubles, from words computed for it alone."""
-    return audit._doubles(audit._stream_words(seed_row(seed, law, dim, index)[None], k)[0])
+    return _columns._doubles(_columns._stream_words(seed_row(seed, law, dim, index)[None], k)[0])
 
 
 def pcg64_whose_next_word_is(word):
@@ -321,9 +353,9 @@ def ref_draw_space3(rng, dim, domain):
 def ref_near_singular(s):
     # ccw for N-dimensional operands; 3D operands keep their s3 chart
     p = to_polar(s, ACW)
-    if p.modulus < audit._SINGULAR_MODULUS:
+    if p.modulus < _columns._SINGULAR_MODULUS:
         return True
-    margin = audit._ANGLE_MARGIN
+    margin = _columns._ANGLE_MARGIN
     ranges = canonical_ranges(p.orientation, p.dim)
     return any(a - lo < margin or hi - a < margin for a, (lo, hi, _) in zip(p.angles, ranges))
 
@@ -380,14 +412,12 @@ def drawn_block(seed, law, dim, domain, i0, m):
     """ref_drawn() of samples i0 ... i0+m-1, drawn as the audit draws them,
     as one block: the integers from the word past each sample's last
     attempt."""
-    from hyperspace import _columns
-
     spec = audit._LAWS[law]
     n, k = audit._words(spec, dim, domain)
-    seeds = audit._seed_words(seed, LAW_IDS.index(law), dim, i0, m)
-    raw = audit._stream_words(seeds, k)
-    operands, redraws = audit._draw_block(_columns, spec, domain, seeds, raw, n)
-    ints = audit._integers(AFTER, seeds, raw, n // spec.operands * (spec.operands + redraws))
+    seeds = _columns._seed_words(seed, LAW_IDS.index(law), dim, i0, m)
+    raw = _columns._stream_words(seeds, k)
+    operands, redraws = _columns._draw_block(spec, domain is Domain.UNRESTRICTED, seeds, raw, n)
+    ints = _columns._integers(AFTER, seeds, raw, n // spec.operands * (spec.operands + redraws))
     return [
         ([to_dict(audit._cartesian(spec.chart, tuple(s.c[i].tolist()))) for s in operands],
          int(redraws[i]), ints[:, i].tolist())
@@ -395,24 +425,30 @@ def drawn_block(seed, law, dim, domain, i0, m):
     ]
 
 
+def blocks_of(monkeypatch, rows, law, dim, domain):
+    """Bound the audit's blocks so that the cell (law, dim) splits into blocks of rows samples."""
+    n = audit._words(audit._LAWS[law], dim, domain)[0]
+    monkeypatch.setattr(audit, "_BLOCK_WORDS", rows * (n + 1))
+
+
 class TestStreams:
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_seed_words_are_numpys(self, seed):
         for code in range(len(LAW_IDS)):
             for dim in (2, 3, 8):
-                for i0, m in ((0, 3), (audit._BLOCK - 2, 5)):
+                for i0, m in ((0, 3), (1022, 5)):
                     want = [
                         np.random.SeedSequence((seed, code, dim, i)).generate_state(4, np.uint64).tolist()
                         for i in range(i0, i0 + m)
                     ]
-                    assert audit._seed_words(seed, code, dim, i0, m).tolist() == want
+                    assert _columns._seed_words(seed, code, dim, i0, m).tolist() == want
 
     def test_the_last_sample_index_is_2_to_the_32_minus_1(self):
         # the sample index is one 32-bit seed word
-        assert audit._seed_words(42, 0, 3, 2**32 - 2, 2).shape == (2, 4)
+        assert _columns._seed_words(42, 0, 3, 2**32 - 2, 2).shape == (2, 4)
         for i0, m in ((2**32 - 1, 2), (-1, 1)):
             with pytest.raises(ValueError, match="sample indices must fit in 32 bits"):
-                audit._seed_words(42, 0, 3, i0, m)
+                _columns._seed_words(42, 0, 3, i0, m)
 
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_streams_draw_what_numpy_draws(self, seed):
@@ -421,27 +457,28 @@ class TestStreams:
         # (integers read past the block's words are computed for their rows)
         for law in LAW_IDS:
             for dim in (2, 3, 8):
-                seeds = audit._seed_words(seed, LAW_IDS.index(law), dim, 3, 7)
-                raw = audit._stream_words(seeds, 11)
-                ints = audit._integers(AFTER, seeds, raw, np.full(7, 9))
+                seeds = _columns._seed_words(seed, LAW_IDS.index(law), dim, 3, 7)
+                raw = _columns._stream_words(seeds, 11)
+                ints = _columns._integers(AFTER, seeds, raw, np.full(7, 9))
                 for cut in (1, 9, 10):
-                    assert audit._integers(AFTER, seeds, raw[:, :cut], np.full(7, 9)).tolist() == ints.tolist()
+                    assert _columns._integers(AFTER, seeds, raw[:, :cut], np.full(7, 9)).tolist() == ints.tolist()
                 for i in range(7):
                     assert raw[i].tolist() == ref_rng(seed, law, dim, 3 + i).bit_generator.random_raw(11).tolist()
                     ref = ref_rng(seed, law, dim, 3 + i)
-                    assert audit._doubles(raw[i, :9]).tolist() == ref.random(9).tolist()
+                    assert _columns._doubles(raw[i, :9]).tolist() == ref.random(9).tolist()
                     assert ints[:, i].tolist() == [int(ref.integers(*r)) for r in AFTER]
 
     def test_streams_cross_the_real_block_boundary(self):
         # samples on both sides of the audit's block boundary, drawn as one
-        # block and as two
-        seed, law, i0 = 2**64 - 1, "roots_correct", audit._BLOCK - 2
+        # block and as two: roots_correct's blocks at N = 3 hold 2**14 // 5
+        # = 3276 samples
+        seed, law, i0 = 2**64 - 1, "roots_correct", 3274
 
         def words(i0, m):
-            return audit._stream_words(audit._seed_words(seed, LAW_IDS.index(law), 3, i0, m), 3).tolist()
+            return _columns._stream_words(_columns._seed_words(seed, LAW_IDS.index(law), 3, i0, m), 3).tolist()
 
         whole = words(i0, 5)
-        assert whole == words(i0, 2) + words(audit._BLOCK, 3)
+        assert whole == words(i0, 2) + words(3276, 3)
         assert whole == [ref_rng(seed, law, 3, i).bit_generator.random_raw(3).tolist() for i in range(i0, i0 + 5)]
 
     # Lemire's method rejects a 32-bit draw x when the low half of x * 13 is
@@ -457,7 +494,7 @@ class TestStreams:
         ref = np.random.Generator(bits)
         want = [int(ref.integers(-4, 9)) for _ in range(2)]
         # a block of one row, whose words need no seed words to extend them
-        assert audit._integers([(-4, 9)] * 2, None, raw[None], np.zeros(1, int))[:, 0].tolist() == want
+        assert _columns._integers([(-4, 9)] * 2, None, raw[None], np.zeros(1, int))[:, 0].tolist() == want
         # one rejected half, so the three halves drawn end in the second
         # word and numpy's next double comes from the third
         assert ref.random() == (int(raw[2]) >> 11) * 2.0**-53
@@ -477,8 +514,8 @@ class TestStreams:
         # with the later operands' doubles, and the rows of a block of 8
         # redraw in different rounds; the audit's blocks judge their
         # redrawn rows with the rest
-        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
-        monkeypatch.setattr(audit, "_BLOCK", 8)
+        monkeypatch.setattr(_columns, "_ANGLE_MARGIN", 0.3)
+        blocks_of(monkeypatch, 8, law, 3, domain)
         cfg = AuditConfig(dims=(3,), samples=30, seed=2**32, domain=domain)
         mixed = False  # a block whose rows redraw different numbers of times
         for i0 in range(0, cfg.samples, 8):
@@ -497,23 +534,22 @@ class TestStreams:
         # a row with redraws draws its integers after (operands + redraws)
         # attempts of w words, past the words its block computed; words past
         # them are computed for the rows that read there, not the block
-        from hyperspace import _columns
-
-        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
+        monkeypatch.setattr(_columns, "_ANGLE_MARGIN", 0.3)
         spec, cfg = audit._LAWS[law], AuditConfig(dims=(3,), samples=30, seed=2**32, domain=domain)
         n, k = audit._words(spec, 3, domain)
-        seeds = audit._seed_words(cfg.seed, LAW_IDS.index(law), 3, 0, cfg.samples)
-        raw = audit._stream_words(seeds, k)
-        _, redraws = audit._draw_block(_columns, spec, domain, seeds, raw, n)
+        seeds = _columns._seed_words(cfg.seed, LAW_IDS.index(law), 3, 0, cfg.samples)
+        raw = _columns._stream_words(seeds, k)
+        _, redraws = _columns._draw_block(spec, domain is Domain.UNRESTRICTED, seeds, raw, n)
         extended = []
 
         def stream_words(seeds, k):
             extended.append(len(seeds))
             return stream_words.real(seeds, k)
 
-        stream_words.real = audit._stream_words
-        monkeypatch.setattr(audit, "_stream_words", stream_words)
-        ints = audit._column_block(spec, cfg, n, seeds, raw)[3][1]
+        stream_words.real = _columns._stream_words
+        monkeypatch.setattr(_columns, "_stream_words", stream_words)
+        unrestricted = domain is Domain.UNRESTRICTED
+        ints = _columns._column_block(spec, unrestricted, cfg.tolerance, audit._Distinct, n, seeds, raw)[3][1]
         assert 0 < max(extended) <= np.count_nonzero(redraws) < cfg.samples
         for i in np.flatnonzero(redraws).tolist():
             words = (spec.operands + int(redraws[i])) * (n // spec.operands)
@@ -559,8 +595,6 @@ CHARTS = [(n, o) for o in (ACW, CW) for n in [*range(2, 9), *HIGH_DIMS]] + [(3, 
 class TestColumns:
     @pytest.mark.parametrize("n,chart", CHARTS)
     def test_chain_is_the_scalar_chain(self, n, chart):
-        from hyperspace import _columns, core
-
         rng = np.random.default_rng(n)
         k = 300 if n <= 8 else 4  # a high dimension: few rows, edges on four axes
         edges = edge_rows(n, None if n <= 8 else (0, 1, n // 2, n - 1))
@@ -571,8 +605,6 @@ class TestColumns:
             assert bits(rows.t) == bits([core._chain(tuple(row), m, chart) for row, m in zip(c.tolist(), r)])
 
     def test_a_negative_angle_within_half_an_ulp_of_zero_wraps_to_zero(self):
-        from hyperspace import _columns, core
-
         # -1e-15 is more than half an ulp of 2*pi below zero, -1e-300 less
         c = np.array([[1.0, -1e-300], [1.0, -1e-15], [1.0, -0.0]])
         want = [core._chain(tuple(row), 1.0, ACW) for row in c.tolist()]
@@ -581,8 +613,6 @@ class TestColumns:
 
     @pytest.mark.parametrize("n,chart", CHARTS)
     def test_point_is_the_scalar_point(self, n, chart):
-        from hyperspace import _columns, core
-
         rng = np.random.default_rng(100 + n)
         k = 300 if n <= 8 else 4
         th = np.vstack([np.zeros((2, n - 1)), -np.zeros((1, n - 1)), rng.uniform(-7, 7, (k, n - 1))])
@@ -593,8 +623,6 @@ class TestColumns:
             assert bits(_columns.point(r, th, chart)) == bits(want)
 
     def test_closeness_is_the_scalar_closeness(self):
-        from hyperspace import _columns, core
-
         rng = np.random.default_rng(7)
         a = rng.uniform(-1, 1, (400, 4))
         b = a + rng.choice([0.0, 1e-13, 1e-9, 1e-3], (400, 1)) * rng.uniform(-1, 1, (400, 4))
@@ -658,8 +686,6 @@ class TestColumnFormulas:
     def test_each_row_is_the_scalar_formula(self, n, m, seed, kind, chart):
         # every field of every breakdown, and the assembled coordinates, to
         # the bit, signed zeros included
-        from hyperspace import _columns
-
         n = 3 if chart is S3 else n
         c1, c2 = formula_operands(np.random.default_rng(seed), n, m, kind)
         a, b = _columns.rows(c1, chart), _columns.rows(c2, chart)
@@ -674,7 +700,7 @@ class TestColumnFormulas:
     def test_the_sign_of_the_leading_coefficient_is_lost(self):
         # the control: negative leading coefficients do move the formulas
         # away from the normative product
-        from hyperspace import _columns, coeff_formulas as cf
+        from hyperspace import coeff_formulas as cf
 
         c1, c2 = formula_operands(np.random.default_rng(1), 4, 50, "negative")
         a, b = _columns.rows(c1, ACW), _columns.rows(c2, ACW)
@@ -687,7 +713,7 @@ class TestColumnFormulas:
         # 1e16 + 1 rounds back to 1e16, so the products below add to 0 left
         # to right and to 1 compensated, as sum() of floats adds from Python
         # 3.12 on: both evaluators add left to right, on every Python
-        from hyperspace import _columns, coeff_formulas as cf
+        from hyperspace import coeff_formulas as cf
 
         c1, c2 = np.array([[1.0, 1e16, 1.0, -1e16]]), np.ones((1, 4))
         a, b = _columns.rows(c1, chart), _columns.rows(c2, chart)
@@ -702,8 +728,6 @@ class TestColumnFormulas:
         # a block of any size runs on columns, to the bits of the library's
         # formulas on each of its rows, as the audit replays them in the
         # block's chart
-        from hyperspace import _columns
-
         cartesian = audit._CARTESIAN_MUL_ROUTES + audit._CARTESIAN_DIV_ROUTES
         for chart, routes in ((ACW, cartesian), (CW, cartesian),
                               (S3, audit._SPACE3_MUL_ROUTES + audit._SPACE3_DIV_ROUTES)):
@@ -716,7 +740,7 @@ class TestColumnFormulas:
                 assert bits(got) == bits([want(body, *row).coeffs for row in values])
 
     def test_a_zero_divisor_in_any_row_raises(self):
-        from hyperspace import _columns, coeff_formulas as cf, space3
+        from hyperspace import coeff_formulas as cf, space3
 
         for chart, body in ((ACW, cf._div_general), (ACW, cf._div_coordinate), (S3, space3._div3_coeffs)):
             c = np.ones((3, 3))
@@ -731,14 +755,12 @@ def evaluated_block(law, dim, domain, rows, chart):
     """A block of drawn operands and its integers, as the audit draws them
     in ``chart`` for samples 0 ... rows-1 at seed 5: the operand blocks, and
     per row the operands as values and the integers."""
-    from hyperspace import _columns, core
-
     spec = audit._LAWS[law]
     n, k = audit._words(spec, dim, domain)
-    seeds = audit._seed_words(5, LAW_IDS.index(law), dim, 0, rows)
-    raw = audit._stream_words(seeds, k)
-    u, w = audit._doubles(raw[:, :n]), n // spec.operands
-    blocks = [audit._draw(_columns, u[:, j : j + w], chart, domain)[0] for j in range(0, n, w)]
+    seeds = _columns._seed_words(5, LAW_IDS.index(law), dim, 0, rows)
+    raw = _columns._stream_words(seeds, k)
+    u, w = _columns._doubles(raw[:, :n]), n // spec.operands
+    blocks = [_columns._draw(u[:, j : j + w], chart, domain is Domain.UNRESTRICTED)[0] for j in range(0, n, w)]
     values = [[core.make_cartesian(chart, b.c[i].tolist()) for b in blocks] for i in range(rows)]
     ints = []
     for i in range(rows):  # numpy's integers after a sample's first attempts
@@ -752,8 +774,6 @@ def assert_evaluators_agree(law, dim, domain, rows, chart, values=audit._VALUES)
     """A law's one body, run on a block in ``chart`` by the column evaluator
     of that chart and on each of its rows by the library's functions
     (``values``): every claim's sides to the bit, and every distinct flag."""
-    from hyperspace import _columns
-
     spec = audit._LAWS[law]
     blocks, operands, ints = evaluated_block(law, dim, domain, rows, chart)
     last = [row[-1] if row else 0 for row in ints]
@@ -803,10 +823,10 @@ class TestColumnAudit:
     @pytest.mark.parametrize("domain", list(Domain))
     def test_cells_are_the_scalar_cells(self, seed, domain, monkeypatch):
         # blocks of 4 samples, so every cell crosses block boundaries
-        monkeypatch.setattr(audit, "_BLOCK", 4)
         cfg = AuditConfig(dims=(2, 3, 4, 8), samples=10, seed=seed, domain=domain)
         for law in LAW_IDS:
             for dim in cfg.dims:
+                blocks_of(monkeypatch, 4, law, dim, domain)
                 assert audit_law(law, cfg, dim) == ref_audit_law(law, cfg, dim), (law, dim)
 
     @pytest.mark.parametrize("tolerance", [Tolerance(0.5, 0.5), Tolerance(1e-300, 1e-17)],
@@ -814,11 +834,11 @@ class TestColumnAudit:
     def test_failing_claims_are_the_scalar_ones(self, tolerance, monkeypatch):
         # loose: roots coincide (a distinct claim fails); tight: normative
         # claims fail at float accuracy, each row at its first failing claim
-        monkeypatch.setattr(audit, "_BLOCK", 4)
         cfg = AuditConfig(dims=(2, 3, 8), samples=10, seed=11, tolerance=tolerance)
         failing = 0
         for law in LAW_IDS:
             for dim in cfg.dims:
+                blocks_of(monkeypatch, 4, law, dim, cfg.domain)
                 got = audit_law(law, cfg, dim)
                 assert got == ref_audit_law(law, cfg, dim), (law, dim)
                 failing += got.passes < got.samples
@@ -830,8 +850,6 @@ class TestColumnAudit:
             self, law, dim, op, monkeypatch):
         # a column op off by 1e-3 moves every failing row's deviation; the
         # replay of the cell's first failing sample must notice
-        from hyperspace import _columns
-
         exact = getattr(_columns.Columns, op)
         monkeypatch.setattr(_columns.Columns, op, lambda self, *args: exact(self, *args) + 1e-3)
         with pytest.raises(RuntimeError, match=rf"{law} sample \d+: column and scalar verdicts differ"):
@@ -847,8 +865,8 @@ class TestBlockSize:
             blocks.append((dim, len(seeds), k))  # dim: the cell being audited below
             return stream_words.real(seeds, k)
 
-        stream_words.real = audit._stream_words
-        monkeypatch.setattr(audit, "_stream_words", stream_words)
+        stream_words.real = _columns._stream_words
+        monkeypatch.setattr(_columns, "_stream_words", stream_words)
         for dim in (8, 100, 600):
             audit_law("mul_associative", AuditConfig(samples=100), dim)
         assert all(m * k <= audit._BLOCK_WORDS for _, m, k in blocks)
@@ -899,8 +917,7 @@ class TestOneJudge:
         # a wide angle margin redraws many samples; every sample is judged by
         # the column kernels, and the library's functions run once a cell at
         # most, to replay its counterexample
-        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
-        monkeypatch.setattr(audit, "_BLOCK", 8)
+        monkeypatch.setattr(_columns, "_ANGLE_MARGIN", 0.3)
         calls = []
 
         def sample(*args):
@@ -914,6 +931,7 @@ class TestOneJudge:
         resamples = 0
         for law in LAW_IDS:
             for dim in cfg.dims:
+                blocks_of(monkeypatch, 8, law, dim, domain)
                 calls.clear()
                 got = audit_law(law, cfg, dim)
                 cex = got.counterexample
@@ -928,8 +946,7 @@ class TestOneJudge:
         # redraws and rejections run past their block's words; _read
         # computes more words from the seed words the block computed, so the
         # seed words are computed once a block, for its own samples
-        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
-        monkeypatch.setattr(audit, "_BLOCK", 8)
+        monkeypatch.setattr(_columns, "_ANGLE_MARGIN", 0.3)
         seedings, extended = [], []
 
         def seed_words(seed, code, dim, i0, m):
@@ -940,13 +957,14 @@ class TestOneJudge:
             extended.append(sys._getframe(1).f_code.co_name == "_read")
             return stream_words.real(*args)
 
-        seed_words.real, stream_words.real = audit._seed_words, audit._stream_words
-        monkeypatch.setattr(audit, "_seed_words", seed_words)
-        monkeypatch.setattr(audit, "_stream_words", stream_words)
+        seed_words.real, stream_words.real = _columns._seed_words, _columns._stream_words
+        monkeypatch.setattr(_columns, "_seed_words", seed_words)
+        monkeypatch.setattr(_columns, "_stream_words", stream_words)
         cfg = AuditConfig(dims=(3, 8), samples=30, seed=2**32, domain=domain)
         blocks = [(i0, min(8, cfg.samples - i0)) for i0 in range(0, cfg.samples, 8)]
         for code, law in enumerate(LAW_IDS):
             for dim in cfg.dims:
+                blocks_of(monkeypatch, 8, law, dim, domain)
                 seedings.clear()
                 audit_law(law, cfg, dim)
                 assert seedings == [("audit_law", cfg.seed, code, dim, i0, m) for i0, m in blocks], (law, dim)
@@ -959,27 +977,27 @@ class TestOneJudge:
         # operands and the redraws, and the rounds of a block read its
         # words attempt after attempt, so redraw rounds start past the first
         # attempts
-        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
-        monkeypatch.setattr(audit, "_BLOCK", 8)
+        monkeypatch.setattr(_columns, "_ANGLE_MARGIN", 0.3)
         rows, starts = [], []
 
-        def draw(K, u, *args):
+        def draw(u, *args):
             rows.append(len(u))
-            return draw.real(K, u, *args)
+            return draw.real(u, *args)
 
         def read(seeds, raw, todo, start, count):
             if sys._getframe(1).f_code.co_name == "_draw_block":
                 starts.append((start, count))
             return read.real(seeds, raw, todo, start, count)
 
-        draw.real, read.real = audit._draw, audit._read
-        monkeypatch.setattr(audit, "_draw", draw)
-        monkeypatch.setattr(audit, "_read", read)
+        draw.real, read.real = _columns._draw, _columns._read
+        monkeypatch.setattr(_columns, "_draw", draw)
+        monkeypatch.setattr(_columns, "_read", read)
         cfg = AuditConfig(dims=(3, 8), samples=30, seed=2**32, domain=domain)
         redrawn = False
         for law in LAW_IDS:
             spec = audit._LAWS[law]
             for dim in cfg.dims:
+                blocks_of(monkeypatch, 8, law, dim, domain)
                 rows.clear()
                 starts.clear()
                 got = audit_law(law, cfg, dim)
@@ -996,15 +1014,15 @@ class TestOneJudge:
         # at most _MAX_REDRAWS attempts in a row may be near singular; here a
         # sample's operand takes four attempts, and nothing is away from the
         # seams of a margin of 10
-        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 0.3)
+        monkeypatch.setattr(_columns, "_ANGLE_MARGIN", 0.3)
         cfg = AuditConfig(dims=(8,), samples=30, seed=2**32, domain=Domain.POSITIVE_RESTRICTED)
-        monkeypatch.setattr(audit, "_MAX_REDRAWS", 4)
+        monkeypatch.setattr(_columns, "_MAX_REDRAWS", 4)
         assert audit_law("mul_associative", cfg, 8).resamples == 52
-        monkeypatch.setattr(audit, "_MAX_REDRAWS", 3)
+        monkeypatch.setattr(_columns, "_MAX_REDRAWS", 3)
         with pytest.raises(RuntimeError, match="exhausted redraws for a non-singular operand"):
             audit_law("mul_associative", cfg, 8)
         monkeypatch.undo()
-        monkeypatch.setattr(audit, "_ANGLE_MARGIN", 10.0)
+        monkeypatch.setattr(_columns, "_ANGLE_MARGIN", 10.0)
         with pytest.raises(RuntimeError, match="exhausted redraws for a non-singular operand"):
             audit_law("mul_associative", cfg, 8)
 

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from hyperspace import audit
+from hyperspace import _columns
 
 MASK64 = 2**64 - 1
 EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -30,29 +30,29 @@ def ints(p):
 
 def test_mul_hi_is_the_high_word_of_the_product():
     xs, ys = zip(*itertools.product(WORDS, repeat=2))
-    assert audit._mul_hi(words(xs), words(ys)).tolist() == [x * y >> 64 for x, y in zip(xs, ys)]
+    assert _columns._mul_hi(words(xs), words(ys)).tolist() == [x * y >> 64 for x, y in zip(xs, ys)]
 
 
 def test_mul_is_the_product_mod_2_128():
     xs, ys = zip(*itertools.product(VALUES, repeat=2))
-    assert ints(audit._mul(pair(xs), pair(ys))) == [x * y % 2**128 for x, y in zip(xs, ys)]
+    assert ints(_columns._mul(pair(xs), pair(ys))) == [x * y % 2**128 for x, y in zip(xs, ys)]
 
 
 def test_add_is_the_sum_mod_2_128():
     xs, ys = zip(*itertools.product(VALUES, repeat=2))
-    assert ints(audit._add(pair(xs), pair(ys))) == [(x + y) % 2**128 for x, y in zip(xs, ys)]
+    assert ints(_columns._add(pair(xs), pair(ys))) == [(x + y) % 2**128 for x, y in zip(xs, ys)]
 
 
 def test_a_low_word_sum_carries_into_the_high_word():
     x, y = [MASK64, 2**64 + 2**63, 2**128 - 1], [1, 2**63, 1]
-    assert ints(audit._add(pair(x), pair(y))) == [2**64, 2**65, 0]
+    assert ints(_columns._add(pair(x), pair(y))) == [2**64, 2**65, 0]
 
 
 def test_pcg_jumps_are_the_multiplier_and_increment_powers():
-    (a_hi, a_lo), (c_hi, c_lo) = audit._pcg_jumps(3)
+    (a_hi, a_lo), (c_hi, c_lo) = _columns._pcg_jumps(3)
     a, c = 1, 0
     want = []
     for _ in range(4):
-        a, c = a * audit._PCG_MULT % 2**128, (c * audit._PCG_MULT + 1) % 2**128
+        a, c = a * _columns._PCG_MULT % 2**128, (c * _columns._PCG_MULT + 1) % 2**128
         want.append((a, c))
     assert list(zip(ints((a_hi, a_lo)), ints((c_hi, c_lo)))) == want[1:]

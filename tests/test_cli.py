@@ -242,11 +242,18 @@ class TestExitContract:
         assert (code, out) == (2, "")
         assert err.startswith("hsc: arithmetic error:") and err.count("\n") == 1
 
-    def test_an_engine_result_that_overflows_keeps_its_message(self):
-        # the modulus of an operand overflows inside to_polar, not at a literal
-        code, out, err = run_in_process("eval", "c[1e308,1e308] * c[1e308,1e308]")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("expr", ["c[1e308,1e308] * c[1e308,1e308]",
+                                      "abs(c[1.7e308,1.7e308])", "abs(s3[1.7e308,1.7e308,0])"])
+    def test_an_engine_result_that_overflows_keeps_its_message(self, expr, fmt):
+        # the modulus of finite coordinates overflows inside to_polar or abs, not at a literal
+        code, out, err = run_in_process("eval", "--format", fmt, expr)
         assert (code, out) == (2, "")
         assert err == "hsc: arithmetic error: modulus must be finite and >= 0, got inf\n"
+
+    def test_lift_of_finite_coordinates_whose_modulus_overflows_still_works(self):
+        code, out, _ = run_in_process("eval", "lift(c[1.7e308,1.7e308], 1)")
+        assert (code, out) == (0, "c[1.7e+308,1.7e+308,0]\n")
 
     @pytest.mark.parametrize(
         "expr",

@@ -18,6 +18,7 @@ from hyperspace.core import (
     Orientation,
     PolarHC,
     Space3,
+    closeness,
     from_polar,
 )
 
@@ -212,6 +213,48 @@ class TestRestrictedN3Comparison:
             if vec_close(got.coeffs, want.coeffs, rel=1e-9):
                 agree += 1
         assert 0 <= agree <= total
+
+
+class TestWhereTheGeneralProductHolds:
+    """Where ``mul_coeffs_general`` agrees with ``algebra.mul`` at the audit's
+    default tolerance, on seeded draws in the audit's magnitude range: at
+    N = 3 exactly where both operands have a_0 > 0, and from N = 4 on almost
+    nowhere, not even on positive chains of small angles."""
+
+    @staticmethod
+    def agrees(evaluate, s1, s2, chart):
+        return closeness(evaluate(s1, s2, chart).assembled, algebra.mul(s1, s2, chart))[0]
+
+    @staticmethod
+    def small_angles(rng, dim, chart):
+        # a positive chain whose every angle is within 0.05 rad of 0
+        angles = tuple(rng.uniform(-0.05, 0.05, dim - 1))
+        return from_polar(PolarHC(10.0 ** rng.uniform(-2.0, 2.0), angles, chart))
+
+    @pytest.mark.parametrize("chart", [ACW, CW])
+    def test_at_n3_it_agrees_exactly_where_both_real_parts_are_positive(self, chart):
+        rng = np.random.default_rng(12)
+        agree = 0
+        for _ in range(1000):
+            s1, s2 = (c(*rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-2.0, 2.0)) for _ in "12")
+            ok = self.agrees(mul_coeffs_general, s1, s2, chart)
+            assert ok == (s1.coeffs[0] > 0 and s2.coeffs[0] > 0), (s1, s2)
+            agree += ok
+        assert 0 < agree < 1000
+
+    @pytest.mark.parametrize("chart", [ACW, CW])
+    def test_small_angles_agree_at_n3_and_fail_from_n4(self, chart):
+        # the gap grows about as the square of the angles: a second-order term
+        def agreeing(evaluate, dim):
+            rng = np.random.default_rng(13)
+            pairs = [(self.small_angles(rng, dim, chart), self.small_angles(rng, dim, chart)) for _ in range(200)]
+            return sum(self.agrees(evaluate, s1, s2, chart) for s1, s2 in pairs)
+
+        assert agreeing(mul_coeffs_general, 3) == 200
+        assert agreeing(mul_coeffs_general, 4) <= 2
+        assert agreeing(mul_coeffs_general, 5) <= 2
+        # the coordinate route fails on these chains already at N = 3
+        assert agreeing(mul_coeffs_coordinate, 3) <= 2
 
 
 class TestRequestedChart:
